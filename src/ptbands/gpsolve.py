@@ -1,27 +1,34 @@
-"""Newton solver for stationary Gross-Pitaevskii bound states in the PT subspace.
+"""Newton-Krylov solver for stationary Gross-Pitaevskii bound states in the PT subspace.
 
 The stationary equation  -u'' + V u + sigma |u|^2 u = omega u  is solved on
-a periodic truncation of the line with Fourier differentiation.  Newton
-runs in the PT-symmetric subspace, parameterized by (even part of Re u,
-odd part of Im u) on the half grid: this is a real square system of the
-full grid size, every iterate is PT-symmetric exactly by construction,
-and the phase/translation kernel directions (i*u and u') are projected
-out, so the Jacobian is invertible near a band-edge bound state.
-
-The nonlinearity is not complex differentiable; the Jacobian is the
-analytic derivative in the real variables (Re u, Im u).
+a periodic truncation of the line with Fourier differentiation.  Iterates
+stay PT-symmetric through the projection P u = (u + conj(u(-x)))/2, exact
+in floating point; the phase/translation kernel directions (i*u and u')
+are anti-PT, so the projected Jacobian is invertible near a band-edge
+bound state.  Each step is an inexact GMRES solve with the R-linear action
+delta -> P(-delta'' + (V + 2 sigma |u|^2 - omega) delta + sigma u^2 conj(delta))
+on [Re delta; Im delta], preconditioned by (xi^2 + PRECOND_SHIFT + |omega|)^{-1}
+(which commutes with P): O(N log N) per matvec and O(N) memory.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg
 
 from . import effective as effective_mod
-from .errors import NewtonError, PTSymmetryError
+from .errors import ConfigError, NewtonError, PTSymmetryError
 from .grid import RealLineGrid, grid_for_envelope
 from .potential import PeriodicPotential
 from .util import parallel_map
+
+# Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
+# sends the eps = 0.2 solve to another solution); GMRES(50) stalls at eps = 0.0125.
+GMRES_RESTART = 100
+GMRES_MAX_CYCLES = 30
+FORCING_MAX = 1e-4
+PRECOND_SHIFT = 1.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,6 @@ class BoundState:
     omega: float
     grid: RealLineGrid
     residual_norm: float = None
-    hs_error_vs_ansatz: float = None
     newton_iters: int = None
     residual_history: tuple = ()
 
@@ -96,121 +102,57 @@ def gp_residual(u, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
             - omega * u)
 
 
-class _PTReduction:
-    """Index bookkeeping for the (even Re, odd Im) half-grid variables."""
-
-    def __init__(self, grid: RealLineGrid):
-        N = grid.n_points
-        self.N = N
-        self.mirror = grid.mirror
-        # x = -L (self-mirrored) plus x >= 0; Re u there determines the even part
-        self.idx_e = np.concatenate(([0], np.arange(N // 2, N)))
-        # x > 0; Im u there determines the odd part (zero at x = 0 and x = -L)
-        self.idx_o = np.arange(N // 2 + 1, N)
-        self.ne = len(self.idx_e)
-        self.no = len(self.idx_o)
-        self.self_mirrored = self.mirror[self.idx_e] == self.idx_e
-
-    def reduce(self, u):
-        """PT-project a field and return the reduced real unknowns."""
-        re = 0.5 * (u.real + u.real[self.mirror])
-        im = 0.5 * (u.imag - u.imag[self.mirror])
-        return np.concatenate([re[self.idx_e], im[self.idx_o]])
-
-    def embed(self, z):
-        """Reconstruct the PT-symmetric complex field (exact by construction)."""
-        re = np.zeros(self.N)
-        im = np.zeros(self.N)
-        re[self.idx_e] = z[: self.ne]
-        re[self.mirror[self.idx_e]] = z[: self.ne]
-        im[self.idx_o] = z[self.ne:]
-        im[self.mirror[self.idx_o]] = -z[self.ne:]
-        return re + 1j * im
-
-    def project_residual(self, G):
-        """Even part of Re G and odd part of Im G (the PT components)."""
-        ge = 0.5 * (G.real[self.idx_e] + G.real[self.mirror[self.idx_e]])
-        go = 0.5 * (G.imag[self.idx_o] - G.imag[self.mirror[self.idx_o]])
-        return np.concatenate([ge, go])
+def _pt_project(u, grid: RealLineGrid):
+    """P u = (u + conj(u(-x)))/2: idempotent, output PT-symmetric to the last bit."""
+    return 0.5 * (u + np.conj(u[grid.mirror]))
 
 
-def _second_derivative_matrix(grid: RealLineGrid):
-    """Dense Fourier second-derivative matrix (real symmetric circulant)."""
-    col = np.fft.ifft(-grid.frequencies**2).real
-    return scipy.linalg.circulant(col)
+def _jacobian_action(u, omega: float, Vx, sx, grid: RealLineGrid):
+    """delta -> P J(u) delta, J the R-linear derivative of gp_residual at u."""
+    diag = Vx + 2 * sx * np.abs(u) ** 2 - omega
+    off = sx * u**2
+    return lambda d: _pt_project(-grid.second_derivative(d) + diag * d + off * np.conj(d),
+                                 grid)
 
 
-def _reduced_jacobian(red, K, d_rr, d_rw, d_wr, d_ww):
-    """Assemble the PT-reduced real Jacobian from the full-space blocks.
+def _real_operator(fn, n: int):
+    """A map on complex fields of length n as an operator on [Re; Im] in R^2n."""
+    return scipy.sparse.linalg.LinearOperator(
+        (2 * n, 2 * n), dtype=float,
+        matvec=lambda z: _as_real(fn(z[:n] + 1j * z[n:])))
 
-    The full Jacobian is [[-K + diag(d_rr), diag(d_rw)],
-                          [diag(d_wr), -K + diag(d_ww)]]; columns are
-    summed over the even/odd embeddings and rows averaged over the
-    even/odd projections, so the result is exactly the derivative of the
-    projected residual with respect to the reduced unknowns.
-    """
-    idx_e, idx_o, mir = red.idx_e, red.idx_o, red.mirror
-    ne, no = red.ne, red.no
 
-    KE_v = K[:, idx_e].copy()
-    dup = ~red.self_mirrored
-    KE_v[:, dup] += K[:, mir[idx_e][dup]]
-    KE_w = K[:, idx_o] - K[:, mir[idx_o]]
-
-    def diag_cols_even(d):
-        C = np.zeros((red.N, ne))
-        C[idx_e, np.arange(ne)] += d[idx_e]
-        C[mir[idx_e], np.arange(ne)] += np.where(dup, d[mir[idx_e]], 0.0)
-        return C
-
-    def diag_cols_odd(d):
-        C = np.zeros((red.N, no))
-        C[idx_o, np.arange(no)] += d[idx_o]
-        C[mir[idx_o], np.arange(no)] -= d[mir[idx_o]]
-        return C
-
-    B_rr = -KE_v + diag_cols_even(d_rr)
-    B_rw = diag_cols_odd(d_rw)
-    B_wr = diag_cols_even(d_wr)
-    B_ww = -KE_w + diag_cols_odd(d_ww)
-
-    Jred = np.empty((ne + no, ne + no))
-    Jred[:ne, :ne] = 0.5 * (B_rr[idx_e, :] + B_rr[mir[idx_e], :])
-    Jred[:ne, ne:] = 0.5 * (B_rw[idx_e, :] + B_rw[mir[idx_e], :])
-    Jred[ne:, :ne] = 0.5 * (B_wr[idx_o, :] - B_wr[mir[idx_o], :])
-    Jred[ne:, ne:] = 0.5 * (B_ww[idx_o, :] - B_ww[mir[idx_o], :])
-    return Jred
+def _as_real(f):
+    return np.concatenate([f.real, f.imag])
 
 
 def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
                  grid: RealLineGrid, max_iter: int = 25, tol: float = 1e-10,
                  on_iterate=None) -> BoundState:
-    """Newton iteration for the stationary GP equation in the PT subspace.
+    """Inexact Newton-Krylov solve of the stationary GP equation in the PT subspace.
 
     u0 must be PT-symmetric to 1e-6.  Converges when the L2 residual falls
     below tol (an already-converged u0 returns in zero iterations).
     on_iterate(k, u, residual), when given, observes every iterate.
-    Raises NewtonError on divergence or a singular Jacobian; the latter
-    typically means eps is too large or the band assumption is violated.
+    Raises NewtonError on divergence, a GMRES breakdown or miss of the forcing
+    tolerance, or a non-finite step (typically eps too large or a violated band
+    assumption).
     """
     u0 = np.asarray(u0, dtype=complex)
-    if len(u0) != grid.n_points:
+    N = grid.n_points
+    if len(u0) != N:
         raise ValueError("u0 does not match the grid")
     defect = np.abs(np.conj(u0[grid.mirror]) - u0).max()
     if defect > 1e-6:
         raise PTSymmetryError(f"initial guess not PT-symmetric (defect {defect:.3e})")
 
-    red = _PTReduction(grid)
-    z = red.reduce(u0)
-    Vx = V.eval(grid.x)
-    sx = sigma.eval(grid.x)
-    Vr, Vi = Vx.real, Vx.imag
-    sr, si = sx.real, sx.imag
-    K = None
+    Vx, sx = V.eval(grid.x), sigma.eval(grid.x)
+    symbol = 1.0 / (grid.frequencies**2 + PRECOND_SHIFT + abs(omega))
+    precond = _real_operator(lambda d: np.fft.ifft(symbol * np.fft.fft(d)), N)
+    u = _pt_project(u0, grid)
     history = []
     iters = 0
     for _ in range(max_iter + 1):
-        u = red.embed(z)
         G = gp_residual(u, omega, V, sigma, grid)
         rnorm = grid.l2_norm(G)
         history.append(rnorm)
@@ -222,22 +164,14 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
                               residual_history=tuple(history))
         if iters >= max_iter:
             break
-        if K is None:
-            K = _second_derivative_matrix(grid)
-        v, w = u.real, u.imag
-        # real-variable derivative of V u + sigma |u|^2 u - omega u
-        d_rr = Vr + sr * (3 * v**2 + w**2) - 2 * si * v * w - omega
-        d_rw = -Vi + 2 * sr * v * w - si * (v**2 + 3 * w**2)
-        d_wr = Vi + 2 * sr * v * w + si * (3 * v**2 + w**2)
-        d_ww = Vr + sr * (v**2 + 3 * w**2) + 2 * si * v * w - omega
-        Jred = _reduced_jacobian(red, K, d_rr, d_rw, d_wr, d_ww)
-        rhs = red.project_residual(G)
-        try:
-            dz = scipy.linalg.solve(Jred, rhs)
-        except scipy.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Jacobian at iteration {iters}: {exc}",
-                              last_residual=rnorm) from exc
-        z = z - dz
+        jac = _real_operator(_jacobian_action(u, omega, Vx, sx, grid), N)
+        z, info = scipy.sparse.linalg.gmres(
+            jac, _as_real(_pt_project(G, grid)), rtol=min(FORCING_MAX, rnorm),
+            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=precond)
+        if info != 0 or not np.all(np.isfinite(z)):
+            raise NewtonError(f"GMRES failed at iteration {iters} (info {info})",
+                              last_residual=rnorm)
+        u = _pt_project(u - (z[:N] + 1j * z[N:]), grid)
         iters += 1
     raise NewtonError(
         f"no convergence in {max_iter} iterations (last residual {history[-1]:.3e})",
@@ -255,8 +189,14 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
     equation from it, and record e(eps) = ||u - u_form||_{H^s}.  The grid
     half length grows like tail_decay*width/eps so the envelope tail at
     the seam stays below ~2e-9 for every eps.  Any Newton failure aborts
-    the study with the failing eps attached to the error.
+    the study with the failing eps attached to the error.  eps_list must
+    hold distinct real numbers in (0, 0.5] (ConfigError otherwise).
     """
+    eps_list = list(eps_list)
+    if not (eps_list and all(isinstance(e, numbers.Real) and not isinstance(e, bool)
+                             and 0 < e <= 0.5 for e in eps_list)
+            and len(set(eps_list)) == len(eps_list)):
+        raise ConfigError(f"eps_list must be distinct numbers in (0, 0.5], got {eps_list!r}")
     model, mode = effective_mod.extract_effective_model(V, sigma, m, edge, J, N_k)
     env = effective_mod.sech_envelope(model)     # raises ExistenceError if signs fail
 

@@ -155,6 +155,15 @@ class TestConvergeCommand:
         assert code == 3
         assert "eps = 0.2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps_list", [[0.2, 0.2], [], ["a"], [-0.1, 0.1], [True, 0.1],
+                                          [0.1, 0.6], [0.1, float("nan")]])
+    def test_degenerate_eps_list_exit1(self, tmp_path, capsys, eps_list):
+        code, out = run(tmp_path, "converge", gentle_cfg(eps_list=eps_list))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (out / "converge.csv").exists()
+
 
 class TestDiracCommand:
     def test_sin2x_row(self, tmp_path):

@@ -6,7 +6,8 @@ from ptbands import (GridError, NewtonError, PTSymmetryError, RealLineGrid,
                      convergence_study, extract_effective_model, fix_pt_phase,
                      from_parts, gp_residual, grid_for_envelope, hs_norm,
                      make_mode, newton_solve, sech_envelope, solve)
-from ptbands.gpsolve import _PTReduction
+from ptbands import gpsolve
+from ptbands.gpsolve import _jacobian_action, _pt_project
 from conftest import gentle_parts
 
 FREE = constant(0.0)
@@ -83,19 +84,51 @@ class TestGpResidual:
         assert np.abs(r).max() <= 1e-8
 
 
-class TestPTReduction:
-    def test_embed_is_exactly_pt(self, rng):
+class TestNewtonKrylov:
+    def test_projection_is_idempotent_and_exactly_pt(self, rng):
         g = soliton_grid(2)
-        red = _PTReduction(g)
-        z = rng.normal(size=g.n_points)
-        u = red.embed(z)
-        assert np.abs(np.conj(u[g.mirror]) - u).max() == 0.0
+        u = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
+        w = _pt_project(u, g)
+        assert np.abs(np.conj(w[g.mirror]) - w).max() == 0.0
+        assert np.array_equal(_pt_project(w, g), w)
 
-    def test_reduce_embed_roundtrip(self, rng):
-        g = soliton_grid(2)
-        red = _PTReduction(g)
-        z = rng.normal(size=g.n_points)
-        assert np.array_equal(red.reduce(red.embed(z)), z)
+    def test_jacobian_action_matches_central_difference(self, rng):
+        # complex PT lattice and complex PT nonlinearity: exercises the
+        # sigma u^2 conj(delta) term with non-real sigma
+        V = from_parts(gentle_parts())
+        sigma = from_parts(gentle_parts(gamma=0.3))
+        g = soliton_grid(4)
+        u = _pt_project(np.exp(-g.x**2 / 8) * (rng.normal(size=g.n_points)
+                                               + 1j * rng.normal(size=g.n_points)), g)
+        act = _jacobian_action(u, -0.4, V.eval(g.x), sigma.eval(g.x), g)
+        h = 1e-5
+        for _ in range(3):
+            d = _pt_project(np.exp(-g.x**2 / 8) * (rng.normal(size=g.n_points)
+                                                   + 1j * rng.normal(size=g.n_points)), g)
+            fd = (gp_residual(u + h * d, -0.4, V, sigma, g)
+                  - gp_residual(u - h * d, -0.4, V, sigma, g)) / (2 * h)
+            Jd = act(d)
+            assert np.linalg.norm(Jd - fd) <= 1e-6 * np.linalg.norm(Jd)
+
+    def test_krylov_failure_reported(self, monkeypatch):
+        # a Krylov budget too small for the forcing tolerance is a solver failure
+        monkeypatch.setattr(gpsolve, "GMRES_RESTART", 2)
+        monkeypatch.setattr(gpsolve, "GMRES_MAX_CYCLES", 1)
+        g = soliton_grid(8)
+        exact = np.sqrt(2) / np.cosh(g.x) + 0j
+        with pytest.raises(NewtonError, match="GMRES") as err:
+            newton_solve(1.1 * exact, -1.0, FREE, constant(-1.0), g)
+        assert err.value.last_residual is not None
+
+    def test_gentle_study_reproduces_dense_newton(self):
+        # iteration counts and H^1 errors of the dense PT-reduced Newton
+        # solver this one replaced, measured on the same study
+        V = from_parts(gentle_parts())
+        study = convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.2, 0.1), J=24)
+        assert [r.newton_iters for r in study.rows] == [7, 3]
+        dense = [0.18812904806194292, 0.04418631725338731]
+        for row, ref in zip(study.rows, dense):
+            assert row.hs_error == pytest.approx(ref, rel=1e-6)
 
 
 class TestNewtonSolve:
@@ -217,6 +250,13 @@ class TestConvergenceStudy:
             state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid)
             errs.append(hs_norm(state.values - ansatz.values, 1.0, grid))
         assert abs(errs[1] - errs[0]) / errs[0] < 0.01
+
+    def test_asymptotic_h1_slope(self):
+        # the eps^{3/2} regime: N = 9728 at eps = 0.0125
+        V = from_parts(gentle_parts())
+        study = convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.025, 0.0125), J=24)
+        assert all(r.residual <= 1e-9 for r in study.rows)
+        assert 1.4 <= study.slope <= 1.7
 
     def test_single_eps_gives_no_slope(self):
         V = from_parts(gentle_parts())
