@@ -2,14 +2,15 @@
 for one-dimensional PT-symmetric periodic Schroedinger operators."""
 
 from .bands import (BandEdge, BandEdgeReport, BandStructure, check_assumption,
-                    compute_bands, curvature_from_fit, second_derivative)
+                    compute_bands, curvature_from_fit, edge_curvature, second_derivative)
 from .dirac import (DiracPoint, SplittingPrediction, find_dirac_points, mw_matrix,
                     measure_splitting, predict_splitting, prop3_scan, splitting_slope)
-from .discretize import BlochOperatorMatrix, assemble, assemble_adjoint
+from .discretize import BlochOperatorMatrix, assemble
 from .effective import (EffectiveModel, SechEnvelope, build_ansatz,
                         envelope_residual, extract_effective_model,
                         gamma_coefficient, sech_envelope)
-from .eigen import BlochMode, Spectrum, classify, fix_pt_phase, make_mode, solve
+from .eigen import (BlochMode, Spectrum, classify, eigenvalues, fix_pt_phase,
+                    make_mode, solve)
 from .errors import (AssumptionError, ClassificationError, ComplexBandError,
                      ConfigError, DegenerateEigenvalueError, ExistenceError,
                      GridError, NewtonError, PTBandsError, PTSymmetryError)

@@ -1,8 +1,14 @@
 """Band structures over the Brillouin zone and the reality/isolation checks.
 
-Bands are tracked across the k grid by maximal eigenvector overlap
-(value proximity fails at avoided crossings); the tracking is a
-permutation of the lowest-n eigenvalues at each k by construction.
+The k grid is exactly antisymmetric, so the sweep solves only the
+N_k/2 + 1 points k >= 0 (right and left vectors in one decomposition)
+and fills each -k column from the mirror at |k| (eigen.Spectrum.mirrored).
+Bands are tracked across the grid by maximal eigenvector overlap (value
+proximity fails at avoided crossings); the tracking is a permutation of
+the lowest-n eigenvalues at each k by construction.  The full spectra at
+the edges k = 0 and 1/2 are kept: they give the edge modes and, through
+one bordered reduced-resolvent solve each, the edge curvatures.
+second_derivative is the independent finite-difference estimator.
 Band indices m are 1-based in the public API.
 """
 
@@ -26,6 +32,9 @@ ISOLATION_THRESHOLD = 1e-3
 
 OVERLAP_FLAG = 0.5
 
+# second_derivative divides its step by 4 at most this often
+MAX_STEP_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class BandStructure:
@@ -36,6 +45,7 @@ class BandStructure:
     |<v(k_i), v(k_{i+1})>| overlap used to continue each band into column i
     (1.0 in the first column).  Values below OVERLAP_FLAG mark ambiguous
     continuations near crossings; they are recorded, not fatal.
+    edge_spectra maps k0 in {0.0, 0.5} to the full eigen.Spectrum there.
     """
 
     k_grid: np.ndarray
@@ -43,6 +53,7 @@ class BandStructure:
     vectors: np.ndarray
     tracking_quality: np.ndarray
     J: int
+    edge_spectra: dict
 
     @property
     def n_bands(self):
@@ -54,6 +65,12 @@ class BandStructure:
         if abs(self.k_grid[i] - k0) > 1e-12:
             raise ConfigError(f"k = {k0} is not a grid point")
         return i
+
+    def edge_index(self, m, k0):
+        """Position of band m (1-based) in the sorted edge spectrum at k0."""
+        vals = self.omega[:, self.column(k0)]
+        order = np.lexsort((vals.imag, vals.real))
+        return int(np.nonzero(order == m - 1)[0][0])
 
     def band(self, m):
         """Values of band m (1-based) over the grid."""
@@ -68,7 +85,7 @@ class BandEdge:
     omega_star: float
     which: str          # "a" (lower edge) or "b" (upper edge)
     curvature: float
-    curvature_err: float
+    condition: float    # ||l|| ||r|| / |l^H r| of the edge eigenvalue
 
 
 @dataclass(frozen=True)
@@ -96,31 +113,49 @@ class BandEdgeReport:
 
 
 def k_grid(N_k: int) -> np.ndarray:
-    """Uniform grid on (-1/2, 1/2] containing both k = 0 and k = 1/2."""
+    """Uniform grid on (-1/2, 1/2] containing both k = 0 and k = 1/2.
+
+    Every point is an integer over N_k, so k and -k are exact negatives.
+    """
     if N_k < 16 or N_k % 2:
         raise ConfigError("N_k must be even and >= 16 so the grid hits 0 and 1/2")
-    return -0.5 + np.arange(1, N_k + 1) / N_k
+    return (np.arange(1, N_k + 1) - N_k // 2) / N_k
 
 
 def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandStructure:
-    """Solve the Bloch eigenproblem on a k grid and track the lowest bands."""
+    """Solve the Bloch eigenproblem on a k grid and track the lowest bands.
+
+    Only k >= 0 is solved; column -k is the mirror of column k.  Away
+    from the edges only the lowest n_bands eigenpairs are kept.
+    """
     ks = k_grid(N_k)
     if not 1 <= n_bands <= 2 * J + 1:
         raise ConfigError(f"n_bands={n_bands} outside 1..{2 * J + 1}")
+    zero = N_k // 2 - 1                     # ks[zero] = 0, ks[-1] = 1/2
 
-    def solve_at(k):
-        return eigen.solve(discretize.assemble(p, k, J))
+    def solve_at(i):
+        spec = eigen.solve(discretize.assemble(p, ks[i], J))
+        return spec if i in (zero, N_k - 1) else spec.lowest(n_bands)
 
-    spectra = parallel_map(solve_at, ks)
+    solved = parallel_map(solve_at, range(zero, N_k))
+    # ks[i] = -ks[2 zero - i], which is solved[zero - i]
+    spectra = [solved[zero - i].mirrored() for i in range(zero)] + solved
+    omega, vectors, quality = _track(spectra, n_bands)
+    return BandStructure(k_grid=ks, omega=omega, vectors=vectors,
+                         tracking_quality=quality, J=J,
+                         edge_spectra={0.0: solved[0], 0.5: solved[-1]})
 
-    n_dim = 2 * J + 1
-    omega = np.zeros((n_bands, len(ks)), dtype=complex)
-    vectors = np.zeros((n_bands, len(ks), n_dim), dtype=complex)
-    quality = np.ones((n_bands, len(ks)))
+
+def _track(spectra, n_bands):
+    """Continue the lowest n_bands across consecutive spectra by overlap."""
+    n_k, n_dim = len(spectra), spectra[0].right_vectors.shape[0]
+    omega = np.zeros((n_bands, n_k), dtype=complex)
+    vectors = np.zeros((n_bands, n_k, n_dim), dtype=complex)
+    quality = np.ones((n_bands, n_k))
 
     omega[:, 0] = spectra[0].eigenvalues[:n_bands]
     vectors[:, 0, :] = spectra[0].right_vectors[:, :n_bands].T
-    for i in range(1, len(ks)):
+    for i in range(1, n_k):
         w = spectra[i].eigenvalues[:n_bands]
         vr = spectra[i].right_vectors[:, :n_bands]
         # overlap[a, b] = |<v_a(k_{i-1}), v_b(k_i)>|
@@ -131,16 +166,7 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
         omega[:, i] = w[perm]
         vectors[:, i, :] = vr[:, perm].T
         quality[:, i] = overlap[np.arange(n_bands), perm]
-
-    return BandStructure(k_grid=ks, omega=omega, vectors=vectors,
-                         tracking_quality=quality, J=J)
-
-
-def _rank_in_column(bs: BandStructure, m: int, col: int):
-    """0-based position of tracked band m in the (Re, Im)-sorted column."""
-    vals = bs.omega[:, col]
-    order = np.lexsort((vals.imag, vals.real))
-    return int(np.nonzero(order == m - 1)[0][0])
+    return omega, vectors, quality
 
 
 def _edge_derivative(bs: BandStructure, m: int, k0: float):
@@ -166,8 +192,9 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
     the grid) to every other computed eigenvalue at every grid k — the
     computed window stands in for "the rest of the spectrum", so n_bands
     must cover the neighbours of m.  simplicity_margin is the same
-    distance restricted to equal k.  When the potential p is given,
-    curvatures at the detected edges are computed by Richardson re-solves.
+    distance restricted to equal k.  When the potential p is given, the
+    curvature at each detected edge comes from the stored edge spectrum by
+    edge_curvature (one bordered solve, no eigensolve).
     """
     vals = bs.band(m)
     scale = np.maximum(1.0, np.abs(vals))
@@ -200,11 +227,10 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
         edge_list = []
         for k0, om_star, which in ((ka, oma, "a"), (kb, omb, "b")):
             if p is not None:
-                rank = _rank_in_column(bs, m, bs.column(k0))
-                curv, err = second_derivative(p, rank + 1, k0, bs.J, tol_real=tol_real)
+                curv, cond = edge_curvature(p, bs.edge_spectra[k0], bs.edge_index(m, k0))
             else:
-                curv, err = np.nan, np.nan
-            edge_list.append(BandEdge(k0, om_star, which, curv, err))
+                curv, cond = np.nan, np.nan
+            edge_list.append(BandEdge(k0, om_star, which, curv, cond))
         edges = tuple(edge_list)
         derivs = tuple(_edge_derivative(bs, m, k0) for k0 in (0.0, 0.5))
 
@@ -219,6 +245,42 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
         extrema_at_high_symmetry=bool(extrema_ok),
         derivative_at_edges=derivs,
     )
+
+
+def edge_curvature(p: PeriodicPotential, spec: eigen.Spectrum, index: int):
+    """omega''(k) of spec.eigenvalues[index] by one bordered reduced-resolvent solve.
+
+    With M' = dM/dk = diag(2(j + k)), M'' = 2I and s = l^H r, solve
+
+        [[M - omega I, r], [l^H, 0]] [x; mu] = [M' r; 0],
+
+    then omega'' = 2 - 2 l^H M' x / s: second-order perturbation theory,
+    exact for the truncated matrix (Kato, Perturbation Theory for Linear
+    Operators, ch. II).  The last row keeps x in the reduced space
+    l^H x = 0; the multiplier comes out as mu = omega'(k) = l^H M' r / s
+    (zero at the edges) and takes up the r-component of M' r, so x = -r'
+    without projecting the right-hand side.  The bordering makes the
+    system regular at a simple eigenvalue, however close other
+    eigenvalues or exceptional pairs sit elsewhere in the spectrum.  Returns (curvature, condition)
+    with condition = ||l|| ||r|| / |l^H r|; the curvature is NaN when the
+    eigenvalue is degenerate (gap <= 1e-6 of the spectral scale) or
+    near-exceptional (condition > 1e8).
+    """
+    omega = spec.eigenvalues[index]
+    r = spec.right_vectors[:, index]
+    l = spec.left_vectors[:, index]
+    s = np.vdot(l, r)
+    condition = float(np.linalg.norm(l) * np.linalg.norm(r) / abs(s))
+    scale = max(1.0, np.abs(spec.eigenvalues).max())
+    if spec.gap(index) <= 1e-6 * scale or condition > 1e8:
+        return np.nan, condition
+    M = discretize.assemble(p, spec.k, spec.J).entries
+    n = len(r)
+    B = np.block([[M - omega * np.eye(n), r[:, None]],
+                  [l.conj()[None, :], np.zeros((1, 1))]])
+    dM = 2.0 * (np.arange(-spec.J, spec.J + 1) + spec.k)
+    x = np.linalg.solve(B, np.append(dM * r, 0.0))[:n]
+    return float((2.0 - 2.0 * np.vdot(l, dM * x) / s).real), condition
 
 
 def _band_value_near(p, k, J, ref_vector, tol_real):
@@ -269,16 +331,18 @@ def second_derivative(p: PeriodicPotential, m: int, k0: float, J: int,
                       h: float = 0.04, tol_real: float = REALITY_TOL):
     """omega_m''(k0) at k0 in {0, 1/2} by Richardson-extrapolated differences.
 
-    m is the 1-based position in the (Re, Im)-sorted spectrum at k0.
-    Central second differences D(h) = (omega(k0+h) - 2 omega(k0) +
-    omega(k0-h)) / h^2 at steps h, h/2, h/4 feed two Richardson levels;
-    samples beyond the zone edge k0 = 1/2 use the 1-periodicity of the
-    band with the matching frame shifted accordingly.  Band continuation
-    is by eigenvector overlap against the k0 eigenvector.  The step
-    default balances the truncation of the extrapolant against
-    eigensolver noise amplified by 1/h^2; when the error estimate comes
-    out poor (sharp edges near avoided crossings), one retry at h/4 keeps
-    whichever estimate is tighter.  Returns (value, error_estimate).
+    The independent finite-difference estimator; the pipelines use
+    edge_curvature.  m is the 1-based position in the (Re, Im)-sorted
+    spectrum at k0.  Central second differences D(h) = (omega(k0+h) -
+    2 omega(k0) + omega(k0-h)) / h^2 at steps h, h/2, h/4 feed two
+    Richardson levels; samples beyond the zone edge k0 = 1/2 use the
+    1-periodicity of the band with the matching frame shifted
+    accordingly.  Band continuation is by eigenvector overlap against the
+    k0 eigenvector.  The step default balances the truncation of the
+    extrapolant against eigensolver noise amplified by 1/h^2.  While the
+    error estimate stays above 1e-6 relative (sharp edges near avoided
+    crossings) and keeps improving, h is divided by 4, at most
+    MAX_STEP_RETRIES times.  Returns (value, error_estimate).
     """
     if k0 not in (0.0, 0.5):
         raise ConfigError("band-edge curvature is defined at k0 in {0, 1/2}")
@@ -289,10 +353,14 @@ def second_derivative(p: PeriodicPotential, m: int, k0: float, J: int,
     ref = spec0.right_vectors[:, m - 1]
 
     value, err = _richardson_d2(p, om0.real, ref, k0, J, h, tol_real)
-    if err > 1e-6 * max(1.0, abs(value)):
-        value2, err2 = _richardson_d2(p, om0.real, ref, k0, J, h / 4, tol_real)
-        if err2 < err:
-            value, err = value2, err2
+    for _ in range(MAX_STEP_RETRIES):
+        if err <= 1e-6 * max(1.0, abs(value)):
+            break
+        h /= 4
+        value2, err2 = _richardson_d2(p, om0.real, ref, k0, J, h, tol_real)
+        if err2 >= err:
+            break
+        value, err = value2, err2
     return float(value), float(err)
 
 

@@ -140,8 +140,10 @@ def cmd_bands(cfg, out):
             "extrema_at_high_symmetry": target.extrema_at_high_symmetry,
             "assumption_ok": target.assumption_ok,
             "edges": [
+                # a degenerate edge has no curvature: null, not a bare NaN token
                 {"k0": e.k0, "omega_star": e.omega_star, "which": e.which,
-                 "curvature": e.curvature, "curvature_err": e.curvature_err}
+                 "curvature": None if np.isnan(e.curvature) else e.curvature,
+                 "condition": e.condition}
                 for e in target.edges
             ],
         },
@@ -213,6 +215,7 @@ def cmd_converge(cfg, out):
         "s": study.s,
         "slope": study.slope,
         "slope_stderr": study.slope_stderr,
+        "local_slopes": list(study.local_slopes),
         "rel_slope": study.rel_slope,
         "rel_slope_stderr": study.rel_slope_stderr,
         "model": study.model.to_json_dict(),

@@ -230,15 +230,15 @@ def predict_splitting(dp: DiracPoint, W_parts: PotentialParts, gamma: float,
 
 def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
     """The two eigenvalues of L(k0) nearest mu, plus-Im first."""
-    spec = eigen.solve(discretize.assemble(p, k0, J))
-    d = np.abs(spec.eigenvalues - mu)
+    w = eigen.eigenvalues(discretize.assemble(p, k0, J))
+    d = np.abs(w - mu)
     close = np.nonzero(d < 1.0)[0]
     if len(close) < 2:
         raise ClassificationError(
             f"fewer than two eigenvalues within distance 1 of mu = {mu} at k0 = {k0}"
         )
     idx = close[np.argsort(d[close])[:2]]
-    pair = sorted(spec.eigenvalues[idx], key=lambda z: -z.imag)
+    pair = sorted(w[idx], key=lambda z: -z.imag)
     return tuple(pair)
 
 
@@ -271,8 +271,8 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
     k0 = 0 (free modes e^{+-imx}).  The two resonant modes couple through
     the potential coefficients at harmonic q = 2m, so the leading
     eigenvalues are mu +- sqrt(a_q^2 - gamma^2 b_q^2) and the splitting
-    magnitude is |gamma b_q| once b dominates.  One eigensolve at k0 = 0
-    serves every m.
+    magnitude is |gamma b_q| once b dominates.  One eigenvalue-only solve
+    at k0 = 0 serves every m.
     """
     m_range = sorted(int(m) for m in m_range)
     if not m_range or m_range[0] < 1:
@@ -288,7 +288,7 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
         )
     parts = PotentialParts(tuple(a_seq), tuple(b_seq), gamma, Convention.PROP3_DOUBLED)
     V = from_parts(parts)
-    spec = eigen.solve(discretize.assemble(V, 0.0, J))
+    w = eigen.eigenvalues(discretize.assemble(V, 0.0, J))
 
     records = []
     for m in m_range:
@@ -304,8 +304,8 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
             k0=0.0, mu=mu, gamma=gamma, regime=regime,
             leading_eigenvalues=pred, pred_im=pred_im, coupling_harmonic=q,
         )
-        d = np.abs(spec.eigenvalues - mu)
+        d = np.abs(w - mu)
         idx = np.argsort(d)[:2]
-        pair = sorted(spec.eigenvalues[idx], key=lambda z: -z.imag)
+        pair = sorted(w[idx], key=lambda z: -z.imag)
         records.append(rec.with_measurement(tuple(pair)))
     return records

@@ -7,7 +7,11 @@ post-processing depends on it), the operator is the dense matrix
 
 exact for trigonometric potentials and spectrally convergent otherwise.
 For PT-symmetric potentials every entry is real, so the spectrum is
-closed under complex conjugation.
+closed under complex conjugation.  For every potential
+M(-k) = R M(k)^T R with R the reversal j -> -j, so one decomposition per
+|k| serves both signs (see eigen.Spectrum.mirrored).  The adjoint
+L*(k) = -(d/dx + ik)^2 + conj(V) is M(k)^H; its eigenvectors are the left
+eigenvectors of M(k) and are never assembled separately.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ from .potential import PeriodicPotential
 
 @dataclass(frozen=True)
 class BlochOperatorMatrix:
-    """Dense Galerkin matrix of L(k) (or its adjoint) at quasimomentum k."""
+    """Dense Galerkin matrix of L(k) at quasimomentum k."""
 
     k: float
     J: int
@@ -63,12 +67,3 @@ def assemble(p: PeriodicPotential, k: float, J: int) -> BlochOperatorMatrix:
         M[rows, rows - q] += c
     return BlochOperatorMatrix(k=float(k), J=int(J), entries=M)
 
-
-def assemble_adjoint(p: PeriodicPotential, k: float, J: int) -> BlochOperatorMatrix:
-    """Galerkin matrix of the adjoint L*(k) = -(d/dx + ik)^2 + conj(V).
-
-    Equals the conjugate transpose of assemble(p, k, J): the kinetic part
-    is self-adjoint and multiplication by V conjugates.
-    """
-    M = assemble(p, k, J)
-    return BlochOperatorMatrix(k=M.k, J=M.J, entries=M.entries.conj().T.copy())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bands, discretize, eigen
+from . import bands, eigen
 from .eigen import TWO_PI, BlochMode
 from .errors import ConfigError, ExistenceError, GridError, PTSymmetryError
 from .grid import RealLineGrid
@@ -183,8 +183,11 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
                             tol_real: float = bands.REALITY_TOL):
     """Band-edge pipeline: assumption check, PT-fixed mode, curvature, Gamma.
 
-    Returns (EffectiveModel, BlochMode).  Raises AssumptionError when the
-    reality/isolation/simplicity check fails for band m.
+    Everything at the edge comes from the band sweep's stored edge
+    spectrum: the mode with p* from its left vector, and omega'' from
+    bands.edge_curvature.  Returns (EffectiveModel, BlochMode).  Raises
+    AssumptionError when the reality/isolation/simplicity check fails for
+    band m.
     """
     if edge not in ("a", "b"):
         raise ConfigError("edge must be 'a' or 'b'")
@@ -195,15 +198,10 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
     bands.require_assumption(report)
     be = next(e for e in report.edges if e.which == edge)
 
-    spec = eigen.solve(discretize.assemble(V, be.k0, J))
-    # identify the band in the fresh solve by overlap with the tracked vector
-    # (index by sorted position would break if lower bands reorder)
-    tracked = bs.vectors[m - 1, bs.column(be.k0)]
-    idx = int(np.argmax(np.abs(tracked.conj() @ spec.right_vectors)))
-    mode = eigen.make_mode(spec, idx, discretize.assemble_adjoint(V, be.k0, J))
-    mode = eigen.fix_pt_phase(mode, tol_real)
-
-    curvature, _ = bands.second_derivative(V, idx + 1, be.k0, J, tol_real=tol_real)
+    spec = bs.edge_spectra[be.k0]
+    idx = bs.edge_index(m, be.k0)
+    mode = eigen.fix_pt_phase(eigen.make_mode(spec, idx), tol_real)
+    curvature, _ = bands.edge_curvature(V, spec, idx)
     gamma_nl = gamma_coefficient(mode, mode, sigma, n_quad=n_quad)
     Omega = -1 if edge == "a" else +1
     model = EffectiveModel(

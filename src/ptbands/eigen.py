@@ -7,10 +7,18 @@ Conventions used throughout:
   2*pi*sum|pi_j|^2 = 1;
 * the cell inner product is <u, v> = int_0^{2pi} u conj(v) dx
   = 2*pi*sum_j u_j conj(v_j)  (linear in the first argument);
-* the adjoint mode p* (eigenvector of the adjoint matrix at conj(omega))
-  is scaled so that <p, p*> = 1, which makes <., p*> p the spectral
-  projection onto the mode.  Near an exceptional point this pairing
-  degenerates and the construction refuses.
+* the adjoint mode p* (eigenvector of the adjoint matrix M^H at
+  conj(omega)) is the left eigenvector l of the same decomposition,
+  l^H M = omega l^H, scaled so that <p, p*> = 1, which makes <., p*> p the
+  spectral projection onto the mode.  Near an exceptional point this
+  pairing degenerates and the construction refuses.
+
+solve() returns right and left vectors from one LAPACK call.  Because
+M(-k) = R M(k)^T R with R the reversal j -> -j, the decomposition at -k is
+the reflected one at k (Spectrum.mirrored): the same eigenvalues, right
+vectors R conj(l) and left vectors R conj(r).  This is the reflection
+identity p*(x, k) = p(-x, -k) in coefficient form.  eigenvalues() serves
+callers that read no vectors.
 """
 
 from dataclasses import dataclass, replace
@@ -34,13 +42,28 @@ class Spectrum:
 
     eigenvalues are sorted ascending by real part (ties by imaginary
     part); right_vectors[:, i] is the unit-2-norm eigenvector of
-    eigenvalues[i] in the e^{ijx} coefficient basis, j = -J..J.
+    eigenvalues[i] in the e^{ijx} coefficient basis, j = -J..J, and
+    left_vectors[:, i] the unit-2-norm left eigenvector
+    (l^H M = omega l^H, i.e. M^H l = conj(omega) l).
     """
 
     k: float
     J: int
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
+    left_vectors: np.ndarray = None
+
+    def mirrored(self):
+        """The decomposition at -k, from M(-k) = R M(k)^T R (R: j -> -j)."""
+        return Spectrum(k=-self.k, J=self.J, eigenvalues=self.eigenvalues,
+                        right_vectors=self.left_vectors[::-1].conj(),
+                        left_vectors=self.right_vectors[::-1].conj())
+
+    def lowest(self, n):
+        """The first n eigenpairs, copied so the full decomposition can be freed."""
+        return Spectrum(k=self.k, J=self.J, eigenvalues=self.eigenvalues[:n].copy(),
+                        right_vectors=self.right_vectors[:, :n].copy(),
+                        left_vectors=self.left_vectors[:, :n].copy())
 
     def gap(self, index):
         """Distance from eigenvalues[index] to the nearest other eigenvalue."""
@@ -95,21 +118,34 @@ def inner(u_coeffs, v_coeffs):
     return TWO_PI * np.sum(u_coeffs * np.conj(v_coeffs))
 
 
-def solve(M: BlochOperatorMatrix) -> Spectrum:
-    """Full eigendecomposition of a Bloch operator matrix.
-
-    Real-entried matrices (every PT-symmetric potential) go through the
-    real LAPACK path, which returns exactly conjugate complex pairs.
-    """
+def _lapack_entries(M: BlochOperatorMatrix):
+    """Entries as LAPACK should see them: real-entried matrices (every
+    PT-symmetric potential) take the real path, which returns exactly
+    conjugate complex pairs."""
     A = M.entries
     if np.abs(A.imag).max(initial=0.0) <= _REAL_ENTRY_TOL * max(1.0, np.abs(A.real).max()):
         A = A.real
+    return A
+
+
+def solve(M: BlochOperatorMatrix) -> Spectrum:
+    """Full eigendecomposition of a Bloch operator matrix, right and left vectors."""
     try:
-        w, vr = scipy.linalg.eig(A)
+        w, vl, vr = scipy.linalg.eig(_lapack_entries(M), left=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
     order = np.lexsort((w.imag, w.real))
-    return Spectrum(k=M.k, J=M.J, eigenvalues=w[order], right_vectors=vr[:, order])
+    return Spectrum(k=M.k, J=M.J, eigenvalues=w[order], right_vectors=vr[:, order],
+                    left_vectors=vl[:, order])
+
+
+def eigenvalues(M: BlochOperatorMatrix) -> np.ndarray:
+    """Eigenvalues of a Bloch operator matrix in solve()'s order, no vectors."""
+    try:
+        w = scipy.linalg.eigvals(_lapack_entries(M))
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
+    return w[np.lexsort((w.imag, w.real))]
 
 
 def classify(spec: Spectrum, tol_real: float) -> SpectrumClasses:
@@ -158,18 +194,16 @@ def _deterministic_phase(v):
     return v * phase
 
 
-def make_mode(spec: Spectrum, index: int, M_adj: BlochOperatorMatrix) -> BlochMode:
+def make_mode(spec: Spectrum, index: int) -> BlochMode:
     """Biorthonormalized Bloch mode for spec.eigenvalues[index].
 
-    The adjoint eigenvector is taken from the adjoint matrix at conj(omega)
-    and rescaled so <p, p*> = 1; the reflection identity
-    p*(x, k) = p(-x, -k) is *not* used in the construction (it serves as an
-    independent cross-check in the test suite).  Refuses near-degenerate
+    p is the right vector at cell norm 1; p* is the left vector of the
+    same decomposition rescaled so <p, p*> = 1.  Refuses near-degenerate
     eigenvalues: there the pairing <p, p*> tends to zero and the
     normalization is unstable.
     """
     omega = spec.eigenvalues[index]
-    scale = M_adj.norm()
+    scale = max(1.0, np.abs(spec.eigenvalues).max())
     if spec.gap(index) <= 1e-6 * scale:
         raise DegenerateEigenvalueError(
             f"eigenvalue {omega} within {1e-6 * scale:.3e} of another; "
@@ -179,14 +213,7 @@ def make_mode(spec: Spectrum, index: int, M_adj: BlochOperatorMatrix) -> BlochMo
     v = v / (np.sqrt(TWO_PI) * np.linalg.norm(v))
     v = _deterministic_phase(v)
 
-    adj = solve(M_adj)
-    j = int(np.argmin(np.abs(adj.eigenvalues - np.conj(omega))))
-    if abs(adj.eigenvalues[j] - np.conj(omega)) > 1e-8 * max(1.0, scale):
-        raise PTBandsError(
-            f"adjoint spectrum has no eigenvalue near conj({omega}); "
-            "operator pair inconsistent"
-        )
-    w = adj.right_vectors[:, j].copy()
+    w = spec.left_vectors[:, index]
     s = inner(v, w)
     if abs(s) < 1e-8:
         raise DegenerateEigenvalueError(

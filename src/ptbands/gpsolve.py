@@ -71,7 +71,10 @@ class ConvergenceStudy:
 
     slope / rel_slope are least-squares slopes of log(error) against
     log(eps); the stderr fields are the 1-sigma uncertainties of the fit
-    (None when fewer than two or three points)."""
+    (None when fewer than two or three points).  local_slopes holds
+    log(e_i / e_{i+1}) / log(eps_i / eps_{i+1}) for consecutive rows: a
+    pre-asymptotic large-eps point biases the global fit, not the
+    small-eps local slopes."""
 
     rows: tuple
     s: float
@@ -80,6 +83,7 @@ class ConvergenceStudy:
     rel_slope: float
     rel_slope_stderr: float
     model: "effective_mod.EffectiveModel"
+    local_slopes: tuple
 
 
 def hs_norm(u, s: float, grid: RealLineGrid) -> float:
@@ -234,5 +238,8 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
 
     slope, slope_err = fit([r.hs_error for r in rows])
     rel_slope, rel_err = fit([r.hs_error_rel for r in rows])
+    local = tuple(float(np.log(a.hs_error / b.hs_error) / np.log(a.eps / b.eps))
+                  for a, b in zip(rows, rows[1:]))
     return ConvergenceStudy(rows=tuple(rows), s=s, slope=slope, slope_stderr=slope_err,
-                            rel_slope=rel_slope, rel_slope_stderr=rel_err, model=model)
+                            rel_slope=rel_slope, rel_slope_stderr=rel_err, model=model,
+                            local_slopes=local)

@@ -3,20 +3,26 @@
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import ConfigError
+
 
 def thread_count():
     """Worker count for parallel maps, capped by PTBANDS_THREADS.
 
-    Defaults to 1 (sequential).  The heavy kernels are LAPACK/BLAS calls
-    which release the GIL, so raising the cap parallelizes independent
-    eigenproblems without oversubscribing when left at 1.
+    Defaults to 1 (sequential) when unset; any other value must be a
+    positive integer (ConfigError otherwise).  The heavy kernels are
+    LAPACK/BLAS calls which release the GIL, so raising the cap
+    parallelizes independent eigenproblems without oversubscribing when
+    left at 1.
     """
     raw = os.environ.get("PTBANDS_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ConfigError(f"PTBANDS_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def parallel_map(fn, items):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from ptbands import (PotentialParts, assemble, assemble_adjoint, build_ansatz,
+from ptbands import (PotentialParts, assemble, build_ansatz,
                      compute_bands, constant, check_assumption, convergence_study,
                      envelope_residual, fix_pt_phase, from_parts, gamma_coefficient,
                      grid_for_envelope, make_mode, measure_splitting, mw_matrix,
@@ -111,16 +111,15 @@ def test_criterion_5_gamma_coefficient_checks():
     count = 0
     for p, k, idxs in suite:
         spec = solve(assemble(p, k, 20))
-        adj = assemble_adjoint(p, k, 20)
         for i in idxs:
-            mode = fix_pt_phase(make_mode(spec, i, adj))
+            mode = fix_pt_phase(make_mode(spec, i))
             g = gamma_coefficient(mode, mode, sigma)
             worst = max(worst, abs(g.imag))
             count += 1
     assert worst <= 1e-8
 
     spec = solve(assemble(FREE, 0.0, 8))
-    mode = fix_pt_phase(make_mode(spec, 0, assemble_adjoint(FREE, 0.0, 8)))
+    mode = fix_pt_phase(make_mode(spec, 0))
     for s0 in (1.0, -3.7):
         g = gamma_coefficient(mode, mode, constant(s0))
         assert abs(g - s0 / (2 * np.pi)) <= 1e-12

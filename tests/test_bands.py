@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ptbands import (AssumptionError, ComplexBandError, ConfigError, check_assumption,
-                     compute_bands, constant, curvature_from_fit, from_parts,
-                     second_derivative, PotentialParts)
-from ptbands.bands import k_grid, require_assumption
-from conftest import two_harmonic_potential
+from ptbands import (AssumptionError, ComplexBandError, ConfigError, assemble,
+                     check_assumption, compute_bands, constant, curvature_from_fit,
+                     edge_curvature, from_parts, second_derivative, solve, PotentialParts)
+from ptbands.bands import _track, k_grid, require_assumption
+from conftest import gentle_parts, two_harmonic_potential
 
 FREE = constant(0.0)
 
@@ -18,6 +18,16 @@ def test_k_grid_contains_high_symmetry_points():
         k_grid(15)
 
 
+def test_k_grid_exactly_antisymmetric():
+    for N in (16, 32, 48, 64, 128):
+        ks = k_grid(N)
+        interior = ks[:-1]                       # 1/2 is its own mirror mod 1
+        assert np.array_equal(-interior[::-1], interior)
+        if N & (N - 1) == 0:
+            # same bits as the former -1/2 + i/N_k grid
+            assert np.array_equal(ks, -0.5 + np.arange(1, N + 1) / N)
+
+
 class TestComputeBands:
     def test_free_bands_are_shifted_parabolas(self):
         bs = compute_bands(FREE, 10, 16, 5)
@@ -27,13 +37,37 @@ class TestComputeBands:
             assert np.abs(bs.omega[:, i].imag).max() < 1e-12
 
     def test_tracking_is_a_permutation(self):
-        # sorted tracked values equal sorted raw eigenvalues at every k, exactly
+        # sorted tracked values equal sorted raw eigenvalues at every k, exactly;
+        # the sweep solves |k| and mirrors it to -k, so that is the raw spectrum
         from ptbands import assemble, solve
         p = two_harmonic_potential(1.5)
         bs = compute_bands(p, 16, 16, 6)
         for i, k in enumerate(bs.k_grid):
-            raw = solve(assemble(p, k, 16)).eigenvalues[:6]
+            raw = solve(assemble(p, abs(k), 16)).eigenvalues[:6]
             assert np.array_equal(np.sort_complex(bs.omega[:, i]), np.sort_complex(raw))
+
+    def test_mirrored_sweep_matches_direct(self):
+        # every column solved directly and tracked the same way; N_k = 48 is
+        # not a power of two, so this also needs the exactly antisymmetric grid
+        p = two_harmonic_potential(1.5)
+        bs = compute_bands(p, 32, 48, 5)
+        direct = [solve(assemble(p, k, 32)) for k in bs.k_grid]
+        omega, vectors, quality = _track(direct, 5)
+        assert np.abs(omega - bs.omega).max() <= 2e-13 * np.abs(omega).max()
+        assert np.abs(quality - bs.tracking_quality).max() <= 1e-12
+        # each tracked vector is the direct one up to a phase
+        phases = np.abs(np.einsum("mkj,mkj->mk", vectors.conj(), bs.vectors))
+        assert np.abs(phases - 1).max() <= 1e-10
+
+    def test_keeps_full_edge_spectra_only(self):
+        p = two_harmonic_potential(1.0)
+        bs = compute_bands(p, 12, 16, 3)
+        assert set(bs.edge_spectra) == {0.0, 0.5}
+        for k0, spec in bs.edge_spectra.items():
+            assert spec.k == k0 and spec.eigenvalues.shape == (25,)
+            col = bs.column(k0)
+            assert np.array_equal(np.sort_complex(bs.omega[:, col]),
+                                  np.sort_complex(spec.eigenvalues[:3]))
 
     def test_two_harmonic_reality_structure(self):
         bs1 = compute_bands(two_harmonic_potential(1.0), 20, 32, 3)
@@ -86,6 +120,66 @@ class TestCheckAssumption:
         assert not rep.assumption_ok
 
 
+class TestEdgeCurvature:
+    # (potential, J, k0, band m): edges of the gentle and two-harmonic lattices
+    CASES = [
+        (from_parts(gentle_parts()), 20, 0.0, 1),
+        (from_parts(gentle_parts()), 20, 0.5, 1),
+        (from_parts(gentle_parts()), 20, 0.5, 3),     # neighbour 0.038 away
+        (two_harmonic_potential(1.0), 24, 0.0, 2),
+        (two_harmonic_potential(1.5), 24, 0.0, 3),
+        # a near-exceptional pair (|l^H r| ~ 1.5e-9) elsewhere in this spectrum
+        # pulls the second-order spectral sum to -90.41; the bordered solve
+        # does not see it
+        (two_harmonic_potential(1.5), 32, 0.5, 3),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_bordered_matches_richardson(self, case):
+        # Richardson converges to the bordered value until eigenvalue roundoff,
+        # amplified by cond/h^2, takes over below h ~ 1e-3
+        p, J, k0, m = self.CASES[case]
+        bs = compute_bands(p, J, 32, m + 2)
+        idx = bs.edge_index(m, k0)
+        curv, cond = edge_curvature(p, bs.edge_spectra[k0], idx)
+        assert 1.0 <= cond < 1e3
+        roundoff = cond * np.finfo(float).eps * assemble(p, k0, J).norm()
+        for h in (1e-2, 1e-3, 1e-4, 1e-5):
+            ref, _ = second_derivative(p, idx + 1, k0, J, h=h)
+            assert abs(curv - ref) <= 1e-7 * max(1.0, abs(ref)) + 64 * roundoff / h**2
+
+    def test_interior_k_matches_central_difference(self):
+        # off the edges omega' != 0, so the projection (I - r l^H / s) matters
+        p = two_harmonic_potential(1.0)
+        k, h, J = 0.23, 1e-3, 16
+        w = [solve(assemble(p, k + d, J)).eigenvalues[1].real for d in (-h, 0.0, h)]
+        curv, _ = edge_curvature(p, solve(assemble(p, k, J)), 1)
+        assert curv == pytest.approx((w[0] - 2 * w[1] + w[2]) / h**2, abs=1e-5)
+
+    def test_two_harmonic_near_exceptional_edge_value(self):
+        p = two_harmonic_potential(1.5)
+        spec = solve(assemble(p, 0.5, 32))
+        curv, _ = edge_curvature(p, spec, 2)
+        assert curv == pytest.approx(-94.005, abs=1e-3)
+
+    def test_check_assumption_uses_bordered_curvature(self):
+        p = two_harmonic_potential(1.5)
+        bs = compute_bands(p, 24, 32, 5)
+        rep = check_assumption(bs, 3, p=p)
+        for e in rep.edges:
+            expect = edge_curvature(p, bs.edge_spectra[e.k0], bs.edge_index(3, e.k0))
+            assert (e.curvature, e.condition) == expect
+
+    def test_degenerate_edge_gives_nan(self):
+        # free band 1 at k0 = 1/2: e^{0} and e^{-ix} share omega = 1/4
+        bs = compute_bands(FREE, 10, 32, 4)
+        rep = check_assumption(bs, 1, p=FREE)
+        by_k0 = {e.k0: e for e in rep.edges}
+        assert by_k0[0.0].curvature == pytest.approx(2.0, abs=1e-12)
+        assert np.isnan(by_k0[0.5].curvature)
+        assert by_k0[0.5].condition == pytest.approx(1.0)
+
+
 class TestSecondDerivative:
     def test_free_lowest_band_center(self):
         val, err = second_derivative(FREE, 1, 0.0, 16)
@@ -110,6 +204,13 @@ class TestSecondDerivative:
         v24, _ = second_derivative(p, 1, 0.0, 24)
         v32, _ = second_derivative(p, 1, 0.0, 32)
         assert abs(v24 - v32) < 1e-8
+
+    def test_known_bad_gentle_edge(self):
+        # band 3 at k0 = 1/2, J = 20: h = 0.04/0.01 give +502.7/-428.84; the
+        # bounded step loop goes on to 0.0025 and 0.000625
+        val, err = second_derivative(from_parts(gentle_parts()), 3, 0.5, 20)
+        assert val == pytest.approx(-446.194, abs=1e-3)
+        assert err <= 1e-6 * abs(val)
 
     def test_refuses_complex_band(self):
         with pytest.raises(ComplexBandError):

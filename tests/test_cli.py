@@ -59,6 +59,10 @@ class TestBandsCommand:
         code, out = run(tmp_path, "bands", cfg)
         assert code == 2
         assert (out / "bands.csv").exists()   # data still emitted
+        # the k0 = 1/2 edge is degenerate: its curvature is null in strict JSON
+        text = (out / "bands_summary.json").read_text()
+        edges = json.loads(text, parse_constant=pytest.fail)["checked_band"]["edges"]
+        assert {e["k0"]: e["curvature"] for e in edges} == {0.0: 2.0, 0.5: None}
 
     def test_unknown_key_exit1(self, tmp_path):
         cfg = two_harmonic_cfg(1.0, 1)
@@ -78,6 +82,24 @@ class TestBandsCommand:
         monkeypatch.setenv("PTBANDS_THREADS", "4")
         _, out4 = run(tmp_path, "bands", two_harmonic_cfg(1.0, 1), name="t4.json")
         assert (out4 / "bands.csv").read_bytes() == (out1 / "bands.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "", "1.5"])
+    def test_invalid_thread_count_exit1(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("PTBANDS_THREADS", threads)
+        code, out = run(tmp_path, "bands", two_harmonic_cfg(1.0, 1))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "PTBANDS_THREADS" in err
+        assert "Traceback" not in err
+        assert not (out / "bands.csv").exists()
+
+    def test_edge_condition_reported(self, tmp_path):
+        code, out = run(tmp_path, "bands", two_harmonic_cfg(1.5, 3))
+        assert code == 0
+        edges = json.loads((out / "bands_summary.json").read_text())["checked_band"]["edges"]
+        for e in edges:
+            assert set(e) == {"k0", "omega_star", "which", "curvature", "condition"}
+            assert 1.0 <= e["condition"] < 1e3
 
 
 class TestEffectiveCommand:
@@ -139,6 +161,7 @@ class TestConvergeCommand:
         assert code == 0
         summary = json.loads((out / "converge_summary.json").read_text())
         assert summary["slope"] >= 1.0
+        assert summary["local_slopes"] == [pytest.approx(summary["slope"])]
         lines = (out / "converge.csv").read_text().splitlines()
         assert lines[0] == "eps,L,n_points,newton_iters,residual,hs_error,hs_error_rel"
         assert len(lines) == 3
@@ -148,6 +171,7 @@ class TestConvergeCommand:
         assert code == 0
         summary = json.loads((out / "converge_summary.json").read_text())
         assert summary["slope"] is None
+        assert summary["local_slopes"] == []
 
     def test_newton_divergence_exit3(self, tmp_path, capsys):
         code, _ = run(tmp_path, "converge",

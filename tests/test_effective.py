@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from ptbands import (AssumptionError, ConfigError, EffectiveModel, ExistenceError,
                      GridError, PotentialParts, SechEnvelope, assemble,
-                     assemble_adjoint, build_ansatz, constant, envelope_residual,
+                     build_ansatz, constant, envelope_residual,
                      extract_effective_model, fix_pt_phase, from_parts,
                      gamma_coefficient, grid_for_envelope, hs_norm, make_mode,
                      sech_envelope, solve)
@@ -16,7 +16,7 @@ TWO_PI = 2 * np.pi
 
 def free_ground_mode():
     spec = solve(assemble(FREE, 0.0, 8))
-    return fix_pt_phase(make_mode(spec, 0, assemble_adjoint(FREE, 0.0, 8)))
+    return fix_pt_phase(make_mode(spec, 0))
 
 
 class TestGammaCoefficient:
@@ -36,7 +36,7 @@ class TestGammaCoefficient:
     def test_cosine_lattice_reality_and_quadrature(self):
         p = from_parts(PotentialParts(cosine_coeffs=(2.0,)))
         spec = solve(assemble(p, 0.0, 20))
-        mode = fix_pt_phase(make_mode(spec, 0, assemble_adjoint(p, 0.0, 20)))
+        mode = fix_pt_phase(make_mode(spec, 0))
         g1 = gamma_coefficient(mode, mode, constant(1.0))
         g2 = gamma_coefficient(mode, mode, constant(1.0), n_quad=2 * 8 * 21)
         assert abs(g1.imag) <= 1e-10
@@ -50,7 +50,7 @@ class TestGammaCoefficient:
         sigma = replace_constant(sigma, -1.0)
         for k0, idx in ((0.0, 0), (0.5, 1)):
             spec = solve(assemble(p, k0, 20))
-            mode = fix_pt_phase(make_mode(spec, idx, assemble_adjoint(p, k0, 20)))
+            mode = fix_pt_phase(make_mode(spec, idx))
             x = np.arange(2048) * TWO_PI / 2048
             g = mode.g_values(x)
             assert np.abs(g.imag).max() < 1e-9
@@ -64,7 +64,7 @@ class TestGammaCoefficient:
         # g = e^{ix/2} p, the quasiperiodic continuation across the zone
         V = from_parts(gentle_parts())
         spec = solve(assemble(V, 0.5, 20))
-        mode = fix_pt_phase(make_mode(spec, 0, assemble_adjoint(V, 0.5, 20)))
+        mode = fix_pt_phase(make_mode(spec, 0))
         sigma = constant(1.0)
         x = np.arange(4096) * TWO_PI / 4096
         g = mode.g_values(x)
@@ -85,7 +85,7 @@ class TestGammaCoefficient:
         mode = free_ground_mode()
         p = from_parts(gentle_parts())
         spec = solve(assemble(p, 0.5, 8))
-        other = make_mode(spec, 0, assemble_adjoint(p, 0.5, 8))
+        other = make_mode(spec, 0)
         with pytest.raises(ConfigError):
             gamma_coefficient(mode, other, constant(1.0))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptbands import (GridError, NewtonError, PTSymmetryError, RealLineGrid,
-                     assemble, assemble_adjoint, build_ansatz, constant,
+                     assemble, build_ansatz, constant,
                      convergence_study, extract_effective_model, fix_pt_phase,
                      from_parts, gp_residual, grid_for_envelope, hs_norm,
                      make_mode, newton_solve, sech_envelope, solve)
@@ -130,13 +130,23 @@ class TestNewtonKrylov:
         for row, ref in zip(study.rows, dense):
             assert row.hs_error == pytest.approx(ref, rel=1e-6)
 
+    def test_local_slopes(self):
+        # consecutive log-ratio slopes; with two points the global fit agrees
+        V = from_parts(gentle_parts())
+        study = convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.2, 0.1), J=24)
+        (local,) = study.local_slopes
+        assert local == pytest.approx(np.log(0.18812904806194292 / 0.04418631725338731)
+                                      / np.log(2.0), rel=1e-5)
+        assert local == pytest.approx(study.slope, rel=1e-12)
+        assert local == pytest.approx(2.09, abs=5e-3)
+
 
 class TestNewtonSolve:
     def test_exact_linear_eigenfunction_converges_immediately(self):
         p = from_parts(gentle_parts())
         J = 20
         spec = solve(assemble(p, 0.0, J))
-        mode = fix_pt_phase(make_mode(spec, 0, assemble_adjoint(p, 0.0, J)))
+        mode = fix_pt_phase(make_mode(spec, 0))
         g = soliton_grid(2)
         u0 = mode.g_values(g.x)
         state = newton_solve(u0, float(mode.omega.real), p, constant(0.0), g,
@@ -251,6 +261,7 @@ class TestConvergenceStudy:
             errs.append(hs_norm(state.values - ansatz.values, 1.0, grid))
         assert abs(errs[1] - errs[0]) / errs[0] < 0.01
 
+    @pytest.mark.slow
     def test_asymptotic_h1_slope(self):
         # the eps^{3/2} regime: N = 9728 at eps = 0.0125
         V = from_parts(gentle_parts())
@@ -262,6 +273,7 @@ class TestConvergenceStudy:
         V = from_parts(gentle_parts())
         study = convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.1,), J=16)
         assert study.slope is None and study.rel_slope is None
+        assert study.local_slopes == ()
 
     def test_newton_failure_carries_eps(self):
         V = from_parts(gentle_parts())
