@@ -20,7 +20,6 @@ import scipy.optimize
 from . import discretize, eigen
 from .errors import AssumptionError, ComplexBandError, ConfigError
 from .potential import PeriodicPotential
-from .util import parallel_map
 
 # reality tolerance: an omega counts as real when
 # |Im omega| <= REALITY_TOL * max(1, |omega|)
@@ -133,11 +132,10 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
         raise ConfigError(f"n_bands={n_bands} outside 1..{2 * J + 1}")
     zero = N_k // 2 - 1                     # ks[zero] = 0, ks[-1] = 1/2
 
-    def solve_at(i):
+    solved = []
+    for i in range(zero, N_k):
         spec = eigen.solve(discretize.assemble(p, ks[i], J))
-        return spec if i in (zero, N_k - 1) else spec.lowest(n_bands)
-
-    solved = parallel_map(solve_at, range(zero, N_k))
+        solved.append(spec if i in (zero, N_k - 1) else spec.lowest(n_bands))
     # ks[i] = -ks[2 zero - i], which is solved[zero - i]
     spectra = [solved[zero - i].mirrored() for i in range(zero)] + solved
     omega, vectors, quality = _track(spectra, n_bands)

@@ -2,34 +2,33 @@
 
 Commands:  ptbands {bands,effective,ansatz,converge,dirac} --config FILE --out DIR
 
-Exit codes: 0 success, 1 config error, 2 assumption-check failure,
-3 solver failure.  Output is deterministic: floats are written with 17
-significant digits, so identical configs give byte-identical files.
+Each command reads one frozen dataclass below (dirac with m_range reads
+Prop3Config); its fields and defaults are the whole config schema.
+Exit codes: 0 success, 1 config or usage error, 2 assumption-check
+failure, 3 solver failure; every non-zero exit prints one stderr line.
+Output is deterministic: floats are written with 17 significant digits,
+so identical configs give byte-identical files.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import bands, dirac, effective, gpsolve, potential
-from .errors import (AssumptionError, ConfigError, ExistenceError, NewtonError,
-                     PTBandsError)
+from .errors import AssumptionError, ConfigError, ExistenceError, PTBandsError
+from .potential import PeriodicPotential, PotentialParts
+from .util import is_int, is_real
 
 FLOAT_FMT = "%.17g"
 
 
 def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return FLOAT_FMT % x
-    return str(x)
+    return FLOAT_FMT % x if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_csv(path, header, rows):
@@ -42,95 +41,154 @@ def write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-class _Schema:
-    """Strict key checking for one config block."""
+@dataclass(frozen=True, kw_only=True)
+class BandsConfig:
+    potential: PeriodicPotential
+    J: int = 32
+    N_k: int = 32
+    n_bands: int = 6
+    band_index: int = 1
+    tol_real: float = bands.REALITY_TOL
 
-    def __init__(self, obj, allowed, required, where):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{where}: expected an object")
-        unknown = set(obj) - set(allowed)
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = set(required) - set(obj)
-        if missing:
-            raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-        self.obj = obj
-        self.where = where
-
-    def get(self, key, default=None, kind=None, positive=False):
-        val = self.obj.get(key, default)
-        if val is None:
-            return None
-        if kind is int:
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{self.where}.{key}: expected an integer")
-        elif kind is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigError(f"{self.where}.{key}: expected a number")
-            val = float(val)
-        elif kind is str and not isinstance(val, str):
-            raise ConfigError(f"{self.where}.{key}: expected a string")
-        elif kind is list and not isinstance(val, list):
-            raise ConfigError(f"{self.where}.{key}: expected a list")
-        if positive and val <= 0:
-            raise ConfigError(f"{self.where}.{key}: must be positive")
-        return val
+    def __post_init__(self):
+        if self.n_bands is not None and self.band_index > self.n_bands:
+            raise ConfigError(f"band_index {self.band_index} exceeds n_bands {self.n_bands}")
 
 
-COMMON_KEYS = ("potential", "sigma", "J", "N_k", "n_bands", "tol_real")
+@dataclass(frozen=True, kw_only=True)
+class EffectiveConfig(BandsConfig):
+    sigma: PeriodicPotential
+    n_bands: int = None
+    n_quad: int = None
+    edge: str = "a"
 
 
-def _common(cfg, where, need_sigma=False):
-    required = ["potential"] + (["sigma"] if need_sigma else [])
-    return _Schema(cfg, COMMON_KEYS + _EXTRA[where], required, where)
+@dataclass(frozen=True, kw_only=True)
+class AnsatzConfig(EffectiveConfig):
+    eps: float = 0.1
 
 
-_EXTRA = {
-    "bands": ("band_index",),
-    "effective": ("band_index", "edge", "n_quad"),
-    "ansatz": ("band_index", "edge", "n_quad", "eps"),
-    "converge": ("band_index", "edge", "eps_list", "s", "newton_max_iter", "newton_tol"),
-    "dirac": ("gamma_list", "m_range", "dirac_tol"),
-}
+@dataclass(frozen=True, kw_only=True)
+class ConvergeConfig:
+    potential: PeriodicPotential
+    sigma: PeriodicPotential
+    J: int = 24
+    N_k: int = 32
+    band_index: int = 1
+    edge: str = "a"
+    eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
+    s: float = 1.0
+    newton_max_iter: int = 25
+    newton_tol: float = 1e-10
+
+
+@dataclass(frozen=True, kw_only=True)
+class DiracConfig:
+    potential: PotentialParts
+    gamma_list: tuple[float, ...]
+    J: int = 32
+    N_k: int = 32
+    n_bands: int = 8
+    dirac_tol: float = 1e-8
+
+
+@dataclass(frozen=True, kw_only=True)
+class Prop3Config:
+    """`dirac` with m_range: the high-ladder scan of dirac.prop3_scan."""
+
+    potential: PotentialParts
+    gamma_list: tuple[float, ...]
+    m_range: tuple[int, int]
+    J: int = 32
+
+
+_PARSERS = {PeriodicPotential: potential.potential_from_json,
+            PotentialParts: potential.parts_from_json}
+_SCALARS = {int: ("an integer", is_int), float: ("a finite number", is_real),
+            str: ("a string", lambda v: isinstance(v, str))}
+
+
+def _value(val, kind, default=MISSING, positive=True):
+    """val checked against the field annotation kind: null only where the default
+    is None, lists non-empty with typed items (tuple[X, ...] any length,
+    tuple[X, X] exactly two), scalar numbers positive."""
+    if val is None and default is None:
+        return None
+    if kind in _PARSERS:
+        return _PARSERS[kind](val)
+    if get_origin(kind) is tuple:
+        item, *rest = get_args(kind)
+        n = None if rest == [Ellipsis] else 1 + len(rest)
+        if not isinstance(val, list) or not val or n not in (None, len(val)):
+            raise ConfigError(f"expected a list of {n or 'one or more'} items")
+        return tuple(_value(v, item, positive=False) for v in val)
+    name, ok = _SCALARS[kind]
+    if not ok(val):
+        raise ConfigError(f"expected {name}")
+    if positive and kind is not str and val <= 0:
+        raise ConfigError("must be positive")
+    return float(val) if kind is float else val
+
+
+def from_json(cls, obj, where):
+    """Build the config dataclass cls from a JSON object, checking every key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    spec = {f.name: f for f in fields(cls)}
+    unknown = set(obj) - set(spec)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [k for k, f in spec.items() if f.default is MISSING and k not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    values = {}
+    for key, val in obj.items():
+        try:
+            values[key] = _value(val, spec[key].type, spec[key].default)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
+    return cls(**values)
+
+
+def read_config(command, obj):
+    """The typed config of command; dirac with m_range reads Prop3Config."""
+    cls = COMMANDS[command][0]
+    if cls is DiracConfig and isinstance(obj, dict) and "m_range" in obj:
+        cls = Prop3Config
+    return from_json(cls, obj, command)
 
 
 def _load_config(path):
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
-def _tol_real(schema):
-    tol = schema.get("tol_real", bands.REALITY_TOL, float, positive=True)
-    return tol
+def _out_dir(path):
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return out
 
 
 def cmd_bands(cfg, out):
-    sch = _common(cfg, "bands")
-    V = potential.potential_from_json(sch.get("potential"))
-    J = sch.get("J", 32, int, positive=True)
-    N_k = sch.get("N_k", 32, int, positive=True)
-    n_bands = sch.get("n_bands", 6, int, positive=True)
-    m = sch.get("band_index", 1, int, positive=True)
-    tol_real = _tol_real(sch)
-
-    bs = bands.compute_bands(V, J, N_k, n_bands)
-    rows = []
-    for mi in range(1, n_bands + 1):
-        vals = bs.band(mi)
-        for i, k in enumerate(bs.k_grid):
-            rows.append((k, mi, vals[i].real, vals[i].imag, bs.tracking_quality[mi - 1, i]))
+    V, n_bands, m = cfg.potential, cfg.n_bands, cfg.band_index
+    bs = bands.compute_bands(V, cfg.J, cfg.N_k, n_bands)
+    rows = [(k, mi, w.real, w.imag, q) for mi in range(1, n_bands + 1)
+            for k, w, q in zip(bs.k_grid, bs.band(mi), bs.tracking_quality[mi - 1])]
     write_csv(out / "bands.csv",
               ["k", "band_index", "re_omega", "im_omega", "tracking_overlap"], rows)
 
-    reports = [bands.check_assumption(bs, mi, tol_real, p=V if mi == m else None)
+    reports = [bands.check_assumption(bs, mi, cfg.tol_real, p=V if mi == m else None)
                for mi in range(1, n_bands + 1)]
     target = reports[m - 1]
     summary = {
-        "J": J, "N_k": N_k, "n_bands": n_bands, "band_index": m,
+        "J": cfg.J, "N_k": cfg.N_k, "n_bands": n_bands, "band_index": m,
         "bands_real": [r.is_real for r in reports],
         "max_im": [r.max_im for r in reports],
         "checked_band": {
@@ -149,63 +207,35 @@ def cmd_bands(cfg, out):
         },
     }
     write_json(out / "bands_summary.json", summary)
-    return 0 if target.assumption_ok else 2
-
-
-def _effective_pipeline(sch):
-    V = potential.potential_from_json(sch.get("potential"))
-    sigma = potential.potential_from_json(sch.get("sigma"))
-    J = sch.get("J", 32, int, positive=True)
-    N_k = sch.get("N_k", 32, int, positive=True)
-    n_bands = sch.get("n_bands", None, int, positive=True)
-    n_quad = sch.get("n_quad", None, int, positive=True)
-    m = sch.get("band_index", 1, int, positive=True)
-    edge = sch.get("edge", "a", str)
-    model, mode = effective.extract_effective_model(
-        V, sigma, m, edge, J, N_k, n_bands=n_bands, n_quad=n_quad,
-        tol_real=_tol_real(sch))
-    return V, sigma, model, mode
+    bands.require_assumption(target)        # exit 2 with the failing clause, data kept
 
 
 def cmd_effective(cfg, out):
-    sch = _common(cfg, "effective", need_sigma=True)
-    _, _, model, _ = _effective_pipeline(sch)
+    """Band-edge model written to effective.json; returns (model, mode) for ansatz."""
+    model, mode = effective.extract_effective_model(
+        cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.J, cfg.N_k,
+        n_bands=cfg.n_bands, n_quad=cfg.n_quad, tol_real=cfg.tol_real)
     write_json(out / "effective.json", model.to_json_dict())
-    return 0
+    return model, mode
 
 
 def cmd_ansatz(cfg, out):
-    sch = _common(cfg, "ansatz", need_sigma=True)
-    eps = sch.get("eps", 0.1, float, positive=True)
-    _, _, model, mode = _effective_pipeline(sch)
-    write_json(out / "effective.json", model.to_json_dict())
+    model, mode = cmd_effective(cfg, out)
     env = effective.sech_envelope(model)
-    grid = gpsolve.grid_for_envelope(eps, env.width)
-    state = effective.build_ansatz(env, mode, eps, grid)
+    grid = gpsolve.grid_for_envelope(cfg.eps, env.width)
+    state = effective.build_ansatz(env, mode, cfg.eps, grid)
     rows = [(x, u.real, u.imag) for x, u in zip(grid.x, state.values)]
     write_csv(out / "ansatz.csv", ["x", "re_u", "im_u"], rows)
     write_json(out / "ansatz_summary.json", {
-        "eps": eps, "omega": state.omega, "half_length": grid.half_length,
+        "eps": cfg.eps, "omega": state.omega, "half_length": grid.half_length,
         "n_points": grid.n_points, "amplitude": env.amplitude, "width": env.width,
     })
-    return 0
 
 
 def cmd_converge(cfg, out):
-    sch = _common(cfg, "converge", need_sigma=True)
-    V = potential.potential_from_json(sch.get("potential"))
-    sigma = potential.potential_from_json(sch.get("sigma"))
-    J = sch.get("J", 24, int, positive=True)
-    N_k = sch.get("N_k", 32, int, positive=True)
-    m = sch.get("band_index", 1, int, positive=True)
-    edge = sch.get("edge", "a", str)
-    eps_list = sch.get("eps_list", [0.2, 0.1, 0.05, 0.025], list)
-    s = sch.get("s", 1.0, float, positive=True)
-    max_iter = sch.get("newton_max_iter", 25, int, positive=True)
-    tol = sch.get("newton_tol", 1e-10, float, positive=True)
-
-    study = gpsolve.convergence_study(V, sigma, m, edge, eps_list, s=s, J=J,
-                                      N_k=N_k, max_iter=max_iter, tol=tol)
+    study = gpsolve.convergence_study(
+        cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.eps_list, s=cfg.s,
+        J=cfg.J, N_k=cfg.N_k, max_iter=cfg.newton_max_iter, tol=cfg.newton_tol)
     write_csv(out / "converge.csv",
               ["eps", "L", "n_points", "newton_iters", "residual",
                "hs_error", "hs_error_rel"],
@@ -220,32 +250,19 @@ def cmd_converge(cfg, out):
         "rel_slope_stderr": study.rel_slope_stderr,
         "model": study.model.to_json_dict(),
     })
-    return 0
 
 
 def cmd_dirac(cfg, out):
-    sch = _Schema(cfg, ("potential", "J", "N_k", "n_bands") + _EXTRA["dirac"],
-                  ("potential", "gamma_list"), "dirac")
-    parts = potential.parts_from_json(sch.get("potential"))
-    J = sch.get("J", 32, int, positive=True)
-    gamma_list = sch.get("gamma_list", None, list)
-    if not gamma_list:
-        raise ConfigError("dirac: gamma_list must be non-empty")
+    parts, J, gamma_list = cfg.potential, cfg.J, cfg.gamma_list
     rows = []
     summary = {"points": [], "slopes": []}
 
-    if "m_range" in sch.obj:
-        m_range = sch.get("m_range", None, list)
-        if len(m_range) != 2:
-            raise ConfigError("dirac: m_range must be [lo, hi]")
-        lo, hi = m_range
-        records = []
-        for g in gamma_list:
-            records += dirac.prop3_scan(parts.cosine_coeffs, parts.sine_coeffs,
-                                        float(g), range(int(lo), int(hi) + 1), J)
-        for r in records:
-            rows.append((r.k0, r.mu, r.gamma, r.pred_im,
-                         r.measured[0].real, r.measured[0].imag, r.relative_gap))
+    if isinstance(cfg, Prop3Config):
+        lo, hi = cfg.m_range
+        records = [r for g in gamma_list for r in dirac.prop3_scan(
+            parts.cosine_coeffs, parts.sine_coeffs, g, range(lo, hi + 1), J)]
+        rows = [(r.k0, r.mu, r.gamma, r.pred_im, r.measured[0].real, r.measured[0].imag,
+                 r.relative_gap) for r in records]
         summary["points"] = [
             {"mu": r.mu, "coupling_harmonic": r.coupling_harmonic,
              "gamma": r.gamma, "pred_im": r.pred_im,
@@ -253,16 +270,12 @@ def cmd_dirac(cfg, out):
             for r in records
         ]
     else:
-        N_k = sch.get("N_k", 32, int, positive=True)
-        n_bands = sch.get("n_bands", 8, int, positive=True)
-        tol = sch.get("dirac_tol", 1e-8, float, positive=True)
         U = potential.from_parts(replace(parts, gamma=0.0))
-        bs0 = bands.compute_bands(U, J, N_k, n_bands)
-        points = dirac.find_dirac_points(bs0, tol)
-        for dp in points:
+        bs0 = bands.compute_bands(U, J, cfg.N_k, cfg.n_bands)
+        for dp in dirac.find_dirac_points(bs0, cfg.dirac_tol):
             for g in gamma_list:
-                pred = dirac.predict_splitting(dp, parts, float(g))
-                V = potential.from_parts(replace(parts, gamma=float(g)))
+                pred = dirac.predict_splitting(dp, parts, g)
+                V = potential.from_parts(replace(parts, gamma=g))
                 meas = dirac.measure_splitting(V, dp.k0, dp.mu, J)
                 pred = pred.with_measurement(meas)
                 rows.append((pred.k0, pred.mu, pred.gamma, pred.pred_im,
@@ -283,20 +296,30 @@ def cmd_dirac(cfg, out):
               ["k0", "mu", "gamma", "pred_im", "meas_re_plus", "meas_im_plus", "rel_gap"],
               rows)
     write_json(out / "dirac_summary.json", summary)
-    return 0
 
 
 COMMANDS = {
-    "bands": cmd_bands,
-    "effective": cmd_effective,
-    "ansatz": cmd_ansatz,
-    "converge": cmd_converge,
-    "dirac": cmd_dirac,
+    "bands": (BandsConfig, cmd_bands),
+    "effective": (EffectiveConfig, cmd_effective),
+    "ansatz": (AnsatzConfig, cmd_ansatz),
+    "converge": (ConvergeConfig, cmd_converge),
+    "dirac": (DiracConfig, cmd_dirac),
 }
 
 
+_EXITS = ((ConfigError, 1, "config error"),
+          ((AssumptionError, ExistenceError), 2, "assumption check failed"),
+          (PTBandsError, 3, "solver failure"))
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error: exit 1 with one line, not argparse's exit 2
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptbands",
         description="Bloch bands, band-edge envelopes, gap solitons and "
                     "Dirac-point splitting for PT-symmetric periodic potentials.",
@@ -305,29 +328,20 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = _load_config(args.config)
-        code = COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (AssumptionError, ExistenceError) as exc:
-        print(f"assumption check failed: {exc}", file=sys.stderr)
-        return 2
-    except NewtonError as exc:
-        where = f" at eps = {exc.eps}" if exc.eps is not None else ""
-        print(f"solver failure{where}: {exc}", file=sys.stderr)
-        return 3
+        args = parser.parse_args(argv)
+        cfg = read_config(args.command, _load_config(args.config))
+        out = _out_dir(args.out)
+        COMMANDS[args.command][1](cfg, out)
     except PTBandsError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+        code, what = next(e[1:] for e in _EXITS if isinstance(exc, e[0]))
+        if getattr(exc, "eps", None) is not None:
+            what += f" at eps = {exc.eps}"
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
     if args.verbose:
         print(f"wrote results to {out}")
-    return code
+    return 0
 
 
 if __name__ == "__main__":

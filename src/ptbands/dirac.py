@@ -251,8 +251,8 @@ def splitting_slope(U_parts: PotentialParts, dp: DiracPoint, J: int,
     in gamma for PT potentials).  Comparable to |<W phi_+, phi_->|.
     """
     gammas = sorted(gammas)
-    if len(gammas) != 3 or not np.allclose(np.diff(np.log(gammas)), np.log(2)):
-        raise ConfigError("splitting_slope expects three gammas in ratio 1:2:4")
+    if len(gammas) != 3 or gammas[0] <= 0 or not np.allclose(np.diff(np.log(gammas)), np.log(2)):
+        raise ConfigError("splitting_slope expects three positive gammas in ratio 1:2:4")
     s = []
     for g in gammas:
         V = from_parts(replace(U_parts, gamma=g))

@@ -11,7 +11,6 @@ on [Re delta; Im delta], preconditioned by (xi^2 + PRECOND_SHIFT + |omega|)^{-1}
 (which commutes with P): O(N log N) per matvec and O(N) memory.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import effective as effective_mod
 from .errors import ConfigError, NewtonError, PTSymmetryError
 from .grid import RealLineGrid, grid_for_envelope
 from .potential import PeriodicPotential
-from .util import parallel_map
+from .util import is_real
 
 # Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
 # sends the eps = 0.2 solve to another solution); GMRES(50) stalls at eps = 0.0125.
@@ -194,17 +193,20 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
     half length grows like tail_decay*width/eps so the envelope tail at
     the seam stays below ~2e-9 for every eps.  Any Newton failure aborts
     the study with the failing eps attached to the error.  eps_list must
-    hold distinct real numbers in (0, 0.5] (ConfigError otherwise).
+    hold distinct real numbers in (0, 0.5] and s must lie in [0, 2]
+    (ConfigError otherwise).
     """
     eps_list = list(eps_list)
-    if not (eps_list and all(isinstance(e, numbers.Real) and not isinstance(e, bool)
-                             and 0 < e <= 0.5 for e in eps_list)
+    if not (eps_list and all(is_real(e) and 0 < e <= 0.5 for e in eps_list)
             and len(set(eps_list)) == len(eps_list)):
         raise ConfigError(f"eps_list must be distinct numbers in (0, 0.5], got {eps_list!r}")
+    if not (is_real(s) and 0 <= s <= 2):
+        raise ConfigError(f"s must be a number in [0, 2], got {s!r}")
     model, mode = effective_mod.extract_effective_model(V, sigma, m, edge, J, N_k)
     env = effective_mod.sech_envelope(model)     # raises ExistenceError if signs fail
 
-    def run_one(eps):
+    rows = []
+    for eps in eps_list:
         grid = grid_for_envelope(eps, env.width, tail_decay=tail_decay)
         ansatz = effective_mod.build_ansatz(env, mode, eps, grid)
         try:
@@ -215,13 +217,11 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
             raise
         err = hs_norm(state.values - ansatz.values, s, grid)
         rel = err / hs_norm(ansatz.values, s, grid)
-        return ConvergenceRow(
+        rows.append(ConvergenceRow(
             eps=float(eps), half_length=grid.half_length, n_points=grid.n_points,
             newton_iters=state.newton_iters, residual=state.residual_norm,
             hs_error=err, hs_error_rel=rel,
-        )
-
-    rows = parallel_map(run_one, eps_list)
+        ))
 
     def fit(errors):
         if len(rows) < 2:

@@ -11,6 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
+from .util import is_int, is_real
 
 
 class Convention(Enum):
@@ -141,34 +142,35 @@ def validate_pt(p: PeriodicPotential, tol: float) -> bool:
 # or                 {"exp_coeffs": [[j, re, im], ...]}
 
 def parts_from_json(obj) -> PotentialParts:
-    allowed = {"cosine", "sine", "gamma", "convention"}
-    unknown = set(obj) - allowed
+    if not isinstance(obj, dict):
+        raise ConfigError("potential spec must be an object")
+    unknown = set(obj) - {"cosine", "sine", "gamma", "convention"}
     if unknown:
         raise ConfigError(f"unknown potential keys: {sorted(unknown)}")
     try:
         conv = Convention(obj.get("convention", "prop2"))
     except ValueError:
         raise ConfigError(f"unknown convention {obj.get('convention')!r}") from None
-    return PotentialParts(
-        tuple(obj.get("cosine", ())),
-        tuple(obj.get("sine", ())),
-        float(obj.get("gamma", 0.0)),
-        conv,
-    )
+    cos, sin, gamma = obj.get("cosine", []), obj.get("sine", []), obj.get("gamma", 0.0)
+    if not all(isinstance(v, list) and all(map(is_real, v)) for v in (cos, sin)):
+        raise ConfigError("cosine and sine must be lists of finite numbers")
+    if not is_real(gamma):
+        raise ConfigError(f"gamma must be a finite number, got {gamma!r}")
+    return PotentialParts(tuple(cos), tuple(sin), gamma, conv)
 
 
 def potential_from_json(obj) -> PeriodicPotential:
     """Build a potential from either JSON form."""
-    if not isinstance(obj, dict):
-        raise ConfigError("potential spec must be an object")
-    if "exp_coeffs" in obj:
-        if set(obj) != {"exp_coeffs"}:
-            raise ConfigError("exp_coeffs form takes no other keys")
-        coeffs = {}
-        for row in obj["exp_coeffs"]:
-            if len(row) != 3:
-                raise ConfigError("exp_coeffs rows must be [j, re, im]")
-            j, re, im = row
-            coeffs[int(j)] = coeffs.get(int(j), 0.0) + complex(re, im)
-        return PeriodicPotential(coeffs)
-    return from_parts(parts_from_json(obj))
+    if not (isinstance(obj, dict) and "exp_coeffs" in obj):
+        return from_parts(parts_from_json(obj))
+    if set(obj) != {"exp_coeffs"}:
+        raise ConfigError("exp_coeffs form takes no other keys")
+    rows = obj["exp_coeffs"]
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and len(r) == 3 and is_int(r[0]) and is_real(r[1])
+            and is_real(r[2]) for r in rows)):
+        raise ConfigError("exp_coeffs must be a list of [j, re, im]: integer j, finite re, im")
+    coeffs = {}
+    for j, re, im in rows:
+        coeffs[j] = coeffs.get(j, 0.0) + complex(re, im)
+    return PeriodicPotential(coeffs)

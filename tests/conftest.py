@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ptbands import PotentialParts, from_parts
+
+# the same examples on every run: property tests are part of tier-1
+settings.register_profile("ptbands", derandomize=True, deadline=None)
+settings.load_profile("ptbands")
 
 
 def two_harmonic_parts(gamma):

@@ -1,9 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptbands.cli import main
+from ptbands import bands
+from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
+                         EffectiveConfig, Prop3Config, main)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -14,6 +24,22 @@ def run(tmp_path, command, cfg, name="cfg.json"):
     out = tmp_path / ("out_" + name.removesuffix(".json"))
     code = main([command, "--config", str(path), "--out", str(out)])
     return code, out
+
+
+def call(argv):
+    """Exit code and captured stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def run_captured(tmp_path, command, cfg, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / ("out_" + name.removesuffix(".json"))
+    code, err = call([command, "--config", str(path), "--out", str(out)])
+    return code, err, out
 
 
 def two_harmonic_cfg(gamma, band_index, n_bands=5):
@@ -64,6 +90,13 @@ class TestBandsCommand:
         edges = json.loads(text, parse_constant=pytest.fail)["checked_band"]["edges"]
         assert {e["k0"]: e["curvature"] for e in edges} == {0.0: 2.0, 0.5: None}
 
+    def test_assumption_failure_one_line(self, tmp_path):
+        cfg = {"potential": {"exp_coeffs": []}, "J": 12, "N_k": 32, "n_bands": 4,
+               "band_index": 1}
+        code, err, out = run_captured(tmp_path, "bands", cfg)
+        assert code == 2 and err.startswith("assumption check failed: band 1")
+        assert len(err.splitlines()) == 1 and (out / "bands_summary.json").exists()
+
     def test_unknown_key_exit1(self, tmp_path):
         cfg = two_harmonic_cfg(1.0, 1)
         cfg["unexpected"] = 1
@@ -76,22 +109,11 @@ class TestBandsCommand:
         _, out2 = run(tmp_path, "bands", two_harmonic_cfg(1.5, 3), name="b.json")
         assert (out2 / "bands.csv").read_bytes() == first
 
-    def test_determinism_across_thread_counts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PTBANDS_THREADS", "1")
-        _, out1 = run(tmp_path, "bands", two_harmonic_cfg(1.0, 1), name="t1.json")
-        monkeypatch.setenv("PTBANDS_THREADS", "4")
-        _, out4 = run(tmp_path, "bands", two_harmonic_cfg(1.0, 1), name="t4.json")
-        assert (out4 / "bands.csv").read_bytes() == (out1 / "bands.csv").read_bytes()
-
-    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "", "1.5"])
-    def test_invalid_thread_count_exit1(self, tmp_path, monkeypatch, capsys, threads):
-        monkeypatch.setenv("PTBANDS_THREADS", threads)
-        code, out = run(tmp_path, "bands", two_harmonic_cfg(1.0, 1))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "PTBANDS_THREADS" in err
-        assert "Traceback" not in err
-        assert not (out / "bands.csv").exists()
+    def test_band_index_above_n_bands_exit1_before_solving(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bands, "compute_bands", lambda *args: pytest.fail("solved"))
+        code, err, out = run_captured(tmp_path, "bands", two_harmonic_cfg(1.0, 6, n_bands=5))
+        assert code == 1 and "band_index" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
 
     def test_edge_condition_reported(self, tmp_path):
         code, out = run(tmp_path, "bands", two_harmonic_cfg(1.5, 3))
@@ -188,6 +210,13 @@ class TestConvergeCommand:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (out / "converge.csv").exists()
 
+    @pytest.mark.parametrize("s", [3, 2.5, -1.0, 0, float("nan"), float("inf"), True])
+    def test_s_outside_0_2_exit1(self, tmp_path, s):
+        code, err, out = run_captured(tmp_path, "converge", gentle_cfg(eps_list=[0.2], s=s))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (out / "converge.csv").exists()
+
 
 class TestDiracCommand:
     def test_sin2x_row(self, tmp_path):
@@ -248,3 +277,197 @@ def test_sample_configs_parse(tmp_path):
 def test_missing_config_file(tmp_path):
     assert main(["bands", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 1
+
+
+def test_config_defaults():
+    # the dataclass fields are the whole schema: names and defaults per command
+    def defaults(cls):
+        return {f.name: f.default for f in fields(cls) if f.name not in ("potential", "sigma")}
+
+    assert defaults(BandsConfig) == {"J": 32, "N_k": 32, "n_bands": 6, "band_index": 1,
+                                     "tol_real": bands.REALITY_TOL}
+    effective = {"J": 32, "N_k": 32, "n_bands": None, "n_quad": None, "band_index": 1,
+                 "edge": "a", "tol_real": bands.REALITY_TOL}
+    assert defaults(EffectiveConfig) == effective
+    assert defaults(AnsatzConfig) == {**effective, "eps": 0.1}
+    assert defaults(ConvergeConfig) == {
+        "J": 24, "N_k": 32, "band_index": 1, "edge": "a", "eps_list": (0.2, 0.1, 0.05, 0.025),
+        "s": 1.0, "newton_max_iter": 25, "newton_tol": 1e-10}
+    assert {k: v for k, v in defaults(DiracConfig).items() if k != "gamma_list"} == {
+        "J": 32, "N_k": 32, "n_bands": 8, "dirac_tol": 1e-8}
+    assert defaults(Prop3Config)["J"] == 32
+
+
+def shipped(name, path, value):
+    """A shipped config with the value at the key path replaced (all of it for ())."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    if not path:
+        return value
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+BANDS, EFFECTIVE = "bands_two_harmonic_gamma1", "effective_gentle"
+MALFORMED = {                   # case: (command, shipped config, key path, value)
+    "cosine-str": ("bands", BANDS, ("potential", "cosine"), ["x"]),
+    "cosine-int": ("bands", BANDS, ("potential", "cosine"), 5),
+    "exp-int": ("effective", EFFECTIVE, ("sigma", "exp_coeffs"), 5),
+    "exp-str-j": ("effective", EFFECTIVE, ("sigma", "exp_coeffs"), [["a", 1, 0]]),
+    "exp-float-j": ("effective", EFFECTIVE, ("sigma", "exp_coeffs"), [[0.5, 1, 0]]),
+    "gamma-str": ("bands", BANDS, ("potential", "gamma"), "1"),
+    "gamma-list-str": ("dirac", "dirac_sin2x", ("gamma_list",), ["z"]),
+    "gamma-list-bool": ("dirac", "dirac_sin2x", ("gamma_list",), [True]),
+    "gamma-list-empty": ("dirac", "dirac_sin2x", ("gamma_list",), []),
+    "m-range-str": ("dirac", "dirac_prop3", ("m_range",), [1, "b"]),
+    "m-range-float": ("dirac", "dirac_prop3", ("m_range",), [1, 2.5]),
+    "m-range-three": ("dirac", "dirac_prop3", ("m_range",), [1, 2, 3]),
+    "J-null": ("bands", BANDS, ("J",), None),
+    "n-bands-null": ("bands", BANDS, ("n_bands",), None),
+    "tol-real-nan": ("bands", BANDS, ("tol_real",), math.nan),
+    "bands-sigma": ("bands", BANDS, ("sigma",), {"exp_coeffs": [[0, -1.0, 0.0]]}),
+    "converge-n-bands": ("converge", "converge_gentle", ("n_bands",), 4),
+    "converge-tol-real": ("converge", "converge_gentle", ("tol_real",), 1e-8),
+    "prop3-N_k": ("dirac", "dirac_prop3", ("N_k",), 32),
+    "prop3-n-bands": ("dirac", "dirac_prop3", ("n_bands",), 8),
+    "prop3-dirac-tol": ("dirac", "dirac_prop3", ("dirac_tol",), 1e-8),
+    "band-index-above": ("bands", BANDS, ("band_index",), 6),
+    "s-3": ("converge", "converge_gentle", ("s",), 3),
+    "s-nan": ("converge", "converge_gentle", ("s",), math.nan),
+    "not-an-object": ("bands", BANDS, (), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exit1(tmp_path, case):
+    command, name, path, value = MALFORMED[case]
+    code, err, out = run_captured(tmp_path, command, shipped(name, path, value))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_null_allowed_where_default_is_none(tmp_path):
+    cfg = gentle_cfg(n_bands=None, n_quad=None)
+    code, out = run(tmp_path, "effective", cfg)
+    assert code == 0 and (out / "effective.json").exists()
+
+
+class TestIoAndUsage:
+    def test_config_is_directory(self, tmp_path):
+        code, err = call(["bands", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 1 and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"J": "\xff\xfe"}')
+        code, err = call(["bands", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1 and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"J": ' + "1" * 5000 + "}"])
+    def test_json_beyond_parser_limits(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, err = call(["bands", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1 and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_is_or_lies_under_a_file(self, tmp_path, out):
+        (tmp_path / "file").write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(two_harmonic_cfg(1.0, 1)))
+        code, err = call(["bands", "--config", str(cfg), "--out", str(tmp_path / out)])
+        assert code == 1 and len(err.splitlines()) == 1
+        assert "output directory" in err
+
+    def test_missing_config_creates_no_output_dir(self, tmp_path):
+        code, err = call(["bands", "--config", str(tmp_path / "nope.json"),
+                          "--out", str(tmp_path / "o")])
+        assert code == 1 and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["bands"], ["nope", "--config", "c.json"],
+                                      ["bands", "--config", "c.json", "--bogus"]])
+    def test_usage_error_exit1(self, argv):
+        code, err = call(argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+# -- no-traceback contract over malformed variants of the shipped configs -----
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+CONFIG_KEYS = sorted({f.name for cls in (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
+                                         Prop3Config) for f in fields(cls)}
+                     | {"cosine", "sine", "gamma", "convention", "exp_coeffs"})
+BAD_VALUES = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2),
+    st.integers(-2, 6), st.sampled_from([-1.5, 0.0, 0.3, 2.5]))
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+
+
+def _nodes(node, path=()):
+    """(path, node) for every node of a JSON tree; only the first two items of a list."""
+    yield path, node
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node[:2]) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def malformed_runs(draw):
+    """(command, JSON document): a shipped config with small sizes drawn and, mostly,
+    one value replaced or one key or list item added; sometimes a non-object document."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    command = name.split("_")[0]
+    if draw(st.integers(0, 9)) == 0:
+        return command, draw(JSON_DOCS.filter(lambda doc: not isinstance(doc, dict)))
+    cfg = copy.deepcopy(SHIPPED[name])
+    if command == "converge":
+        cfg["eps_list"] = [0.2]             # one Newton solve keeps an example cheap
+    sizes = {"J": st.integers(1, 16), "N_k": st.sampled_from([16, 18, 14]),
+             "n_bands": st.integers(1, 6), "n_quad": st.integers(1, 300)}
+    for key, size in sizes.items():
+        if (key in cfg or key == "n_quad" and command in ("effective", "ansatz")) \
+                and draw(st.booleans()):
+            cfg[key] = draw(size)
+    nodes = list(_nodes(cfg))
+    how = draw(st.sampled_from(["replace", "extra key", "extra item", "sizes only"]))
+    if how == "replace":
+        top = draw(st.sampled_from(sorted(cfg)))       # each key, then a node below it
+        path = draw(st.sampled_from([path for path, _ in nodes if path[:1] == (top,)]))
+        parent = dict(nodes)[path[:-1]]
+        parent[path[-1]] = draw(BAD_VALUES)
+    elif how == "extra key":
+        target = draw(st.sampled_from([node for _, node in nodes if isinstance(node, dict)]))
+        target[draw(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6))] = draw(BAD_VALUES)
+    elif how == "extra item":
+        target = draw(st.sampled_from([node for _, node in nodes if isinstance(node, list)]))
+        target.append(draw(BAD_VALUES))
+    return command, cfg
+
+
+@settings(max_examples=300)
+@given(malformed_runs())
+def test_no_traceback_on_malformed_configs(run_case):
+    command, doc = run_case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, err = call([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err

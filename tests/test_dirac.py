@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -155,6 +157,15 @@ def test_linear_response_slope(free_points):
     slope = splitting_slope(PotentialParts(sine_coeffs=(0.0, 1.0)), dp, 24)
     coupling = abs(mw_matrix(dp, PotentialParts(sine_coeffs=(0.0, 1.0)))[1, 0])
     assert abs(slope - coupling) / coupling <= 0.02
+
+
+@pytest.mark.parametrize("gammas", [(0.0, 0.0, 0.0), (-0.01, -0.02, -0.04), (0.01, 0.03, 0.04)])
+def test_slope_gammas_validated_without_warnings(free_points, gammas):
+    dp = point_at(free_points, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            splitting_slope(PotentialParts(sine_coeffs=(0.0, 1.0)), dp, 24, gammas)
 
 
 class TestProp3Scan:

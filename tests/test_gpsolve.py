@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptbands import (GridError, NewtonError, PTSymmetryError, RealLineGrid,
+from ptbands import (ConfigError, GridError, NewtonError, PTSymmetryError, RealLineGrid,
                      assemble, build_ansatz, constant,
                      convergence_study, extract_effective_model, fix_pt_phase,
                      from_parts, gp_residual, grid_for_envelope, hs_norm,
@@ -274,6 +274,14 @@ class TestConvergenceStudy:
         study = convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.1,), J=16)
         assert study.slope is None and study.rel_slope is None
         assert study.local_slopes == ()
+
+    @pytest.mark.parametrize("s", [3.0, -0.5, float("nan"), "1"])
+    def test_s_checked_before_any_solve(self, monkeypatch, s):
+        monkeypatch.setattr(gpsolve.effective_mod, "extract_effective_model",
+                            lambda *args: pytest.fail("solved"))
+        with pytest.raises(ConfigError, match="s must be"):
+            convergence_study(from_parts(gentle_parts()), constant(-1.0), 1, "a",
+                              eps_list=(0.1,), s=s)
 
     def test_newton_failure_carries_eps(self):
         V = from_parts(gentle_parts())

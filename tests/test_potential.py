@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ptbands import (ConfigError, Convention, PeriodicPotential, PotentialParts,
                      constant, from_parts, potential_from_json, to_parts, validate_pt)
+from ptbands.potential import parts_from_json
 from conftest import two_harmonic_parts, two_harmonic_potential
 
 
@@ -118,6 +119,18 @@ class TestJson:
     def test_unknown_convention_rejected(self):
         with pytest.raises(ConfigError):
             potential_from_json({"cosine": [1], "convention": "prop9"})
+
+    @pytest.mark.parametrize("spec", [
+        {"cosine": ["x"]}, {"cosine": 5}, {"sine": [True]}, {"cosine": [10**400]},
+        {"gamma": "1"}, {"gamma": float("nan")}, {"convention": ["prop2"]},
+        {"exp_coeffs": 5}, {"exp_coeffs": [["a", 1, 0]]}, {"exp_coeffs": [[0.5, 1, 0]]},
+        {"exp_coeffs": [[0, 1]]}, {"exp_coeffs": [[0, 1, None]]}, [1.0], "cos"])
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ConfigError):
+            potential_from_json(spec)
+        if not (isinstance(spec, dict) and "exp_coeffs" in spec):
+            with pytest.raises(ConfigError):
+                parts_from_json(spec)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
