@@ -5,7 +5,8 @@ Commands:  ptbands {bands,effective,ansatz,converge,dirac} --config FILE --out D
 Each command reads one frozen dataclass below (dirac with m_range reads
 Prop3Config); its fields and defaults are the whole config schema.
 Exit codes: 0 success, 1 config or usage error, 2 assumption-check
-failure, 3 solver failure; every non-zero exit prints one stderr line.
+failure, 3 solver failure; every non-zero exit prints one stderr line,
+and a successful run that raised warnings prints one `warning:` line.
 Output is deterministic: floats are written with 17 significant digits,
 so identical configs give byte-identical files.
 """
@@ -13,6 +14,7 @@ so identical configs give byte-identical files.
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -59,13 +61,17 @@ class BandsConfig:
 class EffectiveConfig(BandsConfig):
     sigma: PeriodicPotential
     n_bands: int = None
-    n_quad: int = None
     edge: str = "a"
 
 
 @dataclass(frozen=True, kw_only=True)
 class AnsatzConfig(EffectiveConfig):
     eps: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.eps > 0.5:
+            raise ConfigError(f"eps = {self.eps} outside (0, 0.5]")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -214,7 +220,7 @@ def cmd_effective(cfg, out):
     """Band-edge model written to effective.json; returns (model, mode) for ansatz."""
     model, mode = effective.extract_effective_model(
         cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.J, cfg.N_k,
-        n_bands=cfg.n_bands, n_quad=cfg.n_quad, tol_real=cfg.tol_real)
+        n_bands=cfg.n_bands, tol_real=cfg.tol_real)
     write_json(out / "effective.json", model.to_json_dict())
     return model, mode
 
@@ -254,15 +260,13 @@ def cmd_converge(cfg, out):
 
 def cmd_dirac(cfg, out):
     parts, J, gamma_list = cfg.potential, cfg.J, cfg.gamma_list
-    rows = []
+    records = []
     summary = {"points": [], "slopes": []}
 
     if isinstance(cfg, Prop3Config):
         lo, hi = cfg.m_range
         records = [r for g in gamma_list for r in dirac.prop3_scan(
             parts.cosine_coeffs, parts.sine_coeffs, g, range(lo, hi + 1), J)]
-        rows = [(r.k0, r.mu, r.gamma, r.pred_im, r.measured[0].real, r.measured[0].imag,
-                 r.relative_gap) for r in records]
         summary["points"] = [
             {"mu": r.mu, "coupling_harmonic": r.coupling_harmonic,
              "gamma": r.gamma, "pred_im": r.pred_im,
@@ -274,13 +278,9 @@ def cmd_dirac(cfg, out):
         bs0 = bands.compute_bands(U, J, cfg.N_k, cfg.n_bands)
         for dp in dirac.find_dirac_points(bs0, cfg.dirac_tol):
             for g in gamma_list:
-                pred = dirac.predict_splitting(dp, parts, g)
                 V = potential.from_parts(replace(parts, gamma=g))
-                meas = dirac.measure_splitting(V, dp.k0, dp.mu, J)
-                pred = pred.with_measurement(meas)
-                rows.append((pred.k0, pred.mu, pred.gamma, pred.pred_im,
-                             meas[0].real, meas[0].imag,
-                             pred.relative_gap if pred.relative_gap is not None else np.nan))
+                records.append(dirac.predict_splitting(dp, parts, g).with_measurement(
+                    dirac.measure_splitting(V, dp.k0, dp.mu, J)))
             summary["points"].append({"k0": dp.k0, "mu": dp.mu,
                                       "band_pair": list(dp.band_pair)})
             if len(gamma_list) >= 3:
@@ -292,6 +292,9 @@ def cmd_dirac(cfg, out):
                                               "coupling": coupling})
                 except ConfigError:
                     pass
+    # no relative gap (zero predicted splitting): nan in the CSV, null in JSON
+    rows = [(r.k0, r.mu, r.gamma, r.pred_im, r.measured[0].real, r.measured[0].imag,
+             np.nan if r.relative_gap is None else r.relative_gap) for r in records]
     write_csv(out / "dirac.csv",
               ["k0", "mu", "gamma", "pred_im", "meas_re_plus", "meas_im_plus", "rel_gap"],
               rows)
@@ -329,16 +332,21 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
     try:
-        args = parser.parse_args(argv)
-        cfg = read_config(args.command, _load_config(args.config))
-        out = _out_dir(args.out)
-        COMMANDS[args.command][1](cfg, out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = parser.parse_args(argv)
+            cfg = read_config(args.command, _load_config(args.config))
+            out = _out_dir(args.out)
+            COMMANDS[args.command][1](cfg, out)
     except PTBandsError as exc:
         code, what = next(e[1:] for e in _EXITS if isinstance(exc, e[0]))
         if getattr(exc, "eps", None) is not None:
             what += f" at eps = {exc.eps}"
         print(f"{what}: {exc}", file=sys.stderr)
         return code
+    if caught:
+        more = f" (+{len(caught) - 1} more)" if len(caught) > 1 else ""
+        print(f"warning: {caught[0].message}{more}", file=sys.stderr)
     if args.verbose:
         print(f"wrote results to {out}")
     return 0

@@ -5,7 +5,8 @@ two band functions intersect.  Its two-dimensional eigenspace carries a
 parity structure: a basis (phi_+, phi_-) exists with phi_+ e^{i k0 x}
 real even and phi_- e^{i k0 x} real odd.  In the e^{ijx} coefficient
 basis, parity is the reflection j -> -j at k0 = 0 and the twisted
-reflection j -> -j-1 at k0 = 1/2.
+reflection j -> -j-1 at k0 = 1/2.  W acts through the Toeplitz matrix
+discretize.potential_matrix and the basis phases come from eigen.gauge.
 
 Under the PT perturbation i*gamma*W (W odd, real) the point splits at
 leading order into mu +- i*gamma*|<W phi_+, phi_->|; with an even
@@ -77,22 +78,6 @@ class SplittingPrediction:
         return replace(self, measured=tuple(pair), relative_gap=gap)
 
 
-def _parity_matrix(J, k0):
-    """Coefficient-space parity: j -> -j (k0=0) or j -> -j-1 (k0=1/2).
-
-    At k0 = 1/2 the image of j = J leaves the truncated range; that row
-    stays zero, which only matters for modes with weight at the cutoff.
-    """
-    n = 2 * J + 1
-    P = np.zeros((n, n))
-    shift = int(round(2 * k0))
-    for j in range(-J, J + 1):
-        t = -j - shift
-        if -J <= t <= J:
-            P[t + J, j + J] = 1.0
-    return P
-
-
 def find_dirac_points(bs_gamma0: BandStructure, tol: float = 1e-8):
     """All double eigenvalues at k in {0, 1/2} among the tracked bands.
 
@@ -104,6 +89,7 @@ def find_dirac_points(bs_gamma0: BandStructure, tol: float = 1e-8):
     """
     points = []
     for k0 in (0.0, 0.5):
+        shift = int(round(2 * k0))      # parity: j -> -j - shift
         col = bs_gamma0.column(k0)
         vals = bs_gamma0.omega[:, col]
         used = set()
@@ -127,8 +113,11 @@ def find_dirac_points(bs_gamma0: BandStructure, tol: float = 1e-8):
             mu = float(np.mean([vals[i].real, vals[j].real]))
             S, _ = np.linalg.qr(np.column_stack([bs_gamma0.vectors[i, col],
                                                  bs_gamma0.vectors[j, col]]))
-            P = _parity_matrix(bs_gamma0.J, k0)
-            Psub = S.conj().T @ P @ S
+            # parity reverses the basis vectors; at k0 = 1/2 the image of
+            # j = J leaves the range and that row stays zero
+            PS = np.zeros_like(S)
+            PS[:len(S) - shift] = S[::-1][shift:]
+            Psub = S.conj().T @ PS
             pvals, pvecs = np.linalg.eigh(0.5 * (Psub + Psub.conj().T))
             if np.abs(np.abs(pvals) - 1.0).max() > 1e-6:
                 warnings.warn(
@@ -138,8 +127,10 @@ def find_dirac_points(bs_gamma0: BandStructure, tol: float = 1e-8):
                 continue
             phi_minus = S @ pvecs[:, 0]   # parity -1: odd Bloch function
             phi_plus = S @ pvecs[:, 1]    # parity +1: even
-            phi_plus = _parity_phase(phi_plus, want_imag=False)
-            phi_minus = _parity_phase(phi_minus, want_imag=(k0 == 0.0))
+            # phi e^{i k0 x} real: real coefficients, except purely
+            # imaginary ones for the odd member at k0 = 0
+            phi_plus = phi_plus * eigen.gauge(phi_plus)
+            phi_minus = phi_minus * eigen.gauge(phi_minus, 0.5 * np.pi if k0 == 0.0 else 0.0)
             norm = np.sqrt(TWO_PI)
             # band_pair follows the real-part ordering at this k (the two
             # crossing band functions are adjacent in that ordering)
@@ -153,56 +144,22 @@ def find_dirac_points(bs_gamma0: BandStructure, tol: float = 1e-8):
     return points
 
 
-def _parity_phase(phi, want_imag):
-    """Rotate so phi e^{i k0 x} is real: coefficients real for the even
-    member; at k0 = 0 the odd member has purely imaginary coefficients."""
-    jstar = int(np.argmax(np.abs(phi)))
-    target = 0.5 * np.pi if want_imag else 0.0
-    return phi * np.exp(1j * (target - np.angle(phi[jstar])))
-
-
-def _w_exp_coeffs(W_parts: PotentialParts, J):
-    """Exponential coefficients of W alone (odd, real): w_{+-j} = -+ i b_j fac/2."""
-    if any(W_parts.cosine_coeffs):
-        raise ConfigError("W must be odd: cosine part not allowed in mw_matrix")
-    fac = 2.0 if W_parts.convention is Convention.PROP3_DOUBLED else 1.0
-    w = {}
-    for j, b in enumerate(W_parts.sine_coeffs, start=1):
-        if b == 0:
-            continue
-        w[j] = -1j * fac * b / 2.0
-        w[-j] = +1j * fac * b / 2.0
-    return w
-
-
-def _apply_potential(coeffs, phi, J):
-    """(W phi)_j = sum_q w_q phi_{j-q} within the truncated range."""
-    out = np.zeros(2 * J + 1, dtype=complex)
-    for q, c in coeffs.items():
-        lo, hi = max(-J, -J + q), min(J, J + q)
-        if lo > hi:
-            continue
-        rows = np.arange(lo, hi + 1)
-        out[rows + J] += c * phi[rows - q + J]
-    return out
-
-
 def mw_matrix(dp: DiracPoint, W_parts: PotentialParts) -> np.ndarray:
     """2x2 matrix of W-weighted inner products of the Dirac eigenbasis.
 
     Rows pair against (phi_+, phi_-):
         [[<W phi_+, phi_+>, <W phi_-, phi_+>],
          [<W phi_+, phi_->, <W phi_-, phi_->]]
-    Hermitian for real W; anti-diagonal in the parity basis because W is
-    odd and |phi_+-|^2 are even.
+    That is 2 pi B^H T_W B with B = [phi_+, phi_-] and T_W the Toeplitz
+    matrix of W.  Hermitian for real W; anti-diagonal in the parity basis
+    because W is odd and |phi_+-|^2 are even.
     """
-    w = _w_exp_coeffs(W_parts, dp.J)
-    Wp = _apply_potential(w, dp.phi_plus, dp.J)
-    Wm = _apply_potential(w, dp.phi_minus, dp.J)
-    return np.array([
-        [eigen.inner(Wp, dp.phi_plus), eigen.inner(Wm, dp.phi_plus)],
-        [eigen.inner(Wp, dp.phi_minus), eigen.inner(Wm, dp.phi_minus)],
-    ])
+    if any(W_parts.cosine_coeffs):
+        raise ConfigError("W must be odd: cosine part not allowed in mw_matrix")
+    # from_parts at gamma = 1 gives the coefficients of iW
+    T = -1j * discretize.potential_matrix(from_parts(replace(W_parts, gamma=1.0)), dp.J)
+    B = np.column_stack([dp.phi_plus, dp.phi_minus])
+    return TWO_PI * B.conj().T @ T @ B
 
 
 def predict_splitting(dp: DiracPoint, W_parts: PotentialParts, gamma: float,
@@ -228,18 +185,20 @@ def predict_splitting(dp: DiracPoint, W_parts: PotentialParts, gamma: float,
     )
 
 
+def _nearest_pair(w, mu):
+    """The two eigenvalues in w nearest mu, plus-Im first."""
+    idx = np.argsort(np.abs(w - mu), kind="stable")[:2]
+    return tuple(sorted(w[idx], key=lambda z: -z.imag))
+
+
 def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
     """The two eigenvalues of L(k0) nearest mu, plus-Im first."""
-    w = eigen.eigenvalues(discretize.assemble(p, k0, J))
-    d = np.abs(w - mu)
-    close = np.nonzero(d < 1.0)[0]
-    if len(close) < 2:
+    pair = _nearest_pair(eigen.eigenvalues(discretize.assemble(p, k0, J)), mu)
+    if max(abs(z - mu) for z in pair) >= 1.0:
         raise ClassificationError(
             f"fewer than two eigenvalues within distance 1 of mu = {mu} at k0 = {k0}"
         )
-    idx = close[np.argsort(d[close])[:2]]
-    pair = sorted(w[idx], key=lambda z: -z.imag)
-    return tuple(pair)
+    return pair
 
 
 def splitting_slope(U_parts: PotentialParts, dp: DiracPoint, J: int,
@@ -304,8 +263,5 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
             k0=0.0, mu=mu, gamma=gamma, regime=regime,
             leading_eigenvalues=pred, pred_im=pred_im, coupling_harmonic=q,
         )
-        d = np.abs(w - mu)
-        idx = np.argsort(d)[:2]
-        pair = sorted(w[idx], key=lambda z: -z.imag)
-        records.append(rec.with_measurement(tuple(pair)))
+        records.append(rec.with_measurement(_nearest_pair(w, mu)))
     return records

@@ -30,10 +30,6 @@ class BlochOperatorMatrix:
     J: int
     entries: np.ndarray
 
-    @property
-    def size(self):
-        return 2 * self.J + 1
-
     def norm(self):
         """Infinity norm, used as the scale in simplicity thresholds."""
         return np.linalg.norm(self.entries, np.inf)
@@ -51,19 +47,24 @@ def _check_args(p: PeriodicPotential, k: float, J: int):
         )
 
 
-def assemble(p: PeriodicPotential, k: float, J: int) -> BlochOperatorMatrix:
-    """Galerkin matrix of L(k) with basis e^{ijx}, |j| <= J."""
-    _check_args(p, k, J)
+def potential_matrix(p: PeriodicPotential, J: int) -> np.ndarray:
+    """Toeplitz matrix T[j, l] = c_{j-l}: multiplication by p on |j| <= J,
+    dropping products that leave the truncated range."""
     n = 2 * J + 1
-    js = np.arange(-J, J + 1)
-    M = np.zeros((n, n), dtype=complex)
-    M[np.diag_indices(n)] = (js + k) ** 2
+    T = np.zeros((n, n), dtype=complex)
     for q, c in p.coeffs.items():
         # entry (j, l) gets c_q whenever j - l = q
         lo, hi = max(-J, -J + q), min(J, J + q)
         if lo > hi:
             continue
         rows = np.arange(lo, hi + 1) + J
-        M[rows, rows - q] += c
-    return BlochOperatorMatrix(k=float(k), J=int(J), entries=M)
+        T[rows, rows - q] += c
+    return T
 
+
+def assemble(p: PeriodicPotential, k: float, J: int) -> BlochOperatorMatrix:
+    """Galerkin matrix of L(k) with basis e^{ijx}, |j| <= J."""
+    _check_args(p, k, J)
+    M = potential_matrix(p, J)
+    M[np.diag_indices(2 * J + 1)] += (np.arange(-J, J + 1) + k) ** 2
+    return BlochOperatorMatrix(k=float(k), J=int(J), entries=M)

@@ -14,7 +14,8 @@ for PT-symmetric sigma and PT-phase-fixed modes.  The self-pairing
 int g^2 dx equals 1 only for real potentials; for genuinely complex PT
 potentials the biorthogonal weight is what makes the envelope equation
 match the bound states of the full problem (the convergence study in
-gpsolve is a sharp end-to-end test of this).
+gpsolve is a sharp end-to-end test of this).  Gamma is an exact
+trapezoid sum over FFT samples of p and p*.
 """
 
 from dataclasses import dataclass
@@ -82,42 +83,33 @@ def existence_condition(gamma_re: float, curvature: float, Omega: int) -> bool:
     return bool(np.sign(gamma_re) == np.sign(Omega) == -np.sign(curvature))
 
 
-def gamma_coefficient(mode_k0: BlochMode, mode_minus_k0: BlochMode,
-                      sigma: PeriodicPotential, n_quad: int = None) -> complex:
+def _cell_samples(coeffs, n):
+    """sum_j c_j e^{ijx} at x = 2 pi m / n, m = 0..n-1, by one inverse FFT."""
+    J = (len(coeffs) - 1) // 2
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[np.arange(-J, J + 1) % n] = coeffs
+    return n * np.fft.ifft(spectrum)
+
+
+def gamma_coefficient(mode: BlochMode, sigma: PeriodicPotential) -> complex:
     """Nonlinearity coefficient Gamma = <sigma p |p|^2, p*> at a band edge.
 
-    Both arguments must be the same biorthonormalized, PT-phase-fixed
-    edge mode: at k0 in {0, 1/2} the -k0 mode is the k0 mode itself
-    (-k0 = k0 mod 1), with the e^{2 i k0 x} frame twist absorbed by the
-    adjoint pairing.  Interior k0 would need a genuinely different mode
-    and is not supported.
+    The mode must be biorthonormalized and PT-phase-fixed, at k0 in
+    {0, 1/2}: there -k0 = k0 mod 1, so the -k0 mode is the mode itself,
+    with the e^{2 i k0 x} frame twist absorbed by the adjoint pairing.
 
-    Uniform trapezoid quadrature over one cell is exact here: the
-    integrand is a trigonometric polynomial of degree <= 4J + J_sigma,
-    and the default n_quad = 8(J + J_sigma + 1) clears it.
+    The integrand is a trigonometric polynomial of degree 4J + J_sigma,
+    so the trapezoid rule on n = 4J + J_sigma + 1 points of one cell is
+    exact; p and p* are sampled there by one inverse FFT each.
     """
-    if mode_k0.k not in (0.0, 0.5):
+    if mode.k not in (0.0, 0.5):
         raise ConfigError("Gamma is defined at band edges k0 in {0, 1/2}")
-    if mode_minus_k0.k != mode_k0.k:
-        raise ConfigError(
-            f"modes at mismatched quasimomenta ({mode_minus_k0.k} vs {mode_k0.k}); "
-            "at the edges -k0 = k0 mod 1, pass the same mode"
-        )
-    if mode_minus_k0 is not mode_k0 and not np.array_equal(
-            mode_minus_k0.p_coeffs, mode_k0.p_coeffs):
-        raise ConfigError("mode_minus_k0 must be the edge mode itself")
-    J = mode_k0.J
-    min_quad = 8 * (J + sigma.max_harmonic)
-    if n_quad is None:
-        n_quad = 8 * (J + sigma.max_harmonic + 1)
-    elif n_quad < min_quad:
-        raise ConfigError(f"n_quad = {n_quad} below the required {min_quad}")
-    # grid on [-pi, pi) shifted to [0, 2pi) by periodicity
-    x = np.arange(n_quad) * TWO_PI / n_quad
-    p = mode_k0.p_values(x)
-    pstar = mode_k0.pstar_values(x)
+    n = 4 * mode.J + sigma.max_harmonic + 1
+    x = np.arange(n) * TWO_PI / n
+    p = _cell_samples(mode.p_coeffs, n)
+    pstar = _cell_samples(mode.pstar_coeffs, n)
     integrand = sigma.eval(x) * p * np.abs(p) ** 2 * np.conj(pstar)
-    return complex(np.sum(integrand) * TWO_PI / n_quad)
+    return complex(np.sum(integrand) * TWO_PI / n)
 
 
 def sech_envelope(model: EffectiveModel) -> SechEnvelope:
@@ -179,8 +171,7 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
 
 def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
                             m: int, edge: str, J: int, N_k: int = 32,
-                            n_bands: int = None, n_quad: int = None,
-                            tol_real: float = bands.REALITY_TOL):
+                            n_bands: int = None, tol_real: float = bands.REALITY_TOL):
     """Band-edge pipeline: assumption check, PT-fixed mode, curvature, Gamma.
 
     Everything at the edge comes from the band sweep's stored edge
@@ -202,7 +193,7 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
     idx = bs.edge_index(m, be.k0)
     mode = eigen.fix_pt_phase(eigen.make_mode(spec, idx), tol_real)
     curvature, _ = bands.edge_curvature(V, spec, idx)
-    gamma_nl = gamma_coefficient(mode, mode, sigma, n_quad=n_quad)
+    gamma_nl = gamma_coefficient(mode, sigma)
     Omega = -1 if edge == "a" else +1
     model = EffectiveModel(
         k0=be.k0,

@@ -12,6 +12,8 @@ Conventions used throughout:
   l^H M = omega l^H, scaled so that <p, p*> = 1, which makes <., p*> p the
   spectral projection onto the mode.  Near an exceptional point this
   pairing degenerates and the construction refuses.
+* every phase is fixed by gauge(v, angle), which turns the largest-|.|
+  coefficient onto the angle.
 
 solve() returns right and left vectors from one LAPACK call.  Because
 M(-k) = R M(k)^T R with R the reversal j -> -j, the decomposition at -k is
@@ -95,22 +97,19 @@ class BlochMode:
     def J(self):
         return (len(self.p_coeffs) - 1) // 2
 
-    def harmonics(self):
-        return np.arange(-self.J, self.J + 1)
-
-    def p_values(self, x):
-        """p(x) on an array of points."""
-        x = np.asarray(x, dtype=float)
-        return np.exp(1j * np.outer(x, self.harmonics())) @ self.p_coeffs
-
-    def pstar_values(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(1j * np.outer(x, self.harmonics())) @ self.pstar_coeffs
-
     def g_values(self, x):
-        """Bloch wave g(x) = e^{ikx} p(x); PT-symmetric when the phase is fixed."""
+        """Bloch wave g(x) = e^{ikx} p(x) at arbitrary points; PT-symmetric
+        when the phase is fixed."""
         x = np.asarray(x, dtype=float)
-        return np.exp(1j * self.k * x) * self.p_values(x)
+        js = np.arange(-self.J, self.J + 1)
+        return np.exp(1j * self.k * x) * (np.exp(1j * np.outer(x, js)) @ self.p_coeffs)
+
+
+def gauge(v, angle=0.0):
+    """Unit factor that rotates the largest-|.| coefficient of v onto angle
+    (deterministic, and well conditioned since that coefficient is large)."""
+    jstar = int(np.argmax(np.abs(v)))
+    return np.exp(1j * (angle - np.angle(v[jstar])))
 
 
 def inner(u_coeffs, v_coeffs):
@@ -187,13 +186,6 @@ def classify(spec: Spectrum, tol_real: float) -> SpectrumClasses:
     )
 
 
-def _deterministic_phase(v):
-    """Rotate so the largest-|.| coefficient is real positive."""
-    jstar = int(np.argmax(np.abs(v)))
-    phase = np.exp(-1j * np.angle(v[jstar]))
-    return v * phase
-
-
 def make_mode(spec: Spectrum, index: int) -> BlochMode:
     """Biorthonormalized Bloch mode for spec.eigenvalues[index].
 
@@ -211,7 +203,7 @@ def make_mode(spec: Spectrum, index: int) -> BlochMode:
         )
     v = spec.right_vectors[:, index].copy()
     v = v / (np.sqrt(TWO_PI) * np.linalg.norm(v))
-    v = _deterministic_phase(v)
+    v = v * gauge(v)
 
     w = spec.left_vectors[:, index]
     s = inner(v, w)
@@ -227,8 +219,8 @@ def make_mode(spec: Spectrum, index: int) -> BlochMode:
 def fix_pt_phase(mode: BlochMode, tol_real: float = 1e-8, tol_im: float = 1e-8) -> BlochMode:
     """Rotate a real-eigenvalue mode onto its PT-symmetric phase.
 
-    The rotation angle is -arg(pi_{j*}) with j* the largest-|.| coefficient
-    (deterministic and well conditioned).  After the rotation all
+    The rotation is gauge(p): the largest-|.| coefficient becomes real
+    positive.  After the rotation all
     coefficients of a genuinely PT-symmetric mode are real; a residual
     imaginary part above tol_im means the eigenvalue is not simple-real
     and raises.  p* is rotated by the same phase, which preserves
@@ -238,8 +230,7 @@ def fix_pt_phase(mode: BlochMode, tol_real: float = 1e-8, tol_im: float = 1e-8) 
         raise ComplexBandError(
             f"cannot PT-fix a mode with Im(omega) = {mode.omega.imag:.3e}"
         )
-    jstar = int(np.argmax(np.abs(mode.p_coeffs)))
-    phase = np.exp(-1j * np.angle(mode.p_coeffs[jstar]))
+    phase = gauge(mode.p_coeffs)
     p = mode.p_coeffs * phase
     resid = np.abs(p.imag).max()
     if resid > tol_im:

@@ -113,7 +113,7 @@ def test_criterion_5_gamma_coefficient_checks():
         spec = solve(assemble(p, k, 20))
         for i in idxs:
             mode = fix_pt_phase(make_mode(spec, i))
-            g = gamma_coefficient(mode, mode, sigma)
+            g = gamma_coefficient(mode, sigma)
             worst = max(worst, abs(g.imag))
             count += 1
     assert worst <= 1e-8
@@ -121,7 +121,7 @@ def test_criterion_5_gamma_coefficient_checks():
     spec = solve(assemble(FREE, 0.0, 8))
     mode = fix_pt_phase(make_mode(spec, 0))
     for s0 in (1.0, -3.7):
-        g = gamma_coefficient(mode, mode, constant(s0))
+        g = gamma_coefficient(mode, constant(s0))
         assert abs(g - s0 / (2 * np.pi)) <= 1e-12
     report(5, f"Im Gamma <= {worst:.1e} over {count} PT-fixed modes; free-space "
               f"constant-sigma value sigma0/(2 pi) to 1e-12")

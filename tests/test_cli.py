@@ -4,7 +4,7 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
                          EffectiveConfig, Prop3Config, main)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(tmp_path, command, cfg, name="cfg.json"):
@@ -176,6 +177,13 @@ class TestAnsatzCommand:
         code, _ = run(tmp_path, "ansatz", cfg)
         assert code == 2
 
+    def test_eps_above_half_rejected_before_output(self, tmp_path):
+        cfg = shipped("ansatz_gentle", ("eps",), 0.7)
+        code, err, out = run_captured(tmp_path, "ansatz", cfg)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+        assert not out.exists()
+
 
 class TestConvergeCommand:
     def test_short_study(self, tmp_path):
@@ -260,6 +268,29 @@ class TestDiracCommand:
             assert abs(float(vals[5])) > 1e-6       # measured complex
             assert float(vals[6]) <= 0.30
 
+    def test_prop3_zero_gamma_gap_nan_in_csv_null_in_json(self, tmp_path):
+        cfg = shipped("dirac_prop3", ("gamma_list",), [0.0])
+        code, out = run(tmp_path, "dirac", cfg)
+        assert code == 0
+        lines = (out / "dirac.csv").read_text().splitlines()
+        assert [line.split(",")[6] for line in lines[1:]] == ["nan"] * 7
+        summary = json.loads((out / "dirac_summary.json").read_text())
+        assert [p["relative_gap"] for p in summary["points"]] == [None] * 7
+
+    @pytest.mark.parametrize("tol, gamma, code, prefix", [(2.5, 0.2, 0, "warning: "),
+                                                          (1.0, 0.8, 1, "config error: ")])
+    def test_skipped_crossings_make_one_stderr_line(self, tmp_path, tol, gamma, code, prefix):
+        # a wide dirac_tol merges the free ladder into eigenspaces of dimension
+        # > 2, each skipped with a warning (tol 1.0 keeps mu = 1/4, where
+        # |gamma| > 1/2 then fails); a failing run prints only its error line
+        cfg = shipped("dirac_sin2x", ("dirac_tol",), tol)
+        cfg["gamma_list"] = [gamma]
+        got, err, _ = run_captured(tmp_path, "dirac", cfg)
+        assert got == code
+        assert len(err.splitlines()) == 1 and err.startswith(prefix)
+        if code == 0:
+            assert "dimension" in err and err.rstrip().endswith("more)")
+
 
 def test_sample_configs_parse(tmp_path):
     # every shipped config runs through its command without a config error
@@ -286,7 +317,7 @@ def test_config_defaults():
 
     assert defaults(BandsConfig) == {"J": 32, "N_k": 32, "n_bands": 6, "band_index": 1,
                                      "tol_real": bands.REALITY_TOL}
-    effective = {"J": 32, "N_k": 32, "n_bands": None, "n_quad": None, "band_index": 1,
+    effective = {"J": 32, "N_k": 32, "n_bands": None, "band_index": 1,
                  "edge": "a", "tol_real": bands.REALITY_TOL}
     assert defaults(EffectiveConfig) == effective
     assert defaults(AnsatzConfig) == {**effective, "eps": 0.1}
@@ -296,6 +327,32 @@ def test_config_defaults():
     assert {k: v for k, v in defaults(DiracConfig).items() if k != "gamma_list"} == {
         "J": 32, "N_k": 32, "n_bands": 8, "dirac_tol": 1e-8}
     assert defaults(Prop3Config)["J"] == 32
+
+
+def test_readme_config_table_matches_schema():
+    # README's key table against the dataclasses: which command accepts each
+    # key ("" = rejected) and its default ("required", "null ..." or a JSON value)
+    columns = [BandsConfig, EffectiveConfig, AnsatzConfig, ConvergeConfig, DiracConfig,
+               Prop3Config]
+    rows = [line.strip("|").split("|") for line in README.read_text().splitlines()
+            if line.startswith("| `")]
+    table = {key.strip().strip("`"): [c.strip() for c in cells[1:]]
+             for key, *cells in rows}
+    assert len(table) == len(rows)
+    for col, cls in enumerate(columns):
+        documented = {key: cells[col] for key, cells in table.items() if cells[col]}
+        schema = {f.name: f.default for f in fields(cls)}
+        assert set(documented) == set(schema), cls.__name__
+        for key, cell in documented.items():
+            if cell.startswith("required"):
+                want = MISSING
+            elif cell.startswith("null"):
+                want = None
+            else:
+                want = json.loads(cell.strip("`"))
+            default = schema[key]
+            assert (list(default) if isinstance(default, tuple) else default) == want, \
+                (cls.__name__, key)
 
 
 def shipped(name, path, value):
@@ -350,7 +407,7 @@ def test_malformed_config_exit1(tmp_path, case):
 
 
 def test_null_allowed_where_default_is_none(tmp_path):
-    cfg = gentle_cfg(n_bands=None, n_quad=None)
+    cfg = gentle_cfg(n_bands=None)
     code, out = run(tmp_path, "effective", cfg)
     assert code == 0 and (out / "effective.json").exists()
 
@@ -440,10 +497,9 @@ def malformed_runs(draw):
     if command == "converge":
         cfg["eps_list"] = [0.2]             # one Newton solve keeps an example cheap
     sizes = {"J": st.integers(1, 16), "N_k": st.sampled_from([16, 18, 14]),
-             "n_bands": st.integers(1, 6), "n_quad": st.integers(1, 300)}
+             "n_bands": st.integers(1, 6)}
     for key, size in sizes.items():
-        if (key in cfg or key == "n_quad" and command in ("effective", "ansatz")) \
-                and draw(st.booleans()):
+        if key in cfg and draw(st.booleans()):
             cfg[key] = draw(size)
     nodes = list(_nodes(cfg))
     how = draw(st.sampled_from(["replace", "extra key", "extra item", "sizes only"]))

@@ -47,6 +47,19 @@ class TestFindDiracPoints:
         assert min(np.abs(dp.phi_plus - s * cosx).max() for s in (1, -1)) < 1e-10
         assert min(np.abs(dp.phi_minus - s * sinx).max() for s in (1, -1)) < 1e-10
 
+    def test_first_point_eigenfunctions_at_zone_edge(self, free_points):
+        # mu_1 = 1/4 at k0 = 1/2, modes j = -1 and j = 0: phi_+ e^{ix/2} =
+        # cos(x/2)/sqrt(pi) and phi_- e^{ix/2} = i sin(x/2)/sqrt(pi), up to sign
+        dp = free_points[0]
+        assert (dp.k0, dp.mu) == (0.5, pytest.approx(0.25, abs=1e-12))
+        J = dp.J
+        half = 0.5 / np.sqrt(np.pi)
+        even, odd = np.zeros(2 * J + 1), np.zeros(2 * J + 1)
+        even[J - 1], even[J] = half, half
+        odd[J - 1], odd[J] = half, -half
+        assert min(np.abs(dp.phi_plus - s * even).max() for s in (1, -1)) < 1e-10
+        assert min(np.abs(dp.phi_minus - s * odd).max() for s in (1, -1)) < 1e-10
+
     def test_orthonormal_basis(self, free_points):
         for dp in free_points:
             assert abs(TWO_PI * np.vdot(dp.phi_minus, dp.phi_plus)) <= 1e-10
@@ -83,6 +96,16 @@ class TestMwMatrix:
         for dp in free_points[:4]:
             M = mw_matrix(dp, W)
             assert max(abs(M[0, 0]), abs(M[1, 1])) <= 1e-10
+
+    def test_pinned_entries(self, free_points):
+        # W = 0.3 sin x + 0.7 sin 2x + 0.1 sin 3x on the first four free
+        # points; values measured with the loop-based W action and parity matrix
+        W = PotentialParts(sine_coeffs=(0.3, 0.7, 0.1), gamma=1.0)
+        expected = {0.25: [[0, -0.15j], [0.15j, 0]], 1.0: [[0, 0.35], [0.35, 0]],
+                    2.25: [[0, -0.05j], [0.05j, 0]], 4.0: [[0, 0], [0, 0]]}
+        for mu, M in expected.items():
+            got = mw_matrix(point_at(free_points, mu), W)
+            assert np.abs(got - np.array(M)).max() <= 1e-14
 
     def test_eigenvalue_set_invariant_under_basis_rotation(self, free_points, rng):
         dp = point_at(free_points, 1.0)
