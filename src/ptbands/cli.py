@@ -290,8 +290,9 @@ def cmd_dirac(cfg, out):
                     summary["slopes"].append({"mu": dp.mu, "k0": dp.k0,
                                               "richardson_slope": slope,
                                               "coupling": coupling})
-                except ConfigError:
-                    pass
+                except ConfigError as exc:
+                    warnings.warn(f"no Richardson slope at mu = {dp.mu:.6g}: {exc}",
+                                  stacklevel=2)
     # no relative gap (zero predicted splitting): nan in the CSV, null in JSON
     rows = [(r.k0, r.mu, r.gamma, r.pred_im, r.measured[0].real, r.measured[0].imag,
              np.nan if r.relative_gap is None else r.relative_gap) for r in records]

@@ -5,8 +5,8 @@ two band functions intersect.  Its two-dimensional eigenspace carries a
 parity structure: a basis (phi_+, phi_-) exists with phi_+ e^{i k0 x}
 real even and phi_- e^{i k0 x} real odd.  In the e^{ijx} coefficient
 basis, parity is the reflection j -> -j at k0 = 0 and the twisted
-reflection j -> -j-1 at k0 = 1/2.  W acts through the Toeplitz matrix
-discretize.potential_matrix and the basis phases come from eigen.gauge.
+reflection j -> -j-1 at k0 = 1/2.  W acts through the diagonals of its
+Toeplitz matrix and the basis phases come from eigen.gauge.
 
 Under the PT perturbation i*gamma*W (W odd, real) the point splits at
 leading order into mu +- i*gamma*|<W phi_+, phi_->|; with an even
@@ -151,15 +151,22 @@ def mw_matrix(dp: DiracPoint, W_parts: PotentialParts) -> np.ndarray:
         [[<W phi_+, phi_+>, <W phi_-, phi_+>],
          [<W phi_+, phi_->, <W phi_-, phi_->]]
     That is 2 pi B^H T_W B with B = [phi_+, phi_-] and T_W the Toeplitz
-    matrix of W.  Hermitian for real W; anti-diagonal in the parity basis
+    matrix of W (discretize.potential_matrix), applied one diagonal per
+    harmonic of W.  Hermitian for real W; anti-diagonal in the parity basis
     because W is odd and |phi_+-|^2 are even.
     """
     if any(W_parts.cosine_coeffs):
         raise ConfigError("W must be odd: cosine part not allowed in mw_matrix")
-    # from_parts at gamma = 1 gives the coefficients of iW
-    T = -1j * discretize.potential_matrix(from_parts(replace(W_parts, gamma=1.0)), dp.J)
     B = np.column_stack([dp.phi_plus, dp.phi_minus])
-    return TWO_PI * B.conj().T @ T @ B
+    n = len(B)
+    M = np.zeros((2, 2), dtype=complex)
+    # from_parts at gamma = 1 gives the coefficients of iW
+    for q, c in from_parts(replace(W_parts, gamma=1.0)).coeffs.items():
+        if abs(q) < n:
+            # T_W[j, l] = c_q on j - l = q pairs row j of B with row j - q
+            rows, cols = (B[q:], B[:n - q]) if q >= 0 else (B[:n + q], B[-q:])
+            M += c * (rows.conj().T @ cols)
+    return -1j * TWO_PI * M
 
 
 def predict_splitting(dp: DiracPoint, W_parts: PotentialParts, gamma: float,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptbands import bands
+from ptbands import bands, gpsolve
 from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
                          EffectiveConfig, Prop3Config, main)
 
@@ -209,6 +209,14 @@ class TestConvergeCommand:
         assert code == 3
         assert "eps = 0.2" in capsys.readouterr().err
 
+    def test_preconditioner_failure_exit3_one_line(self, tmp_path, monkeypatch):
+        # every Floquet-Bloch block has 1-norm condition >= 1, so each one fails
+        monkeypatch.setattr(gpsolve, "BLOCK_COND_MAX", 0.5)
+        code, err, _ = run_captured(tmp_path, "converge", gentle_cfg(eps_list=[0.2]))
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("solver failure at eps = 0.2: preconditioner block 0 of ")
+
     @pytest.mark.parametrize("eps_list", [[0.2, 0.2], [], ["a"], [-0.1, 0.1], [True, 0.1],
                                           [0.1, 0.6], [0.1, float("nan")]])
     def test_degenerate_eps_list_exit1(self, tmp_path, capsys, eps_list):
@@ -249,6 +257,15 @@ class TestDiracCommand:
         slopes = {s["mu"]: s for s in summary["slopes"]}
         s1 = slopes[1.0]
         assert abs(s1["richardson_slope"] - s1["coupling"]) / s1["coupling"] <= 0.02
+
+    def test_skipped_slopes_make_one_warning_line(self, tmp_path):
+        # the first three sorted gammas are not in ratio 1:2:4: no Richardson slope
+        cfg = shipped("dirac_sin2x", ("gamma_list",), [0.01, 0.03, 0.04])
+        code, err, out = run_captured(tmp_path, "dirac", cfg)
+        assert code == 0
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: no Richardson slope at mu = ") and "1:2:4" in err
+        assert json.loads((out / "dirac_summary.json").read_text())["slopes"] == []
 
     def test_determinism(self, tmp_path):
         cfg = {"potential": {"sine": [0.0, 1.0], "gamma": 0.2, "convention": "prop2"},

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from ptbands import (ConfigError, GridError, NewtonError, PTSymmetryError, RealLineGrid,
                      assemble, build_ansatz, constant,
@@ -7,8 +8,8 @@ from ptbands import (ConfigError, GridError, NewtonError, PTSymmetryError, RealL
                      from_parts, gp_residual, grid_for_envelope, hs_norm,
                      make_mode, newton_solve, sech_envelope, solve)
 from ptbands import gpsolve
-from ptbands.gpsolve import _jacobian_action, _pt_project
-from conftest import gentle_parts
+from ptbands.gpsolve import _bloch_inverse, _jacobian_action, _pt_project
+from conftest import gentle_parts, two_harmonic_parts
 
 FREE = constant(0.0)
 TWO_PI = 2 * np.pi
@@ -16,6 +17,25 @@ TWO_PI = 2 * np.pi
 
 def soliton_grid(M=8):
     return RealLineGrid(half_length=TWO_PI * M, n_points=64 * M)
+
+
+@pytest.fixture
+def matvecs(monkeypatch):
+    """Matvec count of every GMRES call (one per Newton step), in call order."""
+    counts = []
+    gmres = scipy.sparse.linalg.gmres
+
+    def counting_gmres(A, b, **kwargs):
+        counts.append(0)
+
+        def matvec(z):
+            counts[-1] += 1
+            return A.matvec(z)
+        return gmres(scipy.sparse.linalg.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype),
+                     b, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", counting_gmres)
+    return counts
 
 
 class TestRealLineGrid:
@@ -119,6 +139,34 @@ class TestNewtonKrylov:
         with pytest.raises(NewtonError, match="GMRES") as err:
             newton_solve(1.1 * exact, -1.0, FREE, constant(-1.0), g)
         assert err.value.last_residual is not None
+
+    def test_bloch_inverse_inverts_linear_operator(self, rng):
+        # the preconditioner is the exact inverse of -d^2 + V - omega on the
+        # grid, and with real omega it commutes with the PT projection
+        V = from_parts(two_harmonic_parts(1.0))
+        g = soliton_grid(4)
+        Vx = V.eval(g.x)
+        inverse = _bloch_inverse(Vx, -0.4, g)
+        d = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
+        Ad = -g.second_derivative(d) + (Vx + 0.4) * d
+        assert np.linalg.norm(inverse(Ad) - d) <= 1e-11 * np.linalg.norm(d)
+        assert np.linalg.norm(_pt_project(inverse(d), g) - inverse(_pt_project(d, g))) \
+            <= 1e-13 * np.linalg.norm(inverse(d))
+
+    def test_grid_without_whole_cells_rejected(self):
+        g = RealLineGrid(half_length=TWO_PI * 4, n_points=258)
+        u0 = np.sqrt(2) / np.cosh(g.x) + 0j
+        with pytest.raises(GridError, match="258 points"):
+            newton_solve(1.1 * u0, -1.0, FREE, constant(-1.0), g)
+
+    @pytest.mark.parametrize("omega", [1.0, 1.0 + 1e-14])
+    def test_singular_preconditioner_block_reported(self, omega):
+        # omega = 1 = xi^2 at n = +-C is a free band value of the grid: the
+        # Floquet-Bloch block r = 0 is singular, or condition ~1e16 next to it
+        g = soliton_grid(8)
+        exact = np.sqrt(2) / np.cosh(g.x) + 0j
+        with pytest.raises(NewtonError, match="preconditioner block 0 of 16"):
+            newton_solve(1.1 * exact, omega, FREE, constant(-1.0), g)
 
     def test_gentle_study_reproduces_dense_newton(self):
         # iteration counts and H^1 errors of the dense PT-reduced Newton
@@ -261,13 +309,39 @@ class TestConvergenceStudy:
             errs.append(hs_norm(state.values - ansatz.values, 1.0, grid))
         assert abs(errs[1] - errs[0]) / errs[0] < 0.01
 
-    @pytest.mark.slow
     def test_asymptotic_h1_slope(self):
         # the eps^{3/2} regime: N = 9728 at eps = 0.0125
         V = from_parts(gentle_parts())
         study = convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.025, 0.0125), J=24)
         assert all(r.residual <= 1e-9 for r in study.rows)
         assert 1.4 <= study.slope <= 1.7
+
+    def test_gentle_asymptotic_regime(self, matvecs):
+        # the Floquet-Bloch preconditioner keeps the Krylov work per Newton
+        # step bounded as eps -> 0 (the shifted Laplacian it replaced took
+        # 1894 matvecs at eps = 0.0125); H^1 errors are those of that solver
+        V = from_parts(gentle_parts())
+        study = convergence_study(V, constant(-1.0), 1, "a", J=24,
+                                  eps_list=(0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125))
+        assert len(matvecs) == sum(r.newton_iters for r in study.rows)
+        assert max(matvecs) <= 20
+        # eps 0.2 and 0.1 are pinned in test_gentle_study_reproduces_dense_newton
+        assert [r.newton_iters for r in study.rows[2:4]] == [3, 2]
+        for row, ref in zip(study.rows[2:4], [0.015806304611934153, 0.004999149829614366]):
+            assert row.hs_error == pytest.approx(ref, rel=1e-6)
+        assert all(r.residual <= 1e-9 for r in study.rows)
+        assert study.local_slopes[-1] == pytest.approx(1.5, abs=0.01)
+
+    @pytest.mark.parametrize("m, edge, sigma", [(1, "a", -1.0), (2, "a", -1.0), (2, "b", 1.0)])
+    def test_two_harmonic_asymptotic_regime(self, matvecs, m, edge, sigma):
+        # complex gamma = 1 lattice, including both band-2 edges: 2700 matvecs
+        # per solve at eps = 0.025 with the shifted-Laplacian preconditioner
+        V = from_parts(two_harmonic_parts(1.0))
+        study = convergence_study(V, constant(sigma), m, edge, eps_list=(0.0125, 0.00625), J=32)
+        assert max(matvecs) <= 20
+        assert all(r.residual <= 1e-9 for r in study.rows)
+        (local,) = study.local_slopes
+        assert local == pytest.approx(1.5, abs=0.015)
 
     def test_single_eps_gives_no_slope(self):
         V = from_parts(gentle_parts())
