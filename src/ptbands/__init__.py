@@ -13,7 +13,8 @@ from .eigen import (BlochMode, Spectrum, classify, eigenvalues, fix_pt_phase,
                     make_mode, solve)
 from .errors import (AssumptionError, ClassificationError, ComplexBandError,
                      ConfigError, DegenerateEigenvalueError, ExistenceError,
-                     GridError, NewtonError, PTBandsError, PTSymmetryError)
+                     GridError, NewtonError, PTBandsError, PTSymmetryError,
+                     TruncationError)
 from .gpsolve import (BoundState, ConvergenceStudy, convergence_study,
                       gp_residual, hs_norm, newton_solve)
 from .grid import RealLineGrid, grid_for_envelope

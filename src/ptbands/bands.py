@@ -3,22 +3,29 @@
 The k grid is exactly antisymmetric, so the sweep solves only the
 N_k/2 + 1 points k >= 0 (right and left vectors in one decomposition)
 and fills each -k column from the mirror at |k| (eigen.Spectrum.mirrored).
-Bands are tracked across the grid by maximal eigenvector overlap (value
-proximity fails at avoided crossings); the tracking is a permutation of
-the lowest-n eigenvalues at each k by construction.  The full spectra at
-the edges k = 0 and 1/2 are kept: they give the edge modes and, through
-one bordered reduced-resolvent solve each, the edge curvatures.
-second_derivative is the independent finite-difference estimator.
-Band indices m are 1-based in the public API.
+At each k it solves only the leading block M_{J'}(k) of the J-truncated
+matrix, J' on the ladder 16, 32, ... (capped at J), and stops at the
+first J' where the lowest n_bands right and left vectors weigh at most
+TAIL_TOL at |j| = J'.  The pairs are zero-padded to J; their residual
+against M_J is their backward error as eigenpairs of M_J (Kahan, Parlett
+& Jiang, SIAM J. Numer. Anal. 19, 1982) and is recorded per column.  A
+tail above TAIL_MAX at J' = J means J itself does not resolve the bands
+(TruncationError).  Bands are tracked across the grid by maximal
+eigenvector overlap (value proximity fails at avoided crossings); the
+tracking is a permutation of the lowest-n eigenvalues at each k by
+construction.  The block spectra at the edges k = 0 and 1/2 are kept:
+they give the edge modes and, through one bordered reduced-resolvent
+solve each, the edge curvatures.  second_derivative is the independent
+finite-difference estimator.  Band indices m are 1-based in the public API.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import discretize, eigen
-from .errors import AssumptionError, ComplexBandError, ConfigError
+from .errors import AssumptionError, ComplexBandError, ConfigError, TruncationError
 from .potential import PeriodicPotential
 
 # reality tolerance: an omega counts as real when
@@ -30,6 +37,16 @@ REALITY_TOL = 1e-8
 ISOLATION_THRESHOLD = 1e-3
 
 OVERLAP_FLAG = 0.5
+
+# the sweep's block ladder starts at this J' and doubles; it stops once the
+# lowest n_bands right and left unit vectors carry at most TAIL_TOL at |j| = J'
+BLOCK_J0 = 16
+TAIL_TOL = 1e-14
+# a tail above this at J' = J fails the sweep.  On the two-harmonic
+# gamma = 1.5 lattice (5 bands) the tail reaches 3.7e-4 at J = 8, with
+# band-edge eigenvalues 2.7e-10 off, and 6.2e-8 at J = 12, where they are
+# within roundoff
+TAIL_MAX = 1e-6
 
 # second_derivative divides its step by 4 at most this often
 MAX_STEP_RETRIES = 3
@@ -44,7 +61,11 @@ class BandStructure:
     |<v(k_i), v(k_{i+1})>| overlap used to continue each band into column i
     (1.0 in the first column).  Values below OVERLAP_FLAG mark ambiguous
     continuations near crossings; they are recorded, not fatal.
-    edge_spectra maps k0 in {0.0, 0.5} to the full eigen.Spectrum there.
+    edge_spectra maps k0 in {0.0, 0.5} to the eigen.Spectrum of the solved
+    block there.  Per column, block_J is the block truncation J' solved,
+    tail_weight the largest |coefficient| at |j| = J' of the lowest
+    n_bands right and left unit vectors, and residual the largest 2-norm
+    residual of those pairs, zero-padded, against M_J.
     """
 
     k_grid: np.ndarray
@@ -53,6 +74,9 @@ class BandStructure:
     tracking_quality: np.ndarray
     J: int
     edge_spectra: dict
+    block_J: np.ndarray
+    tail_weight: np.ndarray
+    residual: np.ndarray
 
     @property
     def n_bands(self):
@@ -124,24 +148,78 @@ def k_grid(N_k: int) -> np.ndarray:
 def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandStructure:
     """Solve the Bloch eigenproblem on a k grid and track the lowest bands.
 
-    Only k >= 0 is solved; column -k is the mirror of column k.  Away
-    from the edges only the lowest n_bands eigenpairs are kept.
+    Only k >= 0 is solved, each point in the smallest certified leading
+    block (module docstring); column -k is the mirror of column k.  Raises
+    TruncationError when J does not resolve the lowest n_bands bands.
     """
     ks = k_grid(N_k)
     if not 1 <= n_bands <= 2 * J + 1:
         raise ConfigError(f"n_bands={n_bands} outside 1..{2 * J + 1}")
     zero = N_k // 2 - 1                     # ks[zero] = 0, ks[-1] = 1/2
 
-    solved = []
-    for i in range(zero, N_k):
-        spec = eigen.solve(discretize.assemble(p, ks[i], J))
-        solved.append(spec if i in (zero, N_k - 1) else spec.lowest(n_bands))
-    # ks[i] = -ks[2 zero - i], which is solved[zero - i]
-    spectra = [solved[zero - i].mirrored() for i in range(zero)] + solved
-    omega, vectors, quality = _track(spectra, n_bands)
+    # the block holds n_bands pairs and every harmonic of p
+    Jb = min(J, max(BLOCK_J0, n_bands, p.max_harmonic))
+    edges, lowest, block_J, tails, residuals = {}, [], [], [], []
+    for k in ks[zero:]:
+        spec, tail = _leading_block(p, k, Jb, J, n_bands, TAIL_TOL)
+        if tail > TAIL_MAX:
+            more, more_tail = _leading_block(p, k, 2 * J, 4 * J, n_bands, TAIL_MAX)
+            raise TruncationError(
+                f"J = {J} does not resolve the lowest {n_bands} bands: their eigenvectors "
+                f"weigh {tail:.1e} at |j| = J (k = {k:g}, limit {TAIL_MAX:.0e}); "
+                f"at J = {more.J} they weigh {more_tail:.1e}")
+        Jb = spec.J                         # the next column starts here
+        if k in (0.0, 0.5):
+            edges[float(k)] = spec
+        low = spec.lowest(n_bands)
+        lowest.append(low.padded(J))
+        block_J.append(Jb)
+        tails.append(tail)
+        residuals.append(_padded_residual(p, low, J))
+
+    def mirror(seq):
+        # ks[i] = -ks[2 zero - i]: column i < zero mirrors seq[zero - i]
+        return seq[zero:0:-1] + seq
+
+    omega, vectors, quality = _track(
+        [s.mirrored() for s in mirror(lowest)[:zero]] + lowest, n_bands)
     return BandStructure(k_grid=ks, omega=omega, vectors=vectors,
-                         tracking_quality=quality, J=J,
-                         edge_spectra={0.0: solved[0], 0.5: solved[-1]})
+                         tracking_quality=quality, J=J, edge_spectra=edges,
+                         block_J=np.array(mirror(block_J)),
+                         tail_weight=np.array(mirror(tails)),
+                         residual=np.array(mirror(residuals)))
+
+
+def _leading_block(p, k, J_start, J_max, n, tol):
+    """Spectrum of M_{J'}(k) for the first J' of J_start, 2 J_start, ... (capped
+    at J_max) whose lowest n right and left vectors weigh at most tol at
+    |j| = J', or of M_{J_max}(k); returned with that tail weight."""
+    Jb = J_start
+    while True:
+        spec = eigen.solve(discretize.assemble(p, k, Jb))
+        tail = max(np.abs(spec.right_vectors[[0, -1], :n]).max(),
+                   np.abs(spec.left_vectors[[0, -1], :n]).max())
+        if tail <= tol or Jb >= J_max:
+            return spec, tail
+        Jb = min(2 * Jb, J_max)
+
+
+def _padded_residual(p, spec, J):
+    """Largest 2-norm residual of spec's right and left pairs, zero-padded from
+    spec.J to J, against M_J(k).
+
+    M_J is banded: a padded vector meets only rows and columns with
+    |j| <= spec.J + max_harmonic, so only that leading block is formed.
+    """
+    Jr = min(J, spec.J + p.max_harmonic)
+    M = discretize.assemble(p, spec.k, Jr).entries
+    inner = slice(Jr - spec.J, Jr + spec.J + 1)
+    w, r, l = spec.eigenvalues, spec.right_vectors, spec.left_vectors
+    res_r = M[:, inner] @ r
+    res_r[inner] -= r * w
+    res_l = M[inner].conj().T @ l
+    res_l[inner] -= l * w.conj()
+    return max(np.linalg.norm(res_r, axis=0).max(), np.linalg.norm(res_l, axis=0).max())
 
 
 def _track(spectra, n_bands):
@@ -158,13 +236,65 @@ def _track(spectra, n_bands):
         vr = spectra[i].right_vectors[:, :n_bands]
         # overlap[a, b] = |<v_a(k_{i-1}), v_b(k_i)>|
         overlap = np.abs(vectors[:, i - 1, :].conj() @ vr)
-        row, col = scipy.optimize.linear_sum_assignment(-overlap)
-        perm = np.empty(n_bands, dtype=int)
-        perm[row] = col
+        perm = np.array(_assignment((-overlap).tolist()))
         omega[:, i] = w[perm]
         vectors[:, i, :] = vr[:, perm].T
         quality[:, i] = overlap[np.arange(n_bands), perm]
     return omega, vectors, quality
+
+
+def _assignment(cost):
+    """col[i] assigned to row i minimising sum cost[i][col[i]] for a square cost.
+
+    Shortest augmenting paths (D. F. Crouse, IEEE Trans. Aerosp. Electron.
+    Syst. 52, 2016) with the scan order and tie-breaking of
+    scipy.optimize.linear_sum_assignment, so equal-cost optima resolve alike.
+    u and v are the dual variables, spc the shortest-path costs of one
+    augmentation and SR, SC its scanned rows and columns.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        spc = [math.inf] * n
+        SR, SC = [False] * n, [False] * n
+        remaining = list(range(n - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            SR[i] = True
+            index, lowest = -1, math.inf
+            ci, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            SC[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(n):
+            if SR[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(n):
+            if SC[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def _edge_derivative(bs: BandStructure, m: int, k0: float):
@@ -261,16 +391,15 @@ def edge_curvature(p: PeriodicPotential, spec: eigen.Spectrum, index: int):
     system regular at a simple eigenvalue, however close other
     eigenvalues or exceptional pairs sit elsewhere in the spectrum.  Returns (curvature, condition)
     with condition = ||l|| ||r|| / |l^H r|; the curvature is NaN when the
-    eigenvalue is degenerate (gap <= 1e-6 of the spectral scale) or
-    near-exceptional (condition > 1e8).
+    eigenvalue is degenerate (gap <= 1e-6 max(1, |omega|), as in
+    eigen.make_mode) or near-exceptional (condition > 1e8).
     """
     omega = spec.eigenvalues[index]
     r = spec.right_vectors[:, index]
     l = spec.left_vectors[:, index]
     s = np.vdot(l, r)
     condition = float(np.linalg.norm(l) * np.linalg.norm(r) / abs(s))
-    scale = max(1.0, np.abs(spec.eigenvalues).max())
-    if spec.gap(index) <= 1e-6 * scale or condition > 1e8:
+    if spec.gap(index) <= 1e-6 * max(1.0, abs(omega)) or condition > 1e8:
         return np.nan, condition
     M = discretize.assemble(p, spec.k, spec.J).entries
     n = len(r)

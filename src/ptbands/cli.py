@@ -4,9 +4,11 @@ Commands:  ptbands {bands,effective,ansatz,converge,dirac} --config FILE --out D
 
 Each command reads one frozen dataclass below (dirac with m_range reads
 Prop3Config); its fields and defaults are the whole config schema.
-Exit codes: 0 success, 1 config or usage error, 2 assumption-check
-failure, 3 solver failure; every non-zero exit prints one stderr line,
-and a successful run that raised warnings prints one `warning:` line.
+Exit codes: 0 success, 1 config or usage error, 2 assumption-check or
+truncation-check failure (J does not resolve the bands, or a coefficient
+list stops too close to the harmonics a scan reads), 3 solver failure;
+every non-zero exit prints one stderr line, and a successful run that
+raised warnings prints one `warning:` line.
 Output is deterministic: floats are written with 17 significant digits,
 so identical configs give byte-identical files.
 """
@@ -22,7 +24,8 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import bands, dirac, effective, gpsolve, potential
-from .errors import AssumptionError, ConfigError, ExistenceError, PTBandsError
+from .errors import (AssumptionError, ConfigError, ExistenceError, PTBandsError,
+                     TruncationError)
 from .potential import PeriodicPotential, PotentialParts
 from .util import is_int, is_real
 
@@ -311,7 +314,9 @@ COMMANDS = {
 }
 
 
-_EXITS = ((ConfigError, 1, "config error"),
+# a TruncationError is a ConfigError found only by checking a computed result
+_EXITS = ((TruncationError, 2, "truncation check failed"),
+          (ConfigError, 1, "config error"),
           ((AssumptionError, ExistenceError), 2, "assumption check failed"),
           (PTBandsError, 3, "solver failure"))
 

@@ -24,9 +24,16 @@ import numpy as np
 
 from . import discretize, eigen
 from .bands import BandStructure
-from .errors import ClassificationError, ConfigError
+from .errors import ClassificationError, ConfigError, TruncationError
 from .eigen import TWO_PI
 from .potential import Convention, PeriodicPotential, PotentialParts, from_parts
+
+
+# harmonics prop3_scan needs past the top coupling harmonic 2 m_max.  For
+# a_m = m^-5/2, b_m = m^-3/2, gamma = 0.5, the relative gap at the top m = 12
+# reads 0.104 from 24 harmonics, 0.0253/0.0223/0.0210 from 25/26/28 and
+# 0.0207 from 48
+PROP3_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,8 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
     the potential coefficients at harmonic q = 2m, so the leading
     eigenvalues are mu +- sqrt(a_q^2 - gamma^2 b_q^2) and the splitting
     magnitude is |gamma b_q| once b dominates.  One eigenvalue-only solve
-    at k0 = 0 serves every m.
+    at k0 = 0 serves every m.  The sequences must run PROP3_MARGIN
+    harmonics past 2 max(m_range) (TruncationError otherwise).
     """
     m_range = sorted(int(m) for m in m_range)
     if not m_range or m_range[0] < 1:
@@ -248,9 +256,11 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
         raise ConfigError(f"J = {J} too small for m up to {mmax}; need J >= {2 * mmax + 16}")
     a_seq = np.asarray(a_seq, dtype=float)
     b_seq = np.asarray(b_seq, dtype=float)
-    if len(a_seq) < 2 * mmax or len(b_seq) < 2 * mmax:
-        raise ConfigError(
-            f"coefficient sequences must reach the coupling harmonic {2 * mmax}"
+    n_harm = min(len(a_seq), len(b_seq))
+    if n_harm < 2 * mmax + PROP3_MARGIN:
+        raise TruncationError(
+            f"coefficient sequences hold {n_harm} harmonics; m up to {mmax} needs "
+            f"{2 * mmax + PROP3_MARGIN} (coupling harmonic {2 * mmax} plus {PROP3_MARGIN})"
         )
     parts = PotentialParts(tuple(a_seq), tuple(b_seq), gamma, Convention.PROP3_DOUBLED)
     V = from_parts(parts)

@@ -84,10 +84,14 @@ def existence_condition(gamma_re: float, curvature: float, Omega: int) -> bool:
 
 
 def _cell_samples(coeffs, n):
-    """sum_j c_j e^{ijx} at x = 2 pi m / n, m = 0..n-1, by one inverse FFT."""
+    """sum_j c_j e^{ijx} at x = 2 pi m / n, m = 0..n-1, by one inverse FFT.
+
+    Exact for every n: at these points e^{ijx} = e^{i(j mod n)x}, so
+    coefficients with the same j mod n are summed.
+    """
     J = (len(coeffs) - 1) // 2
     spectrum = np.zeros(n, dtype=complex)
-    spectrum[np.arange(-J, J + 1) % n] = coeffs
+    np.add.at(spectrum, np.arange(-J, J + 1) % n, coeffs)
     return n * np.fft.ifft(spectrum)
 
 
@@ -142,9 +146,11 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
     """Slowly-varying-envelope ansatz u_form(x) = eps A(eps x) g(x) on a grid.
 
     Returns a BoundState carrying the sampled field.  The grid must
-    resolve the cell (>= 32 points per cell, enforced by RealLineGrid)
-    and contain the envelope: eps*L >= 15*width keeps the sech tail
-    below 1e-6 at the periodic seam.
+    resolve the cell (>= 32 points per cell, enforced by RealLineGrid),
+    split into whole cells, and contain the envelope: eps*L >= 15*width
+    keeps the sech tail below 1e-6 at the periodic seam.  With P points
+    per cell, x_n = -L + 2 pi n / P and L a multiple of 2 pi, so p(x_n) is
+    the cell sample n mod P: p is sampled once on one cell and tiled.
     """
     from .gpsolve import BoundState  # local import: gpsolve builds on this module
 
@@ -157,7 +163,10 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
             f"envelope under-resolved: eps*L = {eps * grid.half_length:.2f} < {need:.2f}; "
             f"need half_length >= {need / eps:.1f}"
         )
-    u = eps * env(eps * grid.x) * mode.g_values(grid.x)
+    if grid.n_points % grid.cells:
+        raise GridError(f"{grid.n_points} points do not split into {grid.cells} equal cells")
+    p = np.tile(_cell_samples(mode.p_coeffs, grid.n_points // grid.cells), grid.cells)
+    u = eps * env(eps * grid.x) * np.exp(1j * mode.k * grid.x) * p
     pt_defect = np.abs(np.conj(u[grid.mirror]) - u).max()
     if pt_defect > 1e-8:
         raise PTSymmetryError(

@@ -67,6 +67,17 @@ class Spectrum:
                         right_vectors=self.right_vectors[:, :n].copy(),
                         left_vectors=self.left_vectors[:, :n].copy())
 
+    def padded(self, J):
+        """The same pairs with vectors zero-padded from |j| <= self.J to |j| <= J."""
+        if J == self.J:
+            return self
+        shape = (2 * J + 1, len(self.eigenvalues))
+        right, left = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+        inner = slice(J - self.J, J + self.J + 1)
+        right[inner], left[inner] = self.right_vectors, self.left_vectors
+        return Spectrum(k=self.k, J=J, eigenvalues=self.eigenvalues,
+                        right_vectors=right, left_vectors=left)
+
     def gap(self, index):
         """Distance from eigenvalues[index] to the nearest other eigenvalue."""
         d = np.abs(self.eigenvalues - self.eigenvalues[index])
@@ -191,11 +202,12 @@ def make_mode(spec: Spectrum, index: int) -> BlochMode:
 
     p is the right vector at cell norm 1; p* is the left vector of the
     same decomposition rescaled so <p, p*> = 1.  Refuses near-degenerate
-    eigenvalues: there the pairing <p, p*> tends to zero and the
-    normalization is unstable.
+    eigenvalues (gap at most 1e-6 max(1, |omega|), a scale that does not
+    depend on the truncation): there the pairing <p, p*> tends to zero
+    and the normalization is unstable.
     """
     omega = spec.eigenvalues[index]
-    scale = max(1.0, np.abs(spec.eigenvalues).max())
+    scale = max(1.0, abs(omega))
     if spec.gap(index) <= 1e-6 * scale:
         raise DegenerateEigenvalueError(
             f"eigenvalue {omega} within {1e-6 * scale:.3e} of another; "

@@ -9,6 +9,11 @@ class ConfigError(PTBandsError):
     """Malformed or inconsistent run configuration."""
 
 
+class TruncationError(ConfigError):
+    """A truncation in the configuration (the Galerkin J, or a potential's
+    list of harmonics) is too short to resolve the requested result."""
+
+
 class PTSymmetryError(PTBandsError):
     """A PT-symmetry requirement is violated (non-real coefficients,
     residual imaginary part after phase fixing, non-PT initial guess)."""

@@ -25,7 +25,6 @@ omega the inverse commutes with PT and so with P.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 from scipy.linalg.lapack import zgetrf, zgetri
 
 from . import effective as effective_mod
@@ -134,6 +133,8 @@ def _jacobian_action(u, omega: float, Vx, sx, grid: RealLineGrid):
 
 def _real_operator(fn, n: int):
     """A map on complex fields of length n as an operator on [Re; Im] in R^2n."""
+    import scipy.sparse.linalg     # imported here: only Newton solves need it
+
     return scipy.sparse.linalg.LinearOperator(
         (2 * n, 2 * n), dtype=float,
         matvec=lambda z: _as_real(fn(z[:n] + 1j * z[n:])))
@@ -194,6 +195,8 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     assumption), or a singular preconditioner block (omega on a band of the
     grid).  The grid must hold a whole number of points per cell (GridError).
     """
+    import scipy.sparse.linalg     # imported here: only Newton solves need it
+
     u0 = np.asarray(u0, dtype=complex)
     N = grid.n_points
     if len(u0) != N:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ptbands import (AssumptionError, ComplexBandError, ConfigError, assemble,
-                     check_assumption, compute_bands, constant, curvature_from_fit,
-                     edge_curvature, from_parts, second_derivative, solve, PotentialParts)
-from ptbands.bands import _track, k_grid, require_assumption
+from ptbands import (AssumptionError, ComplexBandError, ConfigError, TruncationError, assemble,
+                     check_assumption, compute_bands, constant, curvature_from_fit, eigen,
+                     edge_curvature, from_parts, make_mode, second_derivative, solve,
+                     PotentialParts)
+from ptbands.bands import (TAIL_MAX, TAIL_TOL, _assignment, _leading_block, _padded_residual,
+                           _track, k_grid, require_assumption)
 from conftest import gentle_parts, two_harmonic_potential
 
 FREE = constant(0.0)
@@ -47,17 +49,92 @@ class TestComputeBands:
             assert np.array_equal(np.sort_complex(bs.omega[:, i]), np.sort_complex(raw))
 
     def test_mirrored_sweep_matches_direct(self):
-        # every column solved directly and tracked the same way; N_k = 48 is
-        # not a power of two, so this also needs the exactly antisymmetric grid
+        # every column solved directly in the block the sweep certified at |k|,
+        # padded and tracked the same way; N_k = 48 is not a power of two, so
+        # this also needs the exactly antisymmetric grid
         p = two_harmonic_potential(1.5)
         bs = compute_bands(p, 32, 48, 5)
-        direct = [solve(assemble(p, k, 32)) for k in bs.k_grid]
+        direct = [solve(assemble(p, k, Jb)).padded(32) for k, Jb in zip(bs.k_grid, bs.block_J)]
         omega, vectors, quality = _track(direct, 5)
         assert np.abs(omega - bs.omega).max() <= 2e-13 * np.abs(omega).max()
         assert np.abs(quality - bs.tracking_quality).max() <= 1e-12
         # each tracked vector is the direct one up to a phase
         phases = np.abs(np.einsum("mkj,mkj->mk", vectors.conj(), bs.vectors))
         assert np.abs(phases - 1).max() <= 1e-10
+
+    @pytest.mark.parametrize("J", [64, 128])
+    def test_sweep_matches_full_truncation_within_condition(self, J):
+        # against full-J solves the certified blocks differ by rounding amplified
+        # by the eigenvalue condition kappa: |d omega| <= kappa u ||M_J||
+        p = two_harmonic_potential(1.5)
+        bs = compute_bands(p, J, 48, 5)
+        assert bs.block_J.max() < J
+        for i, k in enumerate(bs.k_grid):
+            M = assemble(p, k, J)
+            full = solve(M)
+            w, r, l = full.eigenvalues, full.right_vectors, full.left_vectors
+            for omega in bs.omega[:, i]:
+                j = int(np.argmin(np.abs(w - omega)))
+                kappa = np.linalg.norm(l[:, j]) * np.linalg.norm(r[:, j]) / abs(np.vdot(l[:, j], r[:, j]))
+                assert abs(omega - w[j]) <= kappa * np.finfo(float).eps * M.norm()
+
+    def test_block_size_independent_of_J(self, monkeypatch):
+        # the largest matrix the sweep decomposes is fixed by the lattice, not by J
+        p = two_harmonic_potential(1.5)
+        sizes = []
+        full_solve = eigen.solve
+        monkeypatch.setattr(eigen, "solve", lambda M: sizes.append(M.J) or full_solve(M))
+        largest = []
+        for J in (32, 128):
+            sizes.clear()
+            compute_bands(p, J, 64, 6)
+            largest.append(max(sizes))
+        assert largest[0] == largest[1] == 32
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5])
+    def test_padded_pairs_are_eigenpairs_of_full_matrix(self, gamma):
+        # the residual of a zero-padded block pair against M_J is its backward error
+        p = two_harmonic_potential(gamma)
+        J = 96
+        bs = compute_bands(p, J, 32, 6)
+        assert (bs.block_J < J).all() and (bs.tail_weight <= TAIL_TOL).all()
+        scale = np.maximum(1.0, np.abs(bs.omega).max(axis=0))
+        assert (bs.residual <= 1e-12 * scale).all()
+        for i, k in enumerate(bs.k_grid):
+            v = bs.vectors[:, i, :].T
+            res = np.linalg.norm(assemble(p, k, J).entries @ v - v * bs.omega[:, i], axis=0)
+            assert (res <= 1e-12 * scale[i]).all()
+
+    def test_block_grows_for_every_requested_band(self):
+        # gamma = 1, k = 0, J' = 16: band 1 weighs 2.3e-15 at |j| = 16, band 6 3.4e-13
+        p = two_harmonic_potential(1.0)
+        assert _leading_block(p, 0.0, 16, 64, 1, TAIL_TOL)[0].J == 16
+        assert _leading_block(p, 0.0, 16, 64, 6, TAIL_TOL)[0].J == 32
+
+    @pytest.mark.parametrize("k", [0.0, 0.5])
+    def test_banded_residual_matches_dense(self, k):
+        # a J' = 16 block of the gamma = 1.5 lattice leaves weight 2.5e-12 at
+        # |j| = 16; the residual of its padded pairs against M_32 (6e-12 and
+        # 1.5e-11, against 1e-13 inside the block) comes from the rows past 16
+        p = two_harmonic_potential(1.5)
+        low = solve(assemble(p, k, 16)).lowest(5)
+        pad = low.padded(32)
+        M = assemble(p, k, 32).entries
+        dense = max(np.linalg.norm(M @ pad.right_vectors - pad.right_vectors * pad.eigenvalues,
+                                   axis=0).max(),
+                    np.linalg.norm(M.conj().T @ pad.left_vectors
+                                   - pad.left_vectors * pad.eigenvalues.conj(), axis=0).max())
+        assert dense > 5e-12
+        assert _padded_residual(p, low, 32) == pytest.approx(dense, rel=1e-6)
+
+    def test_unresolved_truncation_refused(self):
+        # J = 4: the lowest bands weigh 7e-2 at |j| = J and the band-edge
+        # eigenvalues are 2.8e-2 off
+        with pytest.raises(TruncationError, match=r"weigh 7\.3e-02 .* at J = 16"):
+            compute_bands(two_harmonic_potential(1.5), 4, 32, 5)
+        # J = 12 resolves them: weight 6e-8, eigenvalues within roundoff
+        bs = compute_bands(two_harmonic_potential(1.5), 12, 32, 5)
+        assert bs.tail_weight.max() < TAIL_MAX
 
     def test_keeps_full_edge_spectra_only(self):
         p = two_harmonic_potential(1.0)
@@ -91,6 +168,17 @@ class TestComputeBands:
                 j = np.argmin(np.abs(ks + k))
                 if abs(ks[j] + k) < 1e-12:
                     assert abs(vals[i] - vals[j]) < 1e-9
+
+
+def test_assignment_matches_linear_sum_assignment():
+    # the tracker resolves equal-overlap optima as scipy's solver does
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(7)
+    for trial in range(3000):
+        n = int(rng.integers(1, 9))
+        cost = (rng.random((n, n)), rng.integers(0, 3, (n, n)).astype(float),
+                -1.0 * (rng.random((n, n)) > 0.5))[trial % 3]
+        assert _assignment(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
 
 
 class TestCheckAssumption:
@@ -169,6 +257,16 @@ class TestEdgeCurvature:
         for e in rep.edges:
             expect = edge_curvature(p, bs.edge_spectra[e.k0], bs.edge_index(3, e.k0))
             assert (e.curvature, e.condition) == expect
+
+    def test_degeneracy_decision_independent_of_truncation(self):
+        # the band 1/2 gap at k0 = 1/2 is 0.008; 1e-6 of max|omega|, about
+        # (J + 1/2)^2, refused it at J = 128 and accepted it at J = 32
+        p = from_parts(PotentialParts(cosine_coeffs=(0.008,)))
+        for J in (32, 128):
+            spec = solve(assemble(p, 0.5, J))
+            assert spec.gap(0) == pytest.approx(0.008, rel=1e-3)
+            assert np.isfinite(edge_curvature(p, spec, 0)[0])
+            assert make_mode(spec, 0).omega == spec.eigenvalues[0]
 
     def test_degenerate_edge_gives_nan(self):
         # free band 1 at k0 = 1/2: e^{0} and e^{-ix} share omega = 1/4

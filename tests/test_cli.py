@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -97,6 +100,14 @@ class TestBandsCommand:
         code, err, out = run_captured(tmp_path, "bands", cfg)
         assert code == 2 and err.startswith("assumption check failed: band 1")
         assert len(err.splitlines()) == 1 and (out / "bands_summary.json").exists()
+
+    def test_unresolving_truncation_exit2_one_line(self, tmp_path):
+        # J = 4 used to exit 0 with assumption_ok and eigenvalues 2.8e-2 off
+        cfg = shipped("bands_two_harmonic_gamma15", ("J",), 4)
+        code, err, out = run_captured(tmp_path, "bands", cfg)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith("truncation check failed: J = 4 ") and "J = 16" in err
+        assert not (out / "bands_summary.json").exists()
 
     def test_unknown_key_exit1(self, tmp_path):
         cfg = two_harmonic_cfg(1.0, 1)
@@ -294,6 +305,16 @@ class TestDiracCommand:
         summary = json.loads((out / "dirac_summary.json").read_text())
         assert [p["relative_gap"] for p in summary["points"]] == [None] * 7
 
+    def test_prop3_short_sequences_exit2_one_line(self, tmp_path):
+        # 24 harmonics stop at the coupling harmonic of m = 12, whose gap then
+        # read 0.104 instead of 0.0207; 28 are needed
+        cfg = json.loads((CONFIGS / "dirac_prop3.json").read_text())
+        for key in ("cosine", "sine"):
+            cfg["potential"][key] = cfg["potential"][key][:27]
+        code, err, _ = run_captured(tmp_path, "dirac", cfg)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith("truncation check failed: ") and "27 harmonics" in err
+
     @pytest.mark.parametrize("tol, gamma, code, prefix", [(2.5, 0.2, 0, "warning: "),
                                                           (1.0, 0.8, 1, "config error: ")])
     def test_skipped_crossings_make_one_stderr_line(self, tmp_path, tol, gamma, code, prefix):
@@ -307,6 +328,17 @@ class TestDiracCommand:
         assert len(err.splitlines()) == 1 and err.startswith(prefix)
         if code == 0:
             assert "dimension" in err and err.rstrip().endswith("more)")
+
+
+def test_cli_import_leaves_out_optimize_and_sparse_linalg():
+    # scipy.optimize cost every process about 0.25 s; sparse.linalg is Newton's
+    probe = ("import sys, ptbands.cli; "
+             "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sample_configs_parse(tmp_path):

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 from ptbands import (ClassificationError, ConfigError, PotentialParts, compute_bands,
                      constant, find_dirac_points, from_parts, measure_splitting,
-                     mw_matrix, predict_splitting, prop3_scan, splitting_slope)
+                     mw_matrix, predict_splitting, prop3_scan, splitting_slope,
+                     TruncationError)
 from ptbands.dirac import Regime
 from ptbands.eigen import TWO_PI
 from conftest import two_harmonic_potential
@@ -224,6 +225,17 @@ class TestProp3Scan:
         a, b = self.sequences(48)
         with pytest.raises(ConfigError):
             prop3_scan(a, b, 0.5, [12], J=30)
+
+    def test_harmonic_margin_required(self):
+        # sequences stopping at the coupling harmonic 24 of m = 12 gave a gap
+        # of 0.104 instead of 0.0207; 2 m_max + 4 = 28 harmonics give 0.0210
+        for n in (24, 27):
+            a, b = self.sequences(n)
+            with pytest.raises(TruncationError, match=f"hold {n} harmonics"):
+                prop3_scan(a, b, 0.5, [12], J=64)
+        a, b = self.sequences(28)
+        (rec,) = prop3_scan(a, b, 0.5, [12], J=64)
+        assert rec.relative_gap == pytest.approx(0.0207, abs=5e-4)
 
     def test_sequence_length_validated(self):
         a, b = self.sequences(10)

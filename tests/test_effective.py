@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from ptbands import (AssumptionError, ConfigError, EffectiveModel, ExistenceError,
-                     GridError, PotentialParts, SechEnvelope, assemble,
+                     GridError, PotentialParts, RealLineGrid, SechEnvelope, assemble,
                      build_ansatz, constant, envelope_residual,
                      extract_effective_model, fix_pt_phase, from_parts,
                      gamma_coefficient, grid_for_envelope, hs_norm, make_mode,
@@ -191,6 +191,23 @@ class TestBuildAnsatz:
             state = build_ansatz(lenv, lmode, eps, grid)
             lat.append(grid.l2_norm(state.values) ** 2 / eps)
         assert max(lat) / min(lat) - 1 < 0.02
+
+    @pytest.mark.parametrize("k0, J", [(0.0, 16), (0.5, 16), (0.5, 40)])
+    def test_cell_sampled_ansatz_matches_dense_bloch_wave(self, k0, J):
+        # build_ansatz tiles one FFT-sampled cell; with 32 points per cell and
+        # 2J + 1 > 32 coefficients the cell samples fold aliased harmonics
+        V = from_parts(gentle_parts())
+        mode = fix_pt_phase(make_mode(solve(assemble(V, k0, J)), 0))
+        env = SechEnvelope(amplitude=1.0, width=2.0, Omega=-1)
+        grid = grid_for_envelope(0.1, env.width)
+        state = build_ansatz(env, mode, 0.1, grid)
+        dense = 0.1 * env(0.1 * grid.x) * mode.g_values(grid.x)
+        assert np.abs(state.values - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_grid_without_whole_cells_rejected(self):
+        env = SechEnvelope(amplitude=1.0, width=1.0, Omega=-1)
+        with pytest.raises(GridError, match="equal cells"):
+            build_ansatz(env, free_ground_mode(), 0.5, RealLineGrid(TWO_PI * 16, 1026))
 
     def test_under_resolved_grid_rejected(self):
         mode = free_ground_mode()
