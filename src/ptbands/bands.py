@@ -10,7 +10,9 @@ TAIL_TOL at |j| = J'.  The pairs are zero-padded to J; their residual
 against M_J is their backward error as eigenpairs of M_J (Kahan, Parlett
 & Jiang, SIAM J. Numer. Anal. 19, 1982) and is recorded per column.  A
 tail above TAIL_MAX at J' = J means J itself does not resolve the bands
-(TruncationError).  Bands are tracked across the grid by maximal
+(TruncationError).  The ladder and that refusal take the columns to
+certify, so dirac.measure_splitting certifies its pair near mu the same
+way.  Bands are tracked across the grid by maximal
 eigenvector overlap (value proximity fails at avoided crossings); the
 tracking is a permutation of the lowest-n eigenvalues at each k by
 construction.  The block spectra at the edges k = 0 and 1/2 are kept:
@@ -38,8 +40,10 @@ ISOLATION_THRESHOLD = 1e-3
 
 OVERLAP_FLAG = 0.5
 
-# the sweep's block ladder starts at this J' and doubles; it stops once the
-# lowest n_bands right and left unit vectors carry at most TAIL_TOL at |j| = J'
+# the block ladder (the sweep's, and dirac.measure_splitting's) starts at this
+# J' and doubles; it stops once the certified columns (the lowest n_bands, or
+# the pair near mu) carry at most TAIL_TOL at |j| = J' in their right and left
+# unit vectors
 BLOCK_J0 = 16
 TAIL_TOL = 1e-14
 # a tail above this at J' = J fails the sweep.  On the two-harmonic
@@ -159,15 +163,14 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
 
     # the block holds n_bands pairs and every harmonic of p
     Jb = min(J, max(BLOCK_J0, n_bands, p.max_harmonic))
+
+    def lowest_n(w):
+        return slice(n_bands)
+
     edges, lowest, block_J, tails, residuals = {}, [], [], [], []
     for k in ks[zero:]:
-        spec, tail = _leading_block(p, k, Jb, J, n_bands, TAIL_TOL)
-        if tail > TAIL_MAX:
-            more, more_tail = _leading_block(p, k, 2 * J, 4 * J, n_bands, TAIL_MAX)
-            raise TruncationError(
-                f"J = {J} does not resolve the lowest {n_bands} bands: their eigenvectors "
-                f"weigh {tail:.1e} at |j| = J (k = {k:g}, limit {TAIL_MAX:.0e}); "
-                f"at J = {more.J} they weigh {more_tail:.1e}")
+        spec, tail, M = _leading_block(p, k, Jb, J, lowest_n, TAIL_TOL)
+        _require_resolved(p, k, J, lowest_n, tail, f"the lowest {n_bands} bands")
         Jb = spec.J                         # the next column starts here
         if k in (0.0, 0.5):
             edges[float(k)] = spec
@@ -175,7 +178,7 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
         lowest.append(low.padded(J))
         block_J.append(Jb)
         tails.append(tail)
-        residuals.append(_padded_residual(p, low, J))
+        residuals.append(_padded_residual(M, low))
 
     def mirror(seq):
         # ks[i] = -ks[2 zero - i]: column i < zero mirrors seq[zero - i]
@@ -190,34 +193,52 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
                          residual=np.array(mirror(residuals)))
 
 
-def _leading_block(p, k, J_start, J_max, n, tol):
-    """Spectrum of M_{J'}(k) for the first J' of J_start, 2 J_start, ... (capped
-    at J_max) whose lowest n right and left vectors weigh at most tol at
-    |j| = J', or of M_{J_max}(k); returned with that tail weight."""
+def _leading_block(p, k, J_start, J_max, pick, tol):
+    """The first J' of J_start, 2 J_start, ... (capped at J_max) whose right
+    and left unit vectors in the columns pick(eigenvalues) weigh at most tol
+    at |j| = J', or J' = J_max.
+
+    Returns the Spectrum of M_{J'}(k), that tail weight, and M_{J''}(k) for
+    J'' = min(J_max, J' + max_harmonic), assembled once per J' with M_{J'} as
+    its centre block: the rows of M_{J_max} that a zero-padded pair meets.
+    """
     Jb = J_start
     while True:
-        spec = eigen.solve(discretize.assemble(p, k, Jb))
-        tail = max(np.abs(spec.right_vectors[[0, -1], :n]).max(),
-                   np.abs(spec.left_vectors[[0, -1], :n]).max())
+        M = discretize.assemble(p, k, min(J_max, Jb + p.max_harmonic))
+        spec = eigen.solve(M.block(Jb))
+        cols = pick(spec.eigenvalues)
+        tail = max(np.abs(spec.right_vectors[[0, -1]][:, cols]).max(),
+                   np.abs(spec.left_vectors[[0, -1]][:, cols]).max())
         if tail <= tol or Jb >= J_max:
-            return spec, tail
+            return spec, tail, M
         Jb = min(2 * Jb, J_max)
 
 
-def _padded_residual(p, spec, J):
+def _require_resolved(p, k, J, pick, tail, what):
+    """Raise TruncationError when the pairs pick selects from the J' = J block
+    weigh more than TAIL_MAX at |j| = J; the message gives their weight at a
+    larger J.  what names the pairs."""
+    if tail > TAIL_MAX:
+        more, more_tail, _ = _leading_block(p, k, 2 * J, 4 * J, pick, TAIL_MAX)
+        raise TruncationError(
+            f"J = {J} does not resolve {what}: their eigenvectors weigh {tail:.1e} at "
+            f"|j| = J (k = {k:g}, limit {TAIL_MAX:.0e}); at J = {more.J} they weigh "
+            f"{more_tail:.1e}")
+
+
+def _padded_residual(M, spec):
     """Largest 2-norm residual of spec's right and left pairs, zero-padded from
-    spec.J to J, against M_J(k).
+    spec.J to M.J, against M.
 
     M_J is banded: a padded vector meets only rows and columns with
-    |j| <= spec.J + max_harmonic, so only that leading block is formed.
+    |j| <= spec.J + max_harmonic, so M = M_{min(J, spec.J + max_harmonic)}
+    gives the residual against M_J.
     """
-    Jr = min(J, spec.J + p.max_harmonic)
-    M = discretize.assemble(p, spec.k, Jr).entries
-    inner = slice(Jr - spec.J, Jr + spec.J + 1)
+    inner = slice(M.J - spec.J, M.J + spec.J + 1)
     w, r, l = spec.eigenvalues, spec.right_vectors, spec.left_vectors
-    res_r = M[:, inner] @ r
+    res_r = M.entries[:, inner] @ r
     res_r[inner] -= r * w
-    res_l = M[inner].conj().T @ l
+    res_l = M.entries[inner].conj().T @ l
     res_l[inner] -= l * w.conj()
     return max(np.linalg.norm(res_r, axis=0).max(), np.linalg.norm(res_l, axis=0).max())
 

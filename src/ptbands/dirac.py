@@ -14,6 +14,12 @@ background U present the two leading eigenvalues are
 mu +- sqrt(A^2 - gamma^2 B^2), where (A, B) are the (cosine, sine)
 Fourier coefficients of (U, W) at the coupling harmonic of the point
 (the harmonic q with c_q connecting the two resonant basis modes).
+
+measure_splitting takes the measured pair from the smallest leading block
+M_{J'}(k0) that certifies it, on the block ladder of the band sweep
+(bands._leading_block): its cost is set by the lattice and mu, not by J,
+and a J that does not resolve the pair raises TruncationError.
+prop3_scan keeps one eigenvalue-only solve of the full matrix for all m.
 """
 
 import warnings
@@ -22,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import discretize, eigen
-from .bands import BandStructure
+from . import bands, discretize, eigen
 from .errors import ClassificationError, ConfigError, TruncationError
 from .eigen import TWO_PI
 from .potential import Convention, PeriodicPotential, PotentialParts, from_parts
@@ -85,7 +90,7 @@ class SplittingPrediction:
         return replace(self, measured=tuple(pair), relative_gap=gap)
 
 
-def find_dirac_points(bs_gamma0: BandStructure, tol: float = 1e-8):
+def find_dirac_points(bs_gamma0: bands.BandStructure, tol: float = 1e-8):
     """All double eigenvalues at k in {0, 1/2} among the tracked bands.
 
     The band structure must come from the gamma = 0 potential (real and
@@ -199,19 +204,38 @@ def predict_splitting(dp: DiracPoint, W_parts: PotentialParts, gamma: float,
     )
 
 
+def _nearest(w, mu):
+    """Indices of the two eigenvalues in w nearest mu."""
+    return np.argsort(np.abs(w - mu), kind="stable")[:2]
+
+
 def _nearest_pair(w, mu):
     """The two eigenvalues in w nearest mu, plus-Im first."""
-    idx = np.argsort(np.abs(w - mu), kind="stable")[:2]
-    return tuple(sorted(w[idx], key=lambda z: -z.imag))
+    return tuple(sorted(w[_nearest(w, mu)], key=lambda z: -z.imag))
 
 
 def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
-    """The two eigenvalues of L(k0) nearest mu, plus-Im first."""
-    pair = _nearest_pair(eigen.eigenvalues(discretize.assemble(p, k0, J)), mu)
+    """The two eigenvalues of L(k0) nearest mu, plus-Im first.
+
+    They come from the leading block M_{J'}(k0) on the ladder of
+    bands._leading_block, J' = max(BLOCK_J0, max harmonic), 2 J', ...
+    (capped at J), at the first J' where their right and left unit vectors
+    weigh at most TAIL_TOL at |j| = J'; the block size is set by the
+    lattice and mu, not by J.  Raises ClassificationError when fewer than
+    two eigenvalues lie within 1 of mu, and then TruncationError when the
+    pair still weighs more than TAIL_MAX at |j| = J.
+    """
+    def near_mu(w):
+        return _nearest(w, mu)
+
+    J_start = min(J, max(bands.BLOCK_J0, p.max_harmonic))
+    spec, tail, _ = bands._leading_block(p, k0, J_start, J, near_mu, bands.TAIL_TOL)
+    pair = _nearest_pair(spec.eigenvalues, mu)
     if max(abs(z - mu) for z in pair) >= 1.0:
         raise ClassificationError(
             f"fewer than two eigenvalues within distance 1 of mu = {mu} at k0 = {k0}"
         )
+    bands._require_resolved(p, k0, J, near_mu, tail, f"the pair near mu = {mu:g}")
     return pair
 
 

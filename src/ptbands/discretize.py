@@ -34,6 +34,14 @@ class BlochOperatorMatrix:
         """Infinity norm, used as the scale in simplicity thresholds."""
         return np.linalg.norm(self.entries, np.inf)
 
+    def block(self, J):
+        """The leading block M_J: rows and columns |j| <= J, the same entries
+        bit for bit as assemble(p, k, J)."""
+        if J == self.J:
+            return self
+        inner = slice(self.J - J, self.J + J + 1)
+        return BlochOperatorMatrix(k=self.k, J=J, entries=self.entries[inner, inner])
+
 
 def _check_args(p: PeriodicPotential, k: float, J: int):
     if abs(k) > 0.5 + 1e-12:

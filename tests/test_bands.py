@@ -108,16 +108,20 @@ class TestComputeBands:
     def test_block_grows_for_every_requested_band(self):
         # gamma = 1, k = 0, J' = 16: band 1 weighs 2.3e-15 at |j| = 16, band 6 3.4e-13
         p = two_harmonic_potential(1.0)
-        assert _leading_block(p, 0.0, 16, 64, 1, TAIL_TOL)[0].J == 16
-        assert _leading_block(p, 0.0, 16, 64, 6, TAIL_TOL)[0].J == 32
+        assert _leading_block(p, 0.0, 16, 64, lambda w: slice(1), TAIL_TOL)[0].J == 16
+        assert _leading_block(p, 0.0, 16, 64, lambda w: slice(6), TAIL_TOL)[0].J == 32
 
     @pytest.mark.parametrize("k", [0.0, 0.5])
     def test_banded_residual_matches_dense(self, k):
         # a J' = 16 block of the gamma = 1.5 lattice leaves weight 2.5e-12 at
         # |j| = 16; the residual of its padded pairs against M_32 (6e-12 and
-        # 1.5e-11, against 1e-13 inside the block) comes from the rows past 16
+        # 1.5e-11, against 1e-13 inside the block) comes from the rows past 16,
+        # which the ladder assembles once with the block at its centre
         p = two_harmonic_potential(1.5)
-        low = solve(assemble(p, k, 16)).lowest(5)
+        spec, _, M_res = _leading_block(p, k, 16, 32, lambda w: slice(5), 1.0)
+        assert (spec.J, M_res.J) == (16, 18)
+        assert np.array_equal(spec.eigenvalues, solve(assemble(p, k, 16)).eigenvalues)
+        low = spec.lowest(5)
         pad = low.padded(32)
         M = assemble(p, k, 32).entries
         dense = max(np.linalg.norm(M @ pad.right_vectors - pad.right_vectors * pad.eigenvalues,
@@ -125,7 +129,7 @@ class TestComputeBands:
                     np.linalg.norm(M.conj().T @ pad.left_vectors
                                    - pad.left_vectors * pad.eigenvalues.conj(), axis=0).max())
         assert dense > 5e-12
-        assert _padded_residual(p, low, 32) == pytest.approx(dense, rel=1e-6)
+        assert _padded_residual(M_res, low) == pytest.approx(dense, rel=1e-6)
 
     def test_unresolved_truncation_refused(self):
         # J = 4: the lowest bands weigh 7e-2 at |j| = J and the band-edge

@@ -315,6 +315,19 @@ class TestDiracCommand:
         assert code == 2 and len(err.splitlines()) == 1
         assert err.startswith("truncation check failed: ") and "27 harmonics" in err
 
+    @pytest.mark.parametrize("J, weight", [(3, "1.7e-02"), (5, "8.3e-05")])
+    def test_unresolved_dirac_pair_exit2_one_line(self, tmp_path, J, weight):
+        # the gamma = 0 lattice is free, so the sweep resolves its 4 bands at any
+        # J; the gamma = 0.2 pair at mu = 1/4 does not (at J = 3 its members sat
+        # 1.4e-7 and 2.2e-6 off the J = 32 double) and used to exit 0
+        cfg = shipped("dirac_sin2x", ("J",), J)
+        cfg["n_bands"] = 4
+        code, err, out = run_captured(tmp_path, "dirac", cfg)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith(f"truncation check failed: J = {J} does not resolve the pair "
+                              f"near mu = 0.25: their eigenvectors weigh {weight}")
+        assert not (out / "dirac.csv").exists()
+
     @pytest.mark.parametrize("tol, gamma, code, prefix", [(2.5, 0.2, 0, "warning: "),
                                                           (1.0, 0.8, 1, "config error: ")])
     def test_skipped_crossings_make_one_stderr_line(self, tmp_path, tol, gamma, code, prefix):

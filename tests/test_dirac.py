@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ptbands import (ClassificationError, ConfigError, PotentialParts, compute_bands,
-                     constant, find_dirac_points, from_parts, measure_splitting,
-                     mw_matrix, predict_splitting, prop3_scan, splitting_slope,
+from ptbands import (ClassificationError, ConfigError, PotentialParts, assemble, compute_bands,
+                     constant, eigen, find_dirac_points, from_parts, measure_splitting,
+                     mw_matrix, predict_splitting, prop3_scan, solve, splitting_slope,
                      TruncationError)
-from ptbands.dirac import Regime
+from ptbands.dirac import Regime, _nearest, _nearest_pair
 from ptbands.eigen import TWO_PI
 from conftest import two_harmonic_potential
 
@@ -174,6 +174,50 @@ class TestMeasureSplitting:
     def test_no_eigenvalues_near_mu(self):
         with pytest.raises(ClassificationError):
             measure_splitting(FREE, 0.0, 200.0, 8)
+
+    @pytest.mark.parametrize("k0, mu, J, weight", [(0.5, 0.25, 3, "1.7e-02"),
+                                                   (0.5, 0.25, 5, "8.3e-05"),
+                                                   (0.0, 4.0, 6, "1.8e-05")])
+    def test_unresolved_pair_refused(self, k0, mu, J, weight):
+        # the certified columns are the pair near mu: at J = 6 the lowest two
+        # weigh 4.3e-7 at |j| = J, the pair near 4 weighs 1.8e-5
+        V = from_parts(SIN2X)
+        with pytest.raises(TruncationError, match=f"J = {J} .* pair near mu = {mu:g}: .* weigh {weight} "):
+            measure_splitting(V, k0, mu, J)
+        measure_splitting(V, k0, mu, 16)
+
+    @pytest.mark.parametrize("J", [64, 128])
+    @pytest.mark.parametrize("k0, mu", [(0.5, 0.25), (0.0, 1.0)])
+    def test_block_pair_matches_full_truncation_within_condition(self, k0, mu, J):
+        # the certified block pair against the full-J eigenvalue-only solve:
+        # rounding amplified by the condition kappa of the pair, the norm of
+        # its spectral projector (the k0 = 1/2 pair is an exact double)
+        V = from_parts(SIN2X)
+        M = assemble(V, k0, J)
+        block = np.sort_complex(measure_splitting(V, k0, mu, J))
+        full = np.sort_complex(_nearest_pair(eigen.eigenvalues(M), mu))
+        spec = solve(M)
+        idx = _nearest(spec.eigenvalues, mu)
+        R, L = spec.right_vectors[:, idx], spec.left_vectors[:, idx]
+        kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
+        assert np.abs(block - full).max() <= kappa * np.finfo(float).eps * M.norm()
+
+    def test_block_size_independent_of_J(self, monkeypatch, free_points):
+        # the largest matrix measure_splitting and splitting_slope decompose is
+        # fixed by the lattice and mu, not by J
+        sizes = []
+        full_solve = eigen.solve
+        monkeypatch.setattr(eigen, "solve", lambda M: sizes.append(M.J) or full_solve(M))
+        monkeypatch.setattr(eigen, "eigenvalues", lambda M: pytest.fail("full solve"))
+        V = from_parts(SIN2X)
+        largest = []
+        for J in (32, 128):
+            sizes.clear()
+            for dp in free_points[:4]:
+                measure_splitting(V, dp.k0, dp.mu, J)
+                splitting_slope(PotentialParts(sine_coeffs=(0.0, 1.0)), dp, J)
+            largest.append(max(sizes))
+        assert largest[0] == largest[1] == 16
 
 
 def test_linear_response_slope(free_points):
