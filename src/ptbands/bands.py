@@ -6,7 +6,9 @@ and fills each -k column from the mirror at |k| (eigen.Spectrum.mirrored).
 At each k it solves only the leading block M_{J'}(k) of the J-truncated
 matrix, J' on the ladder 16, 32, ... (capped at J), and stops at the
 first J' where the lowest n_bands right and left vectors weigh at most
-TAIL_TOL at |j| = J'.  The pairs are zero-padded to J; their residual
+TAIL_TOL in the slots J' - h < |j| <= J', h the highest harmonic of the
+potential: the slots through which M_J couples a block vector to the
+harmonics past J'.  The pairs are zero-padded to J; their residual
 against M_J is their backward error as eigenpairs of M_J (Kahan, Parlett
 & Jiang, SIAM J. Numer. Anal. 19, 1982) and is recorded per column.  A
 tail above TAIL_MAX at J' = J means J itself does not resolve the bands
@@ -42,13 +44,13 @@ OVERLAP_FLAG = 0.5
 
 # the block ladder (the sweep's, and dirac.measure_splitting's) starts at this
 # J' and doubles; it stops once the certified columns (the lowest n_bands, or
-# the pair near mu) carry at most TAIL_TOL at |j| = J' in their right and left
-# unit vectors
+# the pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
+# their right and left unit vectors
 BLOCK_J0 = 16
 TAIL_TOL = 1e-14
 # a tail above this at J' = J fails the sweep.  On the two-harmonic
-# gamma = 1.5 lattice (5 bands) the tail reaches 3.7e-4 at J = 8, with
-# band-edge eigenvalues 2.7e-10 off, and 6.2e-8 at J = 12, where they are
+# gamma = 1.5 lattice (5 bands) the tail reaches 5.6e-4 at J = 8, with
+# band-edge eigenvalues 2.7e-10 off, and 3.6e-7 at J = 12, where they are
 # within roundoff
 TAIL_MAX = 1e-6
 
@@ -67,9 +69,9 @@ class BandStructure:
     continuations near crossings; they are recorded, not fatal.
     edge_spectra maps k0 in {0.0, 0.5} to the eigen.Spectrum of the solved
     block there.  Per column, block_J is the block truncation J' solved,
-    tail_weight the largest |coefficient| at |j| = J' of the lowest
-    n_bands right and left unit vectors, and residual the largest 2-norm
-    residual of those pairs, zero-padded, against M_J.
+    tail_weight the largest |coefficient| at J' - max_harmonic < |j| <= J'
+    of the lowest n_bands right and left unit vectors, and residual the
+    largest 2-norm residual of those pairs, zero-padded, against M_J.
     """
 
     k_grid: np.ndarray
@@ -169,7 +171,7 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
 
     edges, lowest, block_J, tails, residuals = {}, [], [], [], []
     for k in ks[zero:]:
-        spec, tail, M = _leading_block(p, k, Jb, J, lowest_n, TAIL_TOL)
+        spec, _, tail, M = _leading_block(p, k, J, lowest_n, Jb)
         _require_resolved(p, k, J, lowest_n, tail, f"the lowest {n_bands} bands")
         Jb = spec.J                         # the next column starts here
         if k in (0.0, 0.5):
@@ -193,37 +195,42 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
                          residual=np.array(mirror(residuals)))
 
 
-def _leading_block(p, k, J_start, J_max, pick, tol):
+def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL):
     """The first J' of J_start, 2 J_start, ... (capped at J_max) whose right
     and left unit vectors in the columns pick(eigenvalues) weigh at most tol
-    at |j| = J', or J' = J_max.
+    in the slots J' - max_harmonic < |j| <= J', or J' = J_max.
 
-    Returns the Spectrum of M_{J'}(k), that tail weight, and M_{J''}(k) for
+    Those are the slots M_{J_max} couples out of the block, so a small tail
+    means a small residual of the zero-padded pairs.  J_start defaults to
+    max(BLOCK_J0, max_harmonic).  Returns the Spectrum of M_{J'}(k), the
+    picked columns, their tail weight, and M_{J''}(k) for
     J'' = min(J_max, J' + max_harmonic), assembled once per J' with M_{J'} as
     its centre block: the rows of M_{J_max} that a zero-padded pair meets.
     """
-    Jb = J_start
+    h = p.max_harmonic
+    Jb = min(J_max, max(BLOCK_J0, h) if J_start is None else J_start)
     while True:
-        M = discretize.assemble(p, k, min(J_max, Jb + p.max_harmonic))
+        M = discretize.assemble(p, k, min(J_max, Jb + h))
         spec = eigen.solve(M.block(Jb))
         cols = pick(spec.eigenvalues)
-        tail = max(np.abs(spec.right_vectors[[0, -1]][:, cols]).max(),
-                   np.abs(spec.left_vectors[[0, -1]][:, cols]).max())
+        edge = np.abs(np.arange(-Jb, Jb + 1)) > Jb - max(1, h)
+        tail = max(np.abs(spec.right_vectors[edge][:, cols]).max(),
+                   np.abs(spec.left_vectors[edge][:, cols]).max())
         if tail <= tol or Jb >= J_max:
-            return spec, tail, M
+            return spec, cols, tail, M
         Jb = min(2 * Jb, J_max)
 
 
 def _require_resolved(p, k, J, pick, tail, what):
     """Raise TruncationError when the pairs pick selects from the J' = J block
-    weigh more than TAIL_MAX at |j| = J; the message gives their weight at a
-    larger J.  what names the pairs."""
+    weigh more than TAIL_MAX at J - max_harmonic < |j| <= J; the message
+    gives their weight at a larger J.  what names the pairs."""
     if tail > TAIL_MAX:
-        more, more_tail, _ = _leading_block(p, k, 2 * J, 4 * J, pick, TAIL_MAX)
+        more, _, more_tail, _ = _leading_block(p, k, 4 * J, pick, 2 * J, TAIL_MAX)
         raise TruncationError(
             f"J = {J} does not resolve {what}: their eigenvectors weigh {tail:.1e} at "
-            f"|j| = J (k = {k:g}, limit {TAIL_MAX:.0e}); at J = {more.J} they weigh "
-            f"{more_tail:.1e}")
+            f"|j| > {J - max(1, p.max_harmonic)} (k = {k:g}, limit {TAIL_MAX:.0e}); "
+            f"at J = {more.J} they weigh {more_tail:.1e}")
 
 
 def _padded_residual(M, spec):

@@ -209,9 +209,9 @@ def _nearest(w, mu):
     return np.argsort(np.abs(w - mu), kind="stable")[:2]
 
 
-def _nearest_pair(w, mu):
-    """The two eigenvalues in w nearest mu, plus-Im first."""
-    return tuple(sorted(w[_nearest(w, mu)], key=lambda z: -z.imag))
+def _plus_first(pair):
+    """The pair as a tuple, plus-Im first."""
+    return tuple(sorted(pair, key=lambda z: -z.imag))
 
 
 def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
@@ -220,17 +220,17 @@ def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
     They come from the leading block M_{J'}(k0) on the ladder of
     bands._leading_block, J' = max(BLOCK_J0, max harmonic), 2 J', ...
     (capped at J), at the first J' where their right and left unit vectors
-    weigh at most TAIL_TOL at |j| = J'; the block size is set by the
-    lattice and mu, not by J.  Raises ClassificationError when fewer than
-    two eigenvalues lie within 1 of mu, and then TruncationError when the
-    pair still weighs more than TAIL_MAX at |j| = J.
+    weigh at most TAIL_TOL in the slots J' - max harmonic < |j| <= J', the
+    ones M_J couples out of the block; the block size is set by the lattice
+    and mu, not by J.  Raises ClassificationError when fewer than two
+    eigenvalues lie within 1 of mu, and then TruncationError when the pair
+    still weighs more than TAIL_MAX there at J' = J.
     """
     def near_mu(w):
         return _nearest(w, mu)
 
-    J_start = min(J, max(bands.BLOCK_J0, p.max_harmonic))
-    spec, tail, _ = bands._leading_block(p, k0, J_start, J, near_mu, bands.TAIL_TOL)
-    pair = _nearest_pair(spec.eigenvalues, mu)
+    spec, cols, tail, _ = bands._leading_block(p, k0, J, near_mu)
+    pair = _plus_first(spec.eigenvalues[cols])
     if max(abs(z - mu) for z in pair) >= 1.0:
         raise ClassificationError(
             f"fewer than two eigenvalues within distance 1 of mu = {mu} at k0 = {k0}"
@@ -304,5 +304,5 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
             k0=0.0, mu=mu, gamma=gamma, regime=regime,
             leading_eigenvalues=pred, pred_im=pred_im, coupling_harmonic=q,
         )
-        records.append(rec.with_measurement(_nearest_pair(w, mu)))
+        records.append(rec.with_measurement(_plus_first(w[_nearest(w, mu)])))
     return records

@@ -106,10 +106,10 @@ class TestComputeBands:
             assert (res <= 1e-12 * scale[i]).all()
 
     def test_block_grows_for_every_requested_band(self):
-        # gamma = 1, k = 0, J' = 16: band 1 weighs 2.3e-15 at |j| = 16, band 6 3.4e-13
+        # gamma = 1, k = 0, J' = 17: band 1 weighs 2.5e-15 at |j| = 16, 17, band 6 3.4e-13
         p = two_harmonic_potential(1.0)
-        assert _leading_block(p, 0.0, 16, 64, lambda w: slice(1), TAIL_TOL)[0].J == 16
-        assert _leading_block(p, 0.0, 16, 64, lambda w: slice(6), TAIL_TOL)[0].J == 32
+        assert _leading_block(p, 0.0, 68, lambda w: slice(1), 17)[0].J == 17
+        assert _leading_block(p, 0.0, 68, lambda w: slice(6), 17)[0].J == 34
 
     @pytest.mark.parametrize("k", [0.0, 0.5])
     def test_banded_residual_matches_dense(self, k):
@@ -118,7 +118,7 @@ class TestComputeBands:
         # 1.5e-11, against 1e-13 inside the block) comes from the rows past 16,
         # which the ladder assembles once with the block at its centre
         p = two_harmonic_potential(1.5)
-        spec, _, M_res = _leading_block(p, k, 16, 32, lambda w: slice(5), 1.0)
+        spec, _, _, M_res = _leading_block(p, k, 32, lambda w: slice(5), 16, 1.0)
         assert (spec.J, M_res.J) == (16, 18)
         assert np.array_equal(spec.eigenvalues, solve(assemble(p, k, 16)).eigenvalues)
         low = spec.lowest(5)
@@ -132,11 +132,11 @@ class TestComputeBands:
         assert _padded_residual(M_res, low) == pytest.approx(dense, rel=1e-6)
 
     def test_unresolved_truncation_refused(self):
-        # J = 4: the lowest bands weigh 7e-2 at |j| = J and the band-edge
+        # J = 4: the lowest bands weigh 0.25 at |j| = 3, 4 and the band-edge
         # eigenvalues are 2.8e-2 off
-        with pytest.raises(TruncationError, match=r"weigh 7\.3e-02 .* at J = 16"):
+        with pytest.raises(TruncationError, match=r"weigh 2\.5e-01 at \|j\| > 2 .* at J = 16"):
             compute_bands(two_harmonic_potential(1.5), 4, 32, 5)
-        # J = 12 resolves them: weight 6e-8, eigenvalues within roundoff
+        # J = 12 resolves them: weight 3.6e-7, eigenvalues within roundoff
         bs = compute_bands(two_harmonic_potential(1.5), 12, 32, 5)
         assert bs.tail_weight.max() < TAIL_MAX
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -10,11 +11,12 @@ import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptbands import bands, gpsolve
+from ptbands import PotentialParts, assemble, bands, eigen, from_parts, gpsolve, solve
 from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
                          EffectiveConfig, Prop3Config, main)
 
@@ -315,7 +317,7 @@ class TestDiracCommand:
         assert code == 2 and len(err.splitlines()) == 1
         assert err.startswith("truncation check failed: ") and "27 harmonics" in err
 
-    @pytest.mark.parametrize("J, weight", [(3, "1.7e-02"), (5, "8.3e-05")])
+    @pytest.mark.parametrize("J, weight", [(3, "5.0e-02"), (5, "4.2e-04")])
     def test_unresolved_dirac_pair_exit2_one_line(self, tmp_path, J, weight):
         # the gamma = 0 lattice is free, so the sweep resolves its 4 bands at any
         # J; the gamma = 0.2 pair at mu = 1/4 does not (at J = 3 its members sat
@@ -327,6 +329,27 @@ class TestDiracCommand:
         assert err.startswith(f"truncation check failed: J = {J} does not resolve the pair "
                               f"near mu = 0.25: their eigenvectors weigh {weight}")
         assert not (out / "dirac.csv").exists()
+
+    def test_pairs_at_top_of_leading_block_match_full_solve(self, tmp_path):
+        # 31 bands reach the k0 = 0 double mu = 225 (modes j = +-15).  sin 2x
+        # couples it to j = +-17 and leaves |j| = 16 empty, so a J' = 16 block
+        # certified by the |j| = 16 slot alone put it 1.6e-4 off.  Every
+        # measured value lies within kappa u ||M_J|| of the full J = 32 solve
+        cfg = shipped("dirac_sin2x", ("n_bands",), 31)
+        code, out = run(tmp_path, "dirac", cfg)
+        assert code == 0
+        V = from_parts(PotentialParts(sine_coeffs=(0.0, 1.0), gamma=0.2))
+        rows = list(csv.DictReader((out / "dirac.csv").open()))
+        assert 225.0 in [float(r["mu"]) for r in rows]
+        for r in rows:
+            M = assemble(V, float(r["k0"]), cfg["J"])
+            spec = solve(M)
+            idx = np.argsort(np.abs(spec.eigenvalues - float(r["mu"])))[:2]
+            R, L = spec.right_vectors[:, idx], spec.left_vectors[:, idx]
+            kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
+            plus = complex(float(r["meas_re_plus"]), float(r["meas_im_plus"]))
+            full = eigen.eigenvalues(M)
+            assert np.abs(full - plus).min() <= kappa * np.finfo(float).eps * M.norm()
 
     @pytest.mark.parametrize("tol, gamma, code, prefix", [(2.5, 0.2, 0, "warning: "),
                                                           (1.0, 0.8, 1, "config error: ")])

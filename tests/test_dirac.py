@@ -8,7 +8,7 @@ from ptbands import (ClassificationError, ConfigError, PotentialParts, assemble,
                      constant, eigen, find_dirac_points, from_parts, measure_splitting,
                      mw_matrix, predict_splitting, prop3_scan, solve, splitting_slope,
                      TruncationError)
-from ptbands.dirac import Regime, _nearest, _nearest_pair
+from ptbands.dirac import Regime, _nearest
 from ptbands.eigen import TWO_PI
 from conftest import two_harmonic_potential
 
@@ -175,27 +175,33 @@ class TestMeasureSplitting:
         with pytest.raises(ClassificationError):
             measure_splitting(FREE, 0.0, 200.0, 8)
 
-    @pytest.mark.parametrize("k0, mu, J, weight", [(0.5, 0.25, 3, "1.7e-02"),
-                                                   (0.5, 0.25, 5, "8.3e-05"),
-                                                   (0.0, 4.0, 6, "1.8e-05")])
+    @pytest.mark.parametrize("k0, mu, J, weight", [(0.5, 0.25, 3, "5.0e-02"),
+                                                   (0.5, 0.25, 5, "4.2e-04"),
+                                                   (0.0, 4.0, 7, "1.8e-05")])
     def test_unresolved_pair_refused(self, k0, mu, J, weight):
-        # the certified columns are the pair near mu: at J = 6 the lowest two
-        # weigh 4.3e-7 at |j| = J, the pair near 4 weighs 1.8e-5
+        # the certified columns are the pair near mu, and the certified slots
+        # all that M_J couples out of the block: at J = 7 the lowest two weigh
+        # 4.3e-7 at |j| = 6, 7, the pair near 4 (even j only) 1.8e-5 at |j| = 6
+        # and nothing at |j| = 7
         V = from_parts(SIN2X)
         with pytest.raises(TruncationError, match=f"J = {J} .* pair near mu = {mu:g}: .* weigh {weight} "):
             measure_splitting(V, k0, mu, J)
         measure_splitting(V, k0, mu, 16)
 
-    @pytest.mark.parametrize("J", [64, 128])
-    @pytest.mark.parametrize("k0, mu", [(0.5, 0.25), (0.0, 1.0)])
+    @pytest.mark.parametrize("k0, mu, J", [(0.5, 0.25, 64), (0.5, 0.25, 128),
+                                           (0.0, 1.0, 64), (0.0, 1.0, 128),
+                                           (0.0, 225.0, 32), (0.0, 225.0, 64)])
     def test_block_pair_matches_full_truncation_within_condition(self, k0, mu, J):
         # the certified block pair against the full-J eigenvalue-only solve:
         # rounding amplified by the condition kappa of the pair, the norm of
-        # its spectral projector (the k0 = 1/2 pair is an exact double)
+        # its spectral projector (the k0 = 1/2 pair is an exact double).  The
+        # pair at 225 (modes j = +-15) leaves |j| = 16 empty but couples to
+        # j = +-17; a J' = 16 block puts it 1.6e-4 off
         V = from_parts(SIN2X)
         M = assemble(V, k0, J)
         block = np.sort_complex(measure_splitting(V, k0, mu, J))
-        full = np.sort_complex(_nearest_pair(eigen.eigenvalues(M), mu))
+        w = eigen.eigenvalues(M)
+        full = np.sort_complex(w[_nearest(w, mu)])
         spec = solve(M)
         idx = _nearest(spec.eigenvalues, mu)
         R, L = spec.right_vectors[:, idx], spec.left_vectors[:, idx]
