@@ -40,8 +40,6 @@ REALITY_TOL = 1e-8
 # computed eigenvalue over the k grid exceeds this
 ISOLATION_THRESHOLD = 1e-3
 
-OVERLAP_FLAG = 0.5
-
 # the block ladder (the sweep's, and dirac.measure_splitting's) starts at this
 # J' and doubles; it stops once the certified columns (the lowest n_bands, or
 # the pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
@@ -65,7 +63,7 @@ class BandStructure:
     omega has shape (n_bands, N_k); vectors (n_bands, N_k, 2J+1) holds the
     unit coefficient vectors; tracking_quality (n_bands, N_k) records the
     |<v(k_i), v(k_{i+1})>| overlap used to continue each band into column i
-    (1.0 in the first column).  Values below OVERLAP_FLAG mark ambiguous
+    (1.0 in the first column).  Values well below 1 mark ambiguous
     continuations near crossings; they are recorded, not fatal.
     edge_spectra maps k0 in {0.0, 0.5} to the eigen.Spectrum of the solved
     block there.  Per column, block_J is the block truncation J' solved,

@@ -5,9 +5,11 @@ a periodic truncation of the line with Fourier differentiation.  Iterates
 stay PT-symmetric through the projection P u = (u + conj(u(-x)))/2, exact
 in floating point; the phase/translation kernel directions (i*u and u')
 are anti-PT, so the projected Jacobian is invertible near a band-edge
-bound state.  Each step is an inexact GMRES solve with the R-linear action
-delta -> P(-delta'' + (V + 2 sigma |u|^2 - omega) delta + sigma u^2 conj(delta))
-on [Re delta; Im delta], O(N log N) per matvec.
+bound state.  A grid field is PT exactly when its DFT is real, and
+fft(P w) = Re fft(w), so with PT V and sigma and real omega each step is an
+inexact GMRES solve for the real DFT coefficients c of the correction, with
+c -> xi^2 c + Re fft((V + 2 sigma |u|^2 - omega) d + sigma u^2 conj(d)),
+d = ifft(c), O(N log N) per matvec.
 
 The preconditioner is the exact inverse of the linear operator
 -d^2 + V - omega.  On a grid of C cells with P points each, the 2pi-periodic
@@ -17,20 +19,19 @@ Floquet Theory for PDEs, 1993).  Unlike a shifted-Laplacian symbol, their
 inverse sees the band edge that omega = omega_0 + eps^2 Omega sits next to,
 so the Krylov count per Newton step stays bounded as eps -> 0 (the
 preconditioned Newton iteration of J. Yang, J. Comput. Phys. 228, 2009).
-Set-up inverts the C dense blocks once per solve (16 P N bytes); each
-application costs two FFTs and a batched P x P product, O(P N).  With real
-omega the inverse commutes with PT and so with P.
+Set-up inverts the C real dense blocks once per solve (8 P N bytes); each
+application is a batched P x P product on c, O(P N), with no FFT.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetri
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from . import effective as effective_mod
 from .errors import ConfigError, GridError, NewtonError, PTSymmetryError
 from .grid import RealLineGrid, grid_for_envelope
-from .potential import PeriodicPotential
+from .potential import PeriodicPotential, validate_pt
 from .util import is_real
 
 # Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
@@ -124,32 +125,24 @@ def _pt_project(u, grid: RealLineGrid):
 
 
 def _jacobian_action(u, omega: float, Vx, sx, grid: RealLineGrid):
-    """delta -> P J(u) delta, J the R-linear derivative of gp_residual at u."""
+    """c -> fft(P J(u) ifft(c)) on the real DFT coefficients c of PT fields, J
+    the R-linear derivative of gp_residual at u; taking Re is the projection P."""
+    xi2 = grid.frequencies**2
     diag = Vx + 2 * sx * np.abs(u) ** 2 - omega
     off = sx * u**2
-    return lambda d: _pt_project(-grid.second_derivative(d) + diag * d + off * np.conj(d),
-                                 grid)
 
-
-def _real_operator(fn, n: int):
-    """A map on complex fields of length n as an operator on [Re; Im] in R^2n."""
-    import scipy.sparse.linalg     # imported here: only Newton solves need it
-
-    return scipy.sparse.linalg.LinearOperator(
-        (2 * n, 2 * n), dtype=float,
-        matvec=lambda z: _as_real(fn(z[:n] + 1j * z[n:])))
-
-
-def _as_real(f):
-    return np.concatenate([f.real, f.imag])
+    def act(c):
+        d = np.fft.ifft(c)
+        return xi2 * c + np.fft.fft(diag * d + off * np.conj(d)).real
+    return act
 
 
 def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
-    """d -> (-d^2 + V - omega)^{-1} d on the grid, by exact Floquet-Bloch blocks.
+    """c -> fft((-d^2 + V - omega)^{-1} ifft(c)) by exact real Floquet-Bloch blocks.
 
-    With fft(d) reshaped to (P, C), column r holds the indices n = qC + r;
+    With c reshaped to (P, C), column r holds the indices n = qC + r;
     block r has entries vhat[(q - q') mod P] + (xi_{qC+r}^2 - omega) delta_{qq'}
-    with vhat the DFT of V on one cell.  Each block is inverted in place.
+    with vhat the DFT of V on one cell, real as V is PT.  Each block is inverted in place.
     Raises NewtonError when a block is singular or its 1-norm condition
     exceeds BLOCK_COND_MAX.
     """
@@ -159,27 +152,23 @@ def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
         raise GridError(f"{N} points do not split into {C} equal cells")
     P = N // C
     q = np.arange(P)
-    vhat = np.fft.fft(Vx[:P]) / P
-    blocks = np.empty((C, P, P), dtype=complex)
+    vhat = np.fft.fft(Vx[:P]).real / P
+    blocks = np.empty((C, P, P))
     blocks[:] = vhat[(q[:, None] - q) % P]
     blocks[:, q, q] += (grid.frequencies**2 - omega).reshape(P, C).T
     for r, block in enumerate(blocks):
         norm = np.abs(block).sum(axis=0).max()
         # the transpose is Fortran-ordered, so LAPACK inverts it in the block's
         # memory; inv is the transposed inverse
-        lu, piv, info = zgetrf(block.T, overwrite_a=True)
+        lu, piv, info = dgetrf(block.T, overwrite_a=True)
         if info == 0:
-            inv, info = zgetri(lu, piv, overwrite_lu=True)
+            inv, info = dgetri(lu, piv, overwrite_lu=True)
         if info or not norm * np.abs(inv).sum(axis=1).max() <= BLOCK_COND_MAX:
             raise NewtonError(f"preconditioner block {r} of {C} is singular or "
                               f"ill-conditioned at omega = {omega:.6g} "
                               "(omega on a band of the grid)")
         blocks[r] = inv.T
-
-    def apply(d):
-        dh = np.fft.fft(d).reshape(P, C).T
-        return np.fft.ifft(np.matmul(blocks, dh[:, :, None])[:, :, 0].T.reshape(N))
-    return apply
+    return lambda c: np.matmul(blocks, c.reshape(P, C).T[:, :, None])[:, :, 0].T.reshape(N)
 
 
 def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
@@ -187,8 +176,9 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
                  on_iterate=None) -> BoundState:
     """Inexact Newton-Krylov solve of the stationary GP equation in the PT subspace.
 
-    u0 must be PT-symmetric to 1e-6.  Converges when the L2 residual falls
-    below tol (an already-converged u0 returns in zero iterations).
+    u0 must be PT-symmetric to 1e-6, V and sigma to 1e-12 (PTSymmetryError
+    otherwise) and omega real (ConfigError).  Converges when the L2 residual
+    falls below tol (an already-converged u0 returns in zero iterations).
     on_iterate(k, u, residual), when given, observes every iterate.
     Raises NewtonError on divergence, a GMRES breakdown or miss of the forcing
     tolerance, a non-finite step (typically eps too large or a violated band
@@ -204,6 +194,10 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     defect = np.abs(np.conj(u0[grid.mirror]) - u0).max()
     if defect > 1e-6:
         raise PTSymmetryError(f"initial guess not PT-symmetric (defect {defect:.3e})")
+    if not (validate_pt(V, 1e-12) and validate_pt(sigma, 1e-12)):
+        raise PTSymmetryError("V and sigma must be PT-symmetric (real Fourier coefficients)")
+    if not is_real(omega):
+        raise ConfigError(f"omega must be a real number, got {omega!r}")
 
     Vx, sx = V.eval(grid.x), sigma.eval(grid.x)
     precond = None
@@ -223,15 +217,18 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
         if iters >= max_iter:
             break
         if precond is None:     # a converged u0 needs none, even with omega on a band
-            precond = _real_operator(_bloch_inverse(Vx, omega, grid), N)
-        jac = _real_operator(_jacobian_action(u, omega, Vx, sx, grid), N)
+            precond = scipy.sparse.linalg.LinearOperator(
+                (N, N), matvec=_bloch_inverse(Vx, omega, grid), dtype=float)
+        jac = scipy.sparse.linalg.LinearOperator(
+            (N, N), matvec=_jacobian_action(u, omega, Vx, sx, grid), dtype=float)
+        # z holds the real DFT coefficients of the PT correction
         z, info = scipy.sparse.linalg.gmres(
-            jac, _as_real(_pt_project(G, grid)), rtol=min(FORCING_MAX, rnorm),
+            jac, np.fft.fft(G).real, rtol=min(FORCING_MAX, rnorm),
             restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=precond)
         if info != 0 or not np.all(np.isfinite(z)):
             raise NewtonError(f"GMRES failed at iteration {iters} (info {info})",
                               last_residual=rnorm)
-        u = _pt_project(u - (z[:N] + 1j * z[N:]), grid)
+        u = _pt_project(u - np.fft.ifft(z), grid)
         iters += 1
     raise NewtonError(
         f"no convergence in {max_iter} iterations (last residual {history[-1]:.3e})",
@@ -241,14 +238,14 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
 
 def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
                       edge: str, eps_list, s: float = 1.0, J: int = 24,
-                      N_k: int = 32, max_iter: int = 25, tol: float = 1e-10,
-                      tail_decay: float = 20.0) -> ConvergenceStudy:
+                      N_k: int = 32, max_iter: int = 25,
+                      tol: float = 1e-10) -> ConvergenceStudy:
     """Error scaling of the envelope ansatz against Newton-refined states.
 
     For each eps: build u_form from the band-edge model, solve the GP
     equation from it, and record e(eps) = ||u - u_form||_{H^s}.  The grid
-    half length grows like tail_decay*width/eps so the envelope tail at
-    the seam stays below ~2e-9 for every eps.  Any Newton failure aborts
+    half length grows like grid.TAIL_DECAY*width/eps so the envelope tail
+    at the seam stays below ~2e-9 for every eps.  Any Newton failure aborts
     the study with the failing eps attached to the error.  eps_list must
     hold distinct real numbers in (0, 0.5] and s must lie in [0, 2]
     (ConfigError otherwise).
@@ -264,7 +261,7 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
 
     rows = []
     for eps in eps_list:
-        grid = grid_for_envelope(eps, env.width, tail_decay=tail_decay)
+        grid = grid_for_envelope(eps, env.width)
         ansatz = effective_mod.build_ansatz(env, mode, eps, grid)
         try:
             state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid,

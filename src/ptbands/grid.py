@@ -8,6 +8,8 @@ import numpy as np
 from .errors import GridError
 
 TWO_PI = 2.0 * np.pi
+POINTS_PER_CELL = 32     # RealLineGrid's coarsest resolution, and grid_for_envelope's
+TAIL_DECAY = 20.0        # grid_for_envelope's eps*L/width
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,9 @@ class RealLineGrid:
             raise GridError(f"half length {self.half_length} is not a positive multiple of 2pi")
         if self.n_points < 2 or self.n_points % 2:
             raise GridError("n_points must be even")
-        if self.spacing > TWO_PI / 32 + 1e-12:
+        if self.spacing > TWO_PI / POINTS_PER_CELL + 1e-12:
             raise GridError(
-                f"grid spacing {self.spacing:.4f} exceeds 2pi/32; "
+                f"grid spacing {self.spacing:.4f} exceeds 2pi/{POINTS_PER_CELL}; "
                 f"need at least {self.min_points()} points"
             )
 
@@ -45,7 +47,7 @@ class RealLineGrid:
         return 2 * self.half_length / self.n_points
 
     def min_points(self):
-        return 32 * self.cells
+        return POINTS_PER_CELL * self.cells
 
     @cached_property
     def x(self):
@@ -69,15 +71,14 @@ class RealLineGrid:
         return np.fft.ifft(-self.frequencies**2 * np.fft.fft(f))
 
 
-def grid_for_envelope(eps: float, width: float, tail_decay: float = 20.0,
-                      points_per_cell: int = 32) -> RealLineGrid:
+def grid_for_envelope(eps: float, width: float) -> RealLineGrid:
     """Smallest commensurate grid resolving a sech(eps*x/width) envelope.
 
-    The half length satisfies eps*L/width >= tail_decay, so the envelope
-    tail at the boundary is below e^{-tail_decay} (~2e-9 at the default),
-    comfortably under the 1e-6 budget for every eps.
+    The half length satisfies eps*L/width >= TAIL_DECAY, so the envelope
+    tail at the boundary is below e^{-TAIL_DECAY} (~2e-9), comfortably
+    under the 1e-6 budget for every eps.
     """
     if eps <= 0:
         raise GridError("eps must be positive")
-    M = max(1, int(np.ceil(tail_decay * width / (TWO_PI * eps))))
-    return RealLineGrid(half_length=TWO_PI * M, n_points=2 * M * points_per_cell)
+    M = max(1, int(np.ceil(TAIL_DECAY * width / (TWO_PI * eps))))
+    return RealLineGrid(half_length=TWO_PI * M, n_points=2 * M * POINTS_PER_CELL)

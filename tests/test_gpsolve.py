@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from ptbands import (ConfigError, GridError, NewtonError, PTSymmetryError, RealLineGrid,
-                     assemble, build_ansatz, constant,
+from ptbands import (ConfigError, GridError, NewtonError, PTSymmetryError, PeriodicPotential,
+                     RealLineGrid, assemble, build_ansatz, constant,
                      convergence_study, extract_effective_model, fix_pt_phase,
                      from_parts, gp_residual, grid_for_envelope, hs_norm,
                      make_mode, newton_solve, sech_envelope, solve)
@@ -112,6 +112,13 @@ class TestNewtonKrylov:
         assert np.abs(np.conj(w[g.mirror]) - w).max() == 0.0
         assert np.array_equal(_pt_project(w, g), w)
 
+    def test_projection_is_real_part_of_dft(self, rng):
+        # fft(P w) = Re fft(w): the real DFT coefficients are exactly the PT subspace
+        g = soliton_grid(4)
+        w = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
+        W = np.fft.fft(w)
+        assert np.linalg.norm(np.fft.fft(_pt_project(w, g)) - W.real) <= 1e-14 * np.linalg.norm(W)
+
     def test_jacobian_action_matches_central_difference(self, rng):
         # complex PT lattice and complex PT nonlinearity: exercises the
         # sigma u^2 conj(delta) term with non-real sigma
@@ -125,10 +132,12 @@ class TestNewtonKrylov:
         for _ in range(3):
             d = _pt_project(np.exp(-g.x**2 / 8) * (rng.normal(size=g.n_points)
                                                    + 1j * rng.normal(size=g.n_points)), g)
-            fd = (gp_residual(u + h * d, -0.4, V, sigma, g)
-                  - gp_residual(u - h * d, -0.4, V, sigma, g)) / (2 * h)
-            Jd = act(d)
-            assert np.linalg.norm(Jd - fd) <= 1e-6 * np.linalg.norm(Jd)
+            c = np.fft.fft(d).real
+            fd = np.fft.fft(gp_residual(u + h * d, -0.4, V, sigma, g)
+                            - gp_residual(u - h * d, -0.4, V, sigma, g)) / (2 * h)
+            Jc = act(c)
+            assert Jc.dtype == np.float64
+            assert np.linalg.norm(Jc - fd) <= 1e-6 * np.linalg.norm(Jc)
 
     def test_krylov_failure_reported(self, monkeypatch):
         # a Krylov budget too small for the forcing tolerance is a solver failure
@@ -142,16 +151,16 @@ class TestNewtonKrylov:
 
     def test_bloch_inverse_inverts_linear_operator(self, rng):
         # the preconditioner is the exact inverse of -d^2 + V - omega on the
-        # grid, and with real omega it commutes with the PT projection
+        # real DFT coefficients of PT fields; a real result from real input
+        # shows that its blocks are float64
         V = from_parts(two_harmonic_parts(1.0))
         g = soliton_grid(4)
         Vx = V.eval(g.x)
         inverse = _bloch_inverse(Vx, -0.4, g)
-        d = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
-        Ad = -g.second_derivative(d) + (Vx + 0.4) * d
-        assert np.linalg.norm(inverse(Ad) - d) <= 1e-11 * np.linalg.norm(d)
-        assert np.linalg.norm(_pt_project(inverse(d), g) - inverse(_pt_project(d, g))) \
-            <= 1e-13 * np.linalg.norm(inverse(d))
+        c = rng.normal(size=g.n_points)
+        Ac = g.frequencies**2 * c + np.fft.fft((Vx + 0.4) * np.fft.ifft(c)).real
+        assert inverse(Ac).dtype == np.float64
+        assert np.linalg.norm(inverse(Ac) - c) <= 1e-11 * np.linalg.norm(c)
 
     def test_grid_without_whole_cells_rejected(self):
         g = RealLineGrid(half_length=TWO_PI * 4, n_points=258)
@@ -263,6 +272,25 @@ class TestNewtonSolve:
         u0 = 1.0 / np.cosh(g.x - 1.0) + 0j
         with pytest.raises(PTSymmetryError):
             newton_solve(u0, -1.0, FREE, constant(-1.0), g)
+
+    @pytest.mark.parametrize("V, sigma", [
+        (PeriodicPotential({1: 0.5 + 0.1j, -1: 0.5}), constant(-1.0)),
+        (FREE, constant(-1.0 + 1e-3j)),
+    ], ids=["V", "sigma"])
+    def test_rejects_non_pt_coefficients(self, V, sigma):
+        # the correction lives on real DFT coefficients, which cannot carry a
+        # non-PT operator
+        g = soliton_grid(8)
+        exact = np.sqrt(2) / np.cosh(g.x) + 0j
+        with pytest.raises(PTSymmetryError, match="V and sigma must be PT-symmetric"):
+            newton_solve(1.1 * exact, -1.0, V, sigma, g)
+
+    @pytest.mark.parametrize("omega", [-1.0 + 1e-3j, complex(-1.0), float("nan"), True])
+    def test_rejects_non_real_omega(self, omega):
+        g = soliton_grid(8)
+        exact = np.sqrt(2) / np.cosh(g.x) + 0j
+        with pytest.raises(ConfigError, match="omega must be a real number"):
+            newton_solve(1.1 * exact, omega, FREE, constant(-1.0), g)
 
     def test_divergence_reported(self):
         g = soliton_grid(8)
