@@ -4,23 +4,26 @@ The k grid is exactly antisymmetric, so the sweep solves only the
 N_k/2 + 1 points k >= 0 (right and left vectors in one decomposition)
 and fills each -k column from the mirror at |k| (eigen.Spectrum.mirrored).
 At each k it solves only the leading block M_{J'}(k) of the J-truncated
-matrix, J' on the ladder 16, 32, ... (capped at J), and stops at the
-first J' where the lowest n_bands right and left vectors weigh at most
-TAIL_TOL in the slots J' - h < |j| <= J', h the highest harmonic of the
-potential: the slots through which M_J couples a block vector to the
-harmonics past J'.  The pairs are zero-padded to J; their residual
-against M_J is their backward error as eigenpairs of M_J (Kahan, Parlett
-& Jiang, SIAM J. Numer. Anal. 19, 1982) and is recorded per column.  A
-tail above TAIL_MAX at J' = J means J itself does not resolve the bands
-(TruncationError).  The ladder and that refusal take the columns to
-certify, so dirac.measure_splitting certifies its pair near mu the same
-way.  Bands are tracked across the grid by maximal
-eigenvector overlap (value proximity fails at avoided crossings); the
-tracking is a permutation of the lowest-n eigenvalues at each k by
-construction.  The block spectra at the edges k = 0 and 1/2 are kept:
-they give the edge modes and, through one bordered reduced-resolvent
-solve each, the edge curvatures.  second_derivative is the independent
-finite-difference estimator.  Band indices m are 1-based in the public API.
+matrix, J' on the ladder 8, 10, 12, 15, 18, 22, ... (each rung about 5/4
+of the last, capped at J), and stops at the first J' where the lowest
+n_bands right and left vectors weigh at most TAIL_TOL in the slots
+J' - h < |j| <= J', h the highest harmonic of the potential: the slots
+through which M_J couples a block vector to the harmonics past J'.  J'
+carries from column to column, so only k = 0 climbs the ladder.  The
+residual of the zero-padded pairs against M_J is their backward error as
+eigenpairs of M_J (Kahan, Parlett & Jiang, SIAM J. Numer. Anal. 19, 1982)
+and is recorded per column.  A tail above TAIL_MAX at J' = J means J
+itself does not resolve the bands (TruncationError).  The ladder and that
+refusal take the columns to certify, so dirac.measure_splitting certifies
+its pair near mu the same way, on the doubling ladder from BLOCK_J0.  Bands
+are tracked across the grid by maximal eigenvector overlap (value
+proximity fails at avoided crossings); the tracking is a permutation of
+the lowest-n eigenvalues at each k by construction, and its vectors are
+zero-padded to J once, as they are tracked.  The block spectra at the
+edges k = 0 and 1/2 are kept: they give the edge modes and, through one
+bordered reduced-resolvent solve each, the edge curvatures.
+second_derivative is the independent finite-difference estimator.  Band
+indices m are 1-based in the public API.
 """
 
 import math
@@ -40,11 +43,16 @@ REALITY_TOL = 1e-8
 # computed eigenvalue over the k grid exceeds this
 ISOLATION_THRESHOLD = 1e-3
 
-# the block ladder (the sweep's, and dirac.measure_splitting's) starts at this
-# J' and doubles; it stops once the certified columns (the lowest n_bands, or
-# the pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
-# their right and left unit vectors
+# a block ladder stops once the certified columns (the lowest n_bands, or the
+# pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
+# their right and left unit vectors.  dirac.measure_splitting's ladder starts
+# at BLOCK_J0 and doubles: a finer one there made no Dirac run faster and put
+# pairs up to 6.3e-13 from the full solve, past kappa u ||M_J|| = 2.3e-13.  The
+# sweep's starts at SWEEP_J0 and grows by about 5/4 (_sweep_rung): its blocks
+# are met at J' = 18, 22 and 12 on the gamma = 1, gamma = 1.5 two-harmonic
+# and the gentle lattices, where doubling from 16 solved at 32, 32 and 16
 BLOCK_J0 = 16
+SWEEP_J0 = 8
 TAIL_TOL = 1e-14
 # a tail above this at J' = J fails the sweep.  On the two-harmonic
 # gamma = 1.5 lattice (5 bands) the tail reaches 5.6e-4 at J = 8, with
@@ -56,7 +64,7 @@ TAIL_MAX = 1e-6
 MAX_STEP_RETRIES = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandStructure:
     """Tracked eigenvalue curves omega_m(k) with their eigenvectors.
 
@@ -106,7 +114,7 @@ class BandStructure:
         return self.omega[m - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandEdge:
     k0: float
     omega_star: float
@@ -115,7 +123,7 @@ class BandEdge:
     condition: float    # ||l|| ||r|| / |l^H r| of the edge eigenvalue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandEdgeReport:
     """Reality / isolation / simplicity diagnostics for one band."""
 
@@ -162,20 +170,20 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
     zero = N_k // 2 - 1                     # ks[zero] = 0, ks[-1] = 1/2
 
     # the block holds n_bands pairs and every harmonic of p
-    Jb = min(J, max(BLOCK_J0, n_bands, p.max_harmonic))
+    Jb = min(J, max(SWEEP_J0, n_bands, p.max_harmonic))
 
     def lowest_n(w):
         return slice(n_bands)
 
     edges, lowest, block_J, tails, residuals = {}, [], [], [], []
     for k in ks[zero:]:
-        spec, _, tail, M = _leading_block(p, k, J, lowest_n, Jb)
+        spec, _, tail, M = _leading_block(p, k, J, lowest_n, Jb, rung=_sweep_rung)
         _require_resolved(p, k, J, lowest_n, tail, f"the lowest {n_bands} bands")
         Jb = spec.J                         # the next column starts here
         if k in (0.0, 0.5):
             edges[float(k)] = spec
         low = spec.lowest(n_bands)
-        lowest.append(low.padded(J))
+        lowest.append(low)
         block_J.append(Jb)
         tails.append(tail)
         residuals.append(_padded_residual(M, low))
@@ -185,7 +193,7 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
         return seq[zero:0:-1] + seq
 
     omega, vectors, quality = _track(
-        [s.mirrored() for s in mirror(lowest)[:zero]] + lowest, n_bands)
+        [s.mirrored() for s in mirror(lowest)[:zero]] + lowest, n_bands, J)
     return BandStructure(k_grid=ks, omega=omega, vectors=vectors,
                          tracking_quality=quality, J=J, edge_spectra=edges,
                          block_J=np.array(mirror(block_J)),
@@ -193,15 +201,20 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
                          residual=np.array(mirror(residuals)))
 
 
-def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL):
-    """The first J' of J_start, 2 J_start, ... (capped at J_max) whose right
-    and left unit vectors in the columns pick(eigenvalues) weigh at most tol
-    in the slots J' - max_harmonic < |j| <= J', or J' = J_max.
+def _sweep_rung(J):
+    """The sweep's rung after J': about 5/4 J', at least J' + 2."""
+    return max(J + 2, 5 * J // 4)
+
+
+def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J: 2 * J):
+    """The first J' of J_start, rung(J_start), ... (capped at J_max) whose
+    right and left unit vectors in the columns pick(eigenvalues) weigh at
+    most tol in the slots J' - max_harmonic < |j| <= J', or J' = J_max.
 
     Those are the slots M_{J_max} couples out of the block, so a small tail
     means a small residual of the zero-padded pairs.  J_start defaults to
-    max(BLOCK_J0, max_harmonic).  Returns the Spectrum of M_{J'}(k), the
-    picked columns, their tail weight, and M_{J''}(k) for
+    max(BLOCK_J0, max_harmonic) and rung to doubling.  Returns the Spectrum
+    of M_{J'}(k), the picked columns, their tail weight, and M_{J''}(k) for
     J'' = min(J_max, J' + max_harmonic), assembled once per J' with M_{J'} as
     its centre block: the rows of M_{J_max} that a zero-padded pair meets.
     """
@@ -216,7 +229,7 @@ def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL):
                    np.abs(spec.left_vectors[edge][:, cols]).max())
         if tail <= tol or Jb >= J_max:
             return spec, cols, tail, M
-        Jb = min(2 * Jb, J_max)
+        Jb = min(rung(Jb), J_max)
 
 
 def _require_resolved(p, k, J, pick, tail, what):
@@ -248,25 +261,47 @@ def _padded_residual(M, spec):
     return max(np.linalg.norm(res_r, axis=0).max(), np.linalg.norm(res_l, axis=0).max())
 
 
-def _track(spectra, n_bands):
-    """Continue the lowest n_bands across consecutive spectra by overlap."""
-    n_k, n_dim = len(spectra), spectra[0].right_vectors.shape[0]
+def _track(spectra, n_bands, J):
+    """Continue the lowest n_bands across consecutive spectra by overlap.
+
+    The spectra may come from blocks of different J' <= J; each column's
+    vectors are written zero-padded to |j| <= J as they are tracked, so no
+    spectrum is padded on its own.
+    """
+    n_k = len(spectra)
     omega = np.zeros((n_bands, n_k), dtype=complex)
-    vectors = np.zeros((n_bands, n_k, n_dim), dtype=complex)
+    vectors = np.zeros((n_bands, n_k, 2 * J + 1), dtype=complex)
     quality = np.ones((n_bands, n_k))
 
-    omega[:, 0] = spectra[0].eigenvalues[:n_bands]
-    vectors[:, 0, :] = spectra[0].right_vectors[:, :n_bands].T
-    for i in range(1, n_k):
-        w = spectra[i].eigenvalues[:n_bands]
-        vr = spectra[i].right_vectors[:, :n_bands]
-        # overlap[a, b] = |<v_a(k_{i-1}), v_b(k_i)>|
-        overlap = np.abs(vectors[:, i - 1, :].conj() @ vr)
-        perm = np.array(_assignment((-overlap).tolist()))
-        omega[:, i] = w[perm]
-        vectors[:, i, :] = vr[:, perm].T
-        quality[:, i] = overlap[np.arange(n_bands), perm]
+    perm = np.arange(n_bands)
+    for i, spec in enumerate(spectra):
+        inner = slice(J - spec.J, J + spec.J + 1)
+        vr = spec.right_vectors[:, :n_bands]
+        if i:
+            # overlap[a, b] = |<v_a(k_{i-1}), v_b(k_i)>|; v_b is zero outside inner
+            overlap = np.abs(vectors[:, i - 1, inner].conj() @ vr)
+            perm = _best_match(overlap)
+            quality[:, i] = overlap[np.arange(n_bands), perm]
+        omega[:, i] = spec.eigenvalues[perm]
+        vectors[:, i, inner] = vr[:, perm].T
     return omega, vectors, quality
+
+
+def _best_match(overlap):
+    """perm maximising sum overlap[a, perm[a]].
+
+    When the row-wise argmax is a permutation and every row's maximum is
+    strict, it is the unique optimum; otherwise (a tie or two rows on one
+    column) _assignment decides, with scipy's tie rule.
+    """
+    perm = overlap.argmax(axis=1)
+    n = len(perm)
+    if n == 1:
+        return perm
+    runner_up = np.partition(overlap, n - 2, axis=1)[:, n - 2]
+    if len(set(perm.tolist())) == n and (runner_up < overlap.max(axis=1)).all():
+        return perm
+    return np.array(_assignment((-overlap).tolist()))
 
 
 def _assignment(cost):

@@ -16,9 +16,10 @@ Fourier coefficients of (U, W) at the coupling harmonic of the point
 (the harmonic q with c_q connecting the two resonant basis modes).
 
 measure_splitting takes the measured pair from the smallest leading block
-M_{J'}(k0) that certifies it, on the block ladder of the band sweep
-(bands._leading_block): its cost is set by the lattice and mu, not by J,
-and a J that does not resolve the pair raises TruncationError.
+M_{J'}(k0) that certifies it, by the band sweep's certificate
+(bands._leading_block) on the doubling ladder from BLOCK_J0: its cost is
+set by the lattice and mu, not by J, and a J that does not resolve the
+pair raises TruncationError.
 prop3_scan keeps one eigenvalue-only solve of the full matrix for all m.
 """
 
@@ -41,7 +42,7 @@ from .potential import Convention, PeriodicPotential, PotentialParts, from_parts
 PROP3_MARGIN = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiracPoint:
     """Double eigenvalue mu at k0 with its parity-split eigenbasis."""
 
@@ -62,7 +63,7 @@ class Regime(Enum):
     INCONCLUSIVE = "inconclusive"  # coupling element vanishes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplittingPrediction:
     """Leading-order split eigenvalues with, optionally, the measured pair.
 

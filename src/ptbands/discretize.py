@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .potential import PeriodicPotential
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochOperatorMatrix:
     """Dense Galerkin matrix of L(k) at quasimomentum k."""
 

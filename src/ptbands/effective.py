@@ -29,7 +29,7 @@ from .grid import RealLineGrid
 from .potential import PeriodicPotential
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectiveModel:
     """(k0, omega_*, omega'', Gamma, Omega) of one band edge."""
 
@@ -54,7 +54,7 @@ class EffectiveModel:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SechEnvelope:
     """A(X) = amplitude * sech(X / width), the explicit envelope bound state.
 

@@ -38,7 +38,7 @@ TWO_PI = 2.0 * np.pi
 _REAL_ENTRY_TOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spectrum:
     """All eigenpairs of one Bloch operator matrix.
 
@@ -67,17 +67,6 @@ class Spectrum:
                         right_vectors=self.right_vectors[:, :n].copy(),
                         left_vectors=self.left_vectors[:, :n].copy())
 
-    def padded(self, J):
-        """The same pairs with vectors zero-padded from |j| <= self.J to |j| <= J."""
-        if J == self.J:
-            return self
-        shape = (2 * J + 1, len(self.eigenvalues))
-        right, left = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
-        inner = slice(J - self.J, J + self.J + 1)
-        right[inner], left[inner] = self.right_vectors, self.left_vectors
-        return Spectrum(k=self.k, J=J, eigenvalues=self.eigenvalues,
-                        right_vectors=right, left_vectors=left)
-
     def gap(self, index):
         """Distance from eigenvalues[index] to the nearest other eigenvalue."""
         d = np.abs(self.eigenvalues - self.eigenvalues[index])
@@ -85,7 +74,7 @@ class Spectrum:
         return d.min()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumClasses:
     """classify() result: real values and conjugate pairs (plus-Im first)."""
 
@@ -95,7 +84,7 @@ class SpectrumClasses:
     pair_indices: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlochMode:
     """One biorthonormalized eigenpair (omega, p, p*) at fixed k."""
 

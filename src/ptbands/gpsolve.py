@@ -35,8 +35,11 @@ from .potential import PeriodicPotential, validate_pt
 from .util import is_real
 
 # Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
-# sends the eps = 0.2 solve to another solution).
-GMRES_RESTART = 100
+# sends the eps = 0.2 solve to another solution).  gmres allocates its
+# (GMRES_RESTART + 1) x N Krylov basis on every step; with the Floquet-Bloch
+# preconditioner a step takes at most 15 matvecs on the tested lattices, so 30
+# never restarts there
+GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 30
 FORCING_MAX = 1e-4
 # a preconditioner block with 1-norm condition above this (omega on or next to a

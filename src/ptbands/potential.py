@@ -28,7 +28,7 @@ class Convention(Enum):
     PROP3_DOUBLED = "prop3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PotentialParts:
     """Real building blocks of V = U + i*gamma*W with U even, W odd.
 
@@ -50,7 +50,7 @@ class PotentialParts:
             raise ConfigError("gamma must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicPotential:
     """Sparse exponential Fourier coefficients of a 2pi-periodic potential."""
 

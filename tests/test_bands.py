@@ -5,8 +5,9 @@ from ptbands import (AssumptionError, ComplexBandError, ConfigError, TruncationE
                      check_assumption, compute_bands, constant, curvature_from_fit, eigen,
                      edge_curvature, from_parts, make_mode, second_derivative, solve,
                      PotentialParts)
-from ptbands.bands import (TAIL_MAX, TAIL_TOL, _assignment, _leading_block, _padded_residual,
-                           _track, k_grid, require_assumption)
+from ptbands import bands
+from ptbands.bands import (TAIL_MAX, TAIL_TOL, _assignment, _best_match, _leading_block,
+                           _padded_residual, _track, k_grid, require_assumption)
 from conftest import gentle_parts, two_harmonic_potential
 
 FREE = constant(0.0)
@@ -50,12 +51,12 @@ class TestComputeBands:
 
     def test_mirrored_sweep_matches_direct(self):
         # every column solved directly in the block the sweep certified at |k|,
-        # padded and tracked the same way; N_k = 48 is not a power of two, so
-        # this also needs the exactly antisymmetric grid
+        # tracked and padded to J the same way; N_k = 48 is not a power of two,
+        # so this also needs the exactly antisymmetric grid
         p = two_harmonic_potential(1.5)
         bs = compute_bands(p, 32, 48, 5)
-        direct = [solve(assemble(p, k, Jb)).padded(32) for k, Jb in zip(bs.k_grid, bs.block_J)]
-        omega, vectors, quality = _track(direct, 5)
+        direct = [solve(assemble(p, k, Jb)) for k, Jb in zip(bs.k_grid, bs.block_J)]
+        omega, vectors, quality = _track(direct, 5, 32)
         assert np.abs(omega - bs.omega).max() <= 2e-13 * np.abs(omega).max()
         assert np.abs(quality - bs.tracking_quality).max() <= 1e-12
         # each tracked vector is the direct one up to a phase
@@ -89,7 +90,7 @@ class TestComputeBands:
             sizes.clear()
             compute_bands(p, J, 64, 6)
             largest.append(max(sizes))
-        assert largest[0] == largest[1] == 32
+        assert largest[0] == largest[1] == 22
 
     @pytest.mark.parametrize("gamma", [1.0, 1.5])
     def test_padded_pairs_are_eigenpairs_of_full_matrix(self, gamma):
@@ -122,12 +123,11 @@ class TestComputeBands:
         assert (spec.J, M_res.J) == (16, 18)
         assert np.array_equal(spec.eigenvalues, solve(assemble(p, k, 16)).eigenvalues)
         low = spec.lowest(5)
-        pad = low.padded(32)
+        w = low.eigenvalues
+        r, l = (np.pad(v, ((16, 16), (0, 0))) for v in (low.right_vectors, low.left_vectors))
         M = assemble(p, k, 32).entries
-        dense = max(np.linalg.norm(M @ pad.right_vectors - pad.right_vectors * pad.eigenvalues,
-                                   axis=0).max(),
-                    np.linalg.norm(M.conj().T @ pad.left_vectors
-                                   - pad.left_vectors * pad.eigenvalues.conj(), axis=0).max())
+        dense = max(np.linalg.norm(M @ r - r * w, axis=0).max(),
+                    np.linalg.norm(M.conj().T @ l - l * w.conj(), axis=0).max())
         assert dense > 5e-12
         assert _padded_residual(M_res, low) == pytest.approx(dense, rel=1e-6)
 
@@ -183,6 +183,44 @@ def test_assignment_matches_linear_sum_assignment():
         cost = (rng.random((n, n)), rng.integers(0, 3, (n, n)).astype(float),
                 -1.0 * (rng.random((n, n)) > 0.5))[trial % 3]
         assert _assignment(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
+
+
+class TestBestMatch:
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bands, "_assignment", lambda cost: calls.append(cost) or _assignment(cost))
+        return calls
+
+    def test_argmax_path_is_the_assignment_optimum(self, solver_calls):
+        # random overlaps, near-permutations and integer ones (ties and collisions)
+        rng = np.random.default_rng(11)
+        taken = 0
+        for trial in range(3000):
+            n = int(rng.integers(1, 9))
+            overlap = (rng.random((n, n)),
+                       np.eye(n)[rng.permutation(n)] + 0.4 * rng.random((n, n)),
+                       rng.integers(0, 3, (n, n)).astype(float))[trial % 3]
+            before = len(solver_calls)
+            perm = _best_match(overlap).tolist()
+            assert perm == _assignment((-overlap).tolist())
+            taken += len(solver_calls) == before
+        assert 1000 < taken < 2900
+
+    @pytest.mark.parametrize("overlap", [
+        [[0.9, 0.9], [0.1, 0.8]],                 # permutation, tie in row 0
+        [[0.9, 0.2], [0.8, 0.1]],                 # both rows on column 0
+        [[0.5, 0.5], [0.5, 0.5]],                 # every permutation optimal
+    ])
+    def test_tie_or_collision_falls_back(self, solver_calls, overlap):
+        overlap = np.array(overlap)
+        assert _best_match(overlap).tolist() == _assignment((-overlap).tolist())
+        assert len(solver_calls) == 1
+
+    def test_strict_permutation_skips_solver(self, solver_calls):
+        overlap = np.array([[0.1, 0.9, 0.2], [0.3, 0.2, 0.8], [0.7, 0.6, 0.1]])
+        assert _best_match(overlap).tolist() == [1, 2, 0]
+        assert solver_calls == []
 
 
 class TestCheckAssumption:

@@ -339,7 +339,8 @@ class TestDiracCommand:
         code, out = run(tmp_path, "dirac", cfg)
         assert code == 0
         V = from_parts(PotentialParts(sine_coeffs=(0.0, 1.0), gamma=0.2))
-        rows = list(csv.DictReader((out / "dirac.csv").open()))
+        with (out / "dirac.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert 225.0 in [float(r["mu"]) for r in rows]
         for r in rows:
             M = assemble(V, float(r["k0"]), cfg["J"])

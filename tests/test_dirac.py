@@ -276,6 +276,16 @@ class TestProp3Scan:
         with pytest.raises(ConfigError):
             prop3_scan(a, b, 0.5, [12], J=30)
 
+    def test_gap_decays_as_inverse_square(self):
+        # the asymptotic regime of the complex-band claim: with 200 harmonics the
+        # relative gap falls 0.0207/0.0073/0.0032/0.0018/0.0008/0.00045, local
+        # rates 2.045/2.021/2.012/2.007/2.002
+        a, b = self.sequences(200)
+        ms = [12, 20, 30, 40, 60, 80]
+        gaps = [r.relative_gap for r in prop3_scan(a, b, 0.5, ms, J=216)]
+        rates = -np.diff(np.log(gaps)) / np.diff(np.log(ms))
+        assert rates == pytest.approx(2.0, abs=0.05)
+
     def test_harmonic_margin_required(self):
         # sequences stopping at the coupling harmonic 24 of m = 12 gave a gap
         # of 0.104 instead of 0.0207; 2 m_max + 4 = 28 harmonics give 0.0210

@@ -353,6 +353,8 @@ class TestConvergenceStudy:
                                   eps_list=(0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125))
         assert len(matvecs) == sum(r.newton_iters for r in study.rows)
         assert max(matvecs) <= 20
+        # no step restarts: a restart would change the iterates
+        assert max(matvecs) < gpsolve.GMRES_RESTART
         # eps 0.2 and 0.1 are pinned in test_gentle_study_reproduces_dense_newton
         assert [r.newton_iters for r in study.rows[2:4]] == [3, 2]
         for row, ref in zip(study.rows[2:4], [0.015806304611934153, 0.004999149829614366]):
