@@ -1,8 +1,9 @@
 """Band structures over the Brillouin zone and the reality/isolation checks.
 
 The k grid is exactly antisymmetric, so the sweep solves only the
-N_k/2 + 1 points k >= 0 (right and left vectors in one decomposition)
-and fills each -k column from the mirror at |k| (eigen.Spectrum.mirrored).
+N_k/2 + 1 points k >= 0 (every right vector, and the left vectors of the
+columns it certifies) and fills each -k column from the mirror at |k|
+(eigen.Spectrum.mirrored).
 At each k it solves only the leading block M_{J'}(k) of the J-truncated
 matrix, J' on the ladder 8, 10, 12, 15, 18, 22, ... (each rung about 5/4
 of the last, capped at J), and stops at the first J' where the lowest
@@ -222,7 +223,7 @@ def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J:
     Jb = min(J_max, max(BLOCK_J0, h) if J_start is None else J_start)
     while True:
         M = discretize.assemble(p, k, min(J_max, Jb + h))
-        spec = eigen.solve(M.block(Jb))
+        spec = eigen.solve(M.block(Jb), pick)
         cols = pick(spec.eigenvalues)
         edge = np.abs(np.arange(-Jb, Jb + 1)) > Jb - max(1, h)
         tail = max(np.abs(spec.right_vectors[edge][:, cols]).max(),
@@ -457,7 +458,7 @@ def edge_curvature(p: PeriodicPotential, spec: eigen.Spectrum, index: int):
     """
     omega = spec.eigenvalues[index]
     r = spec.right_vectors[:, index]
-    l = spec.left_vectors[:, index]
+    l = spec.left(index)
     s = np.vdot(l, r)
     condition = float(np.linalg.norm(l) * np.linalg.norm(r) / abs(s))
     if spec.gap(index) <= 1e-6 * max(1.0, abs(omega)) or condition > 1e8:

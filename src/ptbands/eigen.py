@@ -15,18 +15,22 @@ Conventions used throughout:
 * every phase is fixed by gauge(v, angle), which turns the largest-|.|
   coefficient onto the angle.
 
-solve() returns right and left vectors from one LAPACK call.  Because
+solve() returns every right vector and, for the columns a caller picks, the
+left vector too.  The right vectors come from numpy's LAPACK eigensolver
+(eigh when the block is exactly Hermitian, which makes left = right).  Each
+picked left vector is one shifted inverse-iteration step on M^H started from
+its right vector (Ipsen, SIAM Rev. 39, 1997): the start carries
+1/|l^H r| >= 1 along l, so one step suffices.  Because
 M(-k) = R M(k)^T R with R the reversal j -> -j, the decomposition at -k is
 the reflected one at k (Spectrum.mirrored): the same eigenvalues, right
 vectors R conj(l) and left vectors R conj(r).  This is the reflection
 identity p*(x, k) = p(-x, -k) in coefficient form.  eigenvalues() serves
-callers that read no vectors.
+callers that read no vectors.  The module needs numpy only.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import BlochOperatorMatrix
 from .errors import ClassificationError, ComplexBandError, DegenerateEigenvalueError, PTBandsError
@@ -46,7 +50,9 @@ class Spectrum:
     part); right_vectors[:, i] is the unit-2-norm eigenvector of
     eigenvalues[i] in the e^{ijx} coefficient basis, j = -J..J, and
     left_vectors[:, i] the unit-2-norm left eigenvector
-    (l^H M = omega l^H, i.e. M^H l = conj(omega) l).
+    (l^H M = omega l^H, i.e. M^H l = conj(omega) l) in the columns solve()
+    was asked to pick, NaN in the others; left_vectors is None when solve()
+    picked none.
     """
 
     k: float
@@ -66,6 +72,14 @@ class Spectrum:
         return Spectrum(k=self.k, J=self.J, eigenvalues=self.eigenvalues[:n].copy(),
                         right_vectors=self.right_vectors[:, :n].copy(),
                         left_vectors=self.left_vectors[:, :n].copy())
+
+    def left(self, index):
+        """left_vectors[:, index]; PTBandsError when solve() did not pick it."""
+        l = None if self.left_vectors is None else self.left_vectors[:, index]
+        if l is None or np.isnan(l[0]):
+            raise PTBandsError(f"no left vector in column {index} at k={self.k}: "
+                               "solve() did not pick it")
+        return l
 
     def gap(self, index):
         """Distance from eigenvalues[index] to the nearest other eigenvalue."""
@@ -122,27 +136,85 @@ def _lapack_entries(M: BlochOperatorMatrix):
     PT-symmetric potential) take the real path, which returns exactly
     conjugate complex pairs."""
     A = M.entries
-    if np.abs(A.imag).max(initial=0.0) <= _REAL_ENTRY_TOL * max(1.0, np.abs(A.real).max()):
+    if not A.imag.any() or (np.abs(A.imag).max()
+                            <= _REAL_ENTRY_TOL * max(1.0, np.abs(A.real).max())):
         A = A.real
     return A
 
 
-def solve(M: BlochOperatorMatrix) -> Spectrum:
-    """Full eigendecomposition of a Bloch operator matrix, right and left vectors."""
+def solve(M: BlochOperatorMatrix, pick=None) -> Spectrum:
+    """Eigendecomposition of a Bloch operator matrix: every right vector, and
+    the left vectors in the columns pick(eigenvalues) selects (an index array
+    or slice into the sorted eigenvalues).  Without pick no left vector is
+    computed."""
+    A = _lapack_entries(M)
     try:
-        w, vl, vr = scipy.linalg.eig(_lapack_entries(M), left=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        # exactly Hermitian: the first row settles most non-Hermitian blocks
+        if np.array_equal(A[0], A[:, 0].conj()) and np.array_equal(A, A.conj().T):
+            w, right = np.linalg.eigh(A)        # ascending, left = right
+            right = right.astype(complex)
+            left = None if pick is None else right
+        else:
+            w, right = np.linalg.eig(A)
+            order = np.lexsort((w.imag, w.real))
+            w, right = w[order], right[:, order].astype(complex)
+            left = None if pick is None else _left_vectors(A, w, right, pick(w))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
-    order = np.lexsort((w.imag, w.real))
-    return Spectrum(k=M.k, J=M.J, eigenvalues=w[order], right_vectors=vr[:, order],
-                    left_vectors=vl[:, order])
+    return Spectrum(k=M.k, J=M.J, eigenvalues=w.astype(complex), right_vectors=right,
+                    left_vectors=left)
+
+
+def _left_vectors(A, w, right, cols):
+    """Unit left vectors in columns cols, NaN in the others.
+
+    Column i takes one inverse-iteration step (A^H - (conj(w_i) + d) I) x = r_i
+    from its right vector r_i.  The shift d = u max_j |w_j|, u ||A|| for these
+    matrices whose diagonal (j + k)^2 dominates, keeps an exactly singular
+    system (w_i exact, as on a diagonal block) solvable without a second code
+    path, as LAPACK's xLAEIN perturbs tiny pivots.  The step
+    leaves l_i a part d |x_j^H r_i| / |w_j - w_i| along the left vector of
+    another eigenvalue w_j (x_j its right vector), so eigenvalues apart by
+    about d with overlapping right vectors (the near-doubles at the top of a
+    block) are not told apart; the callers' picks are well separated or exact
+    doubles on disjoint chains of harmonics.  For real A the left vector at
+    conj(w) is the conjugate of the one at w: the minus-Im member of a pair is
+    solved at its partner and conjugated, the two members share one solve,
+    and real eigenvalues solve in real arithmetic.
+    """
+    n = len(w)
+    om, r = w[cols], right[:, cols]
+    pairs = np.isrealobj(A) and om.imag.any()
+    if pairs:
+        om, r = om.copy(), r.copy()
+        minus = om.imag < 0
+        om[minus], r[:, minus] = om[minus].conj(), r[:, minus].conj()
+        # the two members of a conjugate pair are now the same system, adjacent
+        # in the (Re, Im) order
+        new = np.ones(len(om), dtype=bool)
+        new[1:] = (om[1:] != om[:-1]) | (r[:, 1:] != r[:, :-1]).any(axis=0)
+        om, r = om[new], r[:, new]
+    elif np.isrealobj(A):
+        om, r = om.real, r.real
+    S = np.empty((len(om), n, n), dtype=np.result_type(A, om))
+    S[:] = A.conj().T
+    d = np.finfo(float).eps * abs(w).max()
+    S.reshape(len(om), n * n)[:, ::n + 1] -= (om.conj() + d)[:, None]
+    x = np.linalg.solve(S, r.T[:, :, None])[:, :, 0].T
+    x /= np.linalg.norm(x, axis=0)
+    if pairs:
+        x = x[:, np.cumsum(new) - 1]
+        x[:, minus] = x[:, minus].conj()
+    left = np.full((n, n), np.nan, dtype=complex)
+    left[:, cols] = x
+    return left
 
 
 def eigenvalues(M: BlochOperatorMatrix) -> np.ndarray:
     """Eigenvalues of a Bloch operator matrix in solve()'s order, no vectors."""
     try:
-        w = scipy.linalg.eigvals(_lapack_entries(M))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        w = np.linalg.eigvals(_lapack_entries(M)).astype(complex)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
     return w[np.lexsort((w.imag, w.real))]
 
@@ -206,7 +278,7 @@ def make_mode(spec: Spectrum, index: int) -> BlochMode:
     v = v / (np.sqrt(TWO_PI) * np.linalg.norm(v))
     v = v * gauge(v)
 
-    w = spec.left_vectors[:, index]
+    w = spec.left(index)
     s = inner(v, w)
     if abs(s) < 1e-8:
         raise DegenerateEigenvalueError(

@@ -26,7 +26,6 @@ application is a batched P x P product on c, O(P N), with no FFT.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetri
 
 from . import effective as effective_mod
 from .errors import ConfigError, GridError, NewtonError, PTSymmetryError
@@ -117,9 +116,12 @@ def hs_norm(u, s: float, grid: RealLineGrid) -> float:
 def gp_residual(u, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
                 grid: RealLineGrid):
     """Pointwise residual -u'' + V u + sigma |u|^2 u - omega u."""
-    upp = grid.second_derivative(u)
-    return (-upp + V.eval(grid.x) * u + sigma.eval(grid.x) * np.abs(u) ** 2 * u
-            - omega * u)
+    return _residual(u, omega, V.eval(grid.x), sigma.eval(grid.x), grid)
+
+
+def _residual(u, omega: float, Vx, sx, grid: RealLineGrid):
+    """gp_residual with V and sigma already sampled on the grid (Vx, sx)."""
+    return -grid.second_derivative(u) + Vx * u + sx * np.abs(u) ** 2 * u - omega * u
 
 
 def _pt_project(u, grid: RealLineGrid):
@@ -149,6 +151,7 @@ def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
     Raises NewtonError when a block is singular or its 1-norm condition
     exceeds BLOCK_COND_MAX.
     """
+    from scipy.linalg.lapack import dgetrf, dgetri     # imported here: only Newton needs it
     C = grid.cells
     N = grid.n_points
     if N % C:
@@ -208,7 +211,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     history = []
     iters = 0
     for _ in range(max_iter + 1):
-        G = gp_residual(u, omega, V, sigma, grid)
+        G = _residual(u, omega, Vx, sx, grid)
         rnorm = grid.l2_norm(G)
         history.append(rnorm)
         if on_iterate is not None:

@@ -18,6 +18,11 @@ def two_harmonic_potential(gamma):
     return from_parts(two_harmonic_parts(gamma))
 
 
+def every_column(w):
+    """solve() pick that asks for the left vector of every eigenvalue."""
+    return slice(None)
+
+
 def gentle_parts(gamma=0.5):
     """V = cos x + i*gamma*sin x: a shallow PT lattice with a clean lowest band."""
     return PotentialParts(cosine_coeffs=(1.0,), sine_coeffs=(1.0,), gamma=gamma)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -344,7 +345,7 @@ class TestDiracCommand:
         assert 225.0 in [float(r["mu"]) for r in rows]
         for r in rows:
             M = assemble(V, float(r["k0"]), cfg["J"])
-            spec = solve(M)
+            spec = solve(M, lambda w: np.argsort(np.abs(w - float(r["mu"])))[:2])
             idx = np.argsort(np.abs(spec.eigenvalues - float(r["mu"])))[:2]
             R, L = spec.right_vectors[:, idx], spec.left_vectors[:, idx]
             kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
@@ -367,15 +368,37 @@ class TestDiracCommand:
             assert "dimension" in err and err.rstrip().endswith("more)")
 
 
-def test_cli_import_leaves_out_optimize_and_sparse_linalg():
-    # scipy.optimize cost every process about 0.25 s; sparse.linalg is Newton's
-    probe = ("import sys, ptbands.cli; "
-             "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules])")
+def test_cli_import_leaves_out_optimize_and_sparse_linalg(tmp_path):
+    # scipy is about half of a CLI process's start-up and only Newton needs it:
+    # importing the CLI and running every shipped non-converge config loads no
+    # scipy module, and converge then still runs
+    probe = textwrap.dedent("""
+        import json, pathlib, sys
+        import ptbands.cli
+        from ptbands.cli import main
+        configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+        loaded = [sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+        for path in sorted(configs.glob("*.json")):
+            command = path.stem.split("_")[0]
+            if command != "converge":
+                assert main([command, "--config", str(path), "--out", str(out / path.stem)]) == 0
+        loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        cfg = json.loads((configs / "converge_gentle.json").read_text())
+        cfg["eps_list"] = [0.2]
+        (out / "converge.json").write_text(json.dumps(cfg))
+        code = main(["converge", "--config", str(out / "converge.json"),
+                     "--out", str(out / "converge")])
+        print(json.dumps([loaded, code, "scipy.sparse.linalg" in sys.modules]))
+    """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe, str(CONFIGS), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    loaded, code, newton_loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == [[], []]
+    assert {p.stem.split("_")[0] for p in CONFIGS.glob("*.json")} == {
+        "ansatz", "bands", "converge", "dirac", "effective"}
+    assert code == 0 and newton_loaded
 
 
 def test_sample_configs_parse(tmp_path):

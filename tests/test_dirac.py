@@ -171,6 +171,19 @@ class TestMeasureSplitting:
         assert plus.imag > 1e-2
         assert plus == pytest.approx(np.conj(minus), abs=1e-10)
 
+    def test_relative_gap_falls_as_gamma_squared(self, free_points):
+        # the asymptotic regime of the degenerate-pair prediction: at the free
+        # point mu = 1 (k0 = 0) the relative gap falls 6.25e-4/1.56e-4/3.91e-5/
+        # 9.77e-6/2.44e-6, local rates 2.0008/2.0002/2.0001/2.0000
+        dp = point_at(free_points, 1.0)
+        gammas = [0.4, 0.2, 0.1, 0.05, 0.025]
+        gaps = [predict_splitting(dp, SIN2X, g).with_measurement(
+                    measure_splitting(from_parts(replace(SIN2X, gamma=g)), dp.k0, dp.mu, 32)
+                ).relative_gap for g in gammas]
+        assert gaps[0] == pytest.approx(6.25e-4, rel=1e-3)
+        rates = np.diff(np.log(gaps)) / np.diff(np.log(gammas))
+        assert rates == pytest.approx(2.0, abs=0.01)
+
     def test_no_eigenvalues_near_mu(self):
         with pytest.raises(ClassificationError):
             measure_splitting(FREE, 0.0, 200.0, 8)
@@ -202,7 +215,7 @@ class TestMeasureSplitting:
         block = np.sort_complex(measure_splitting(V, k0, mu, J))
         w = eigen.eigenvalues(M)
         full = np.sort_complex(w[_nearest(w, mu)])
-        spec = solve(M)
+        spec = solve(M, lambda w: _nearest(w, mu))
         idx = _nearest(spec.eigenvalues, mu)
         R, L = spec.right_vectors[:, idx], spec.left_vectors[:, idx]
         kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
@@ -213,7 +226,8 @@ class TestMeasureSplitting:
         # fixed by the lattice and mu, not by J
         sizes = []
         full_solve = eigen.solve
-        monkeypatch.setattr(eigen, "solve", lambda M: sizes.append(M.J) or full_solve(M))
+        monkeypatch.setattr(eigen, "solve",
+                            lambda M, pick=None: sizes.append(M.J) or full_solve(M, pick))
         monkeypatch.setattr(eigen, "eigenvalues", lambda M: pytest.fail("full solve"))
         V = from_parts(SIN2X)
         largest = []

@@ -8,14 +8,14 @@ from ptbands import (AssumptionError, ConfigError, EffectiveModel, ExistenceErro
                      extract_effective_model, fix_pt_phase, from_parts,
                      gamma_coefficient, grid_for_envelope, hs_norm, make_mode,
                      sech_envelope, solve)
-from conftest import two_harmonic_potential, gentle_parts
+from conftest import every_column, gentle_parts, two_harmonic_potential
 
 FREE = constant(0.0)
 TWO_PI = 2 * np.pi
 
 
 def free_ground_mode():
-    spec = solve(assemble(FREE, 0.0, 8))
+    spec = solve(assemble(FREE, 0.0, 8), every_column)
     return fix_pt_phase(make_mode(spec, 0))
 
 
@@ -41,7 +41,7 @@ class TestGammaCoefficient:
         x = np.arange(2048) * TWO_PI / 2048
         for amplitude, J in ((2.0, 20), (6.0, 4)):
             p = from_parts(PotentialParts(cosine_coeffs=(amplitude,)))
-            mode = fix_pt_phase(make_mode(solve(assemble(p, 0.0, J)), 0))
+            mode = fix_pt_phase(make_mode(solve(assemble(p, 0.0, J), every_column), 0))
             got = gamma_coefficient(mode, sigma)
             g = mode.g_values(x)
             dense = np.sum(sigma.eval(x) * g**2 * np.abs(g)**2) / np.sum(g**2)
@@ -55,7 +55,7 @@ class TestGammaCoefficient:
         sigma = from_parts(PotentialParts(cosine_coeffs=(0.5,)))
         sigma = replace_constant(sigma, -1.0)
         for k0, idx in ((0.0, 0), (0.5, 1)):
-            spec = solve(assemble(p, k0, 20))
+            spec = solve(assemble(p, k0, 20), every_column)
             mode = fix_pt_phase(make_mode(spec, idx))
             x = np.arange(2048) * TWO_PI / 2048
             g = mode.g_values(x)
@@ -69,7 +69,7 @@ class TestGammaCoefficient:
         # at k0 = 1/2 the pairing equals int sigma g^2 |g|^2 / int g^2 with
         # g = e^{ix/2} p, the quasiperiodic continuation across the zone
         V = from_parts(gentle_parts())
-        spec = solve(assemble(V, 0.5, 20))
+        spec = solve(assemble(V, 0.5, 20), every_column)
         mode = fix_pt_phase(make_mode(spec, 0))
         x = np.arange(4096) * TWO_PI / 4096
         g = mode.g_values(x)
@@ -90,7 +90,7 @@ class TestGammaCoefficient:
 
 
     def test_rejects_interior_k(self):
-        spec = solve(assemble(FREE, 0.25, 8))
+        spec = solve(assemble(FREE, 0.25, 8), every_column)
         with pytest.raises(ConfigError):
             gamma_coefficient(make_mode(spec, 0), constant(1.0))
 
@@ -197,7 +197,7 @@ class TestBuildAnsatz:
         # build_ansatz tiles one FFT-sampled cell; with 32 points per cell and
         # 2J + 1 > 32 coefficients the cell samples fold aliased harmonics
         V = from_parts(gentle_parts())
-        mode = fix_pt_phase(make_mode(solve(assemble(V, k0, J)), 0))
+        mode = fix_pt_phase(make_mode(solve(assemble(V, k0, J), every_column), 0))
         env = SechEnvelope(amplitude=1.0, width=2.0, Omega=-1)
         grid = grid_for_envelope(0.1, env.width)
         state = build_ansatz(env, mode, 0.1, grid)
