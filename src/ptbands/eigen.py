@@ -18,9 +18,10 @@ Conventions used throughout:
 solve() returns every right vector and, for the columns a caller picks, the
 left vector too.  The right vectors come from numpy's LAPACK eigensolver
 (eigh when the block is exactly Hermitian, which makes left = right).  Each
-picked left vector is one shifted inverse-iteration step on M^H started from
-its right vector (Ipsen, SIAM Rev. 39, 1997): the start carries
-1/|l^H r| >= 1 along l, so one step suffices.  Because
+picked left vector is the matching row of the inverse of the right-vector
+matrix, biorthogonal to every other right vector; a row whose residual the
+conditioning of that matrix has spoilt is replaced by one shifted
+inverse-iteration step on M^H from its right vector (_left_vectors).  Because
 M(-k) = R M(k)^T R with R the reversal j -> -j, the decomposition at -k is
 the reflected one at k (Spectrum.mirrored): the same eigenvalues, right
 vectors R conj(l) and left vectors R conj(r).  This is the reflection
@@ -64,20 +65,23 @@ class Spectrum:
     def mirrored(self):
         """The decomposition at -k, from M(-k) = R M(k)^T R (R: j -> -j)."""
         return Spectrum(k=-self.k, J=self.J, eigenvalues=self.eigenvalues,
-                        right_vectors=self.left_vectors[::-1].conj(),
+                        right_vectors=self._left(slice(None), "every column")[::-1].conj(),
                         left_vectors=self.right_vectors[::-1].conj())
 
     def lowest(self, n):
         """The first n eigenpairs, copied so the full decomposition can be freed."""
         return Spectrum(k=self.k, J=self.J, eigenvalues=self.eigenvalues[:n].copy(),
                         right_vectors=self.right_vectors[:, :n].copy(),
-                        left_vectors=self.left_vectors[:, :n].copy())
+                        left_vectors=self._left(slice(n), f"the first {n} columns").copy())
 
     def left(self, index):
         """left_vectors[:, index]; PTBandsError when solve() did not pick it."""
-        l = None if self.left_vectors is None else self.left_vectors[:, index]
-        if l is None or np.isnan(l[0]):
-            raise PTBandsError(f"no left vector in column {index} at k={self.k}: "
+        return self._left(index, f"column {index}")
+
+    def _left(self, cols, what):
+        l = None if self.left_vectors is None else self.left_vectors[:, cols]
+        if l is None or np.isnan(l[0]).any():
+            raise PTBandsError(f"no left vector in {what} at k={self.k}: "
                                "solve() did not pick it")
         return l
 
@@ -149,62 +153,60 @@ def solve(M: BlochOperatorMatrix, pick=None) -> Spectrum:
     computed."""
     A = _lapack_entries(M)
     try:
-        # exactly Hermitian: the first row settles most non-Hermitian blocks
-        if np.array_equal(A[0], A[:, 0].conj()) and np.array_equal(A, A.conj().T):
+        # exactly Hermitian: one pair of entries settles most non-Hermitian blocks
+        if A[1, 0] == np.conj(A[0, 1]) and np.array_equal(A, A.conj().T):
             w, right = np.linalg.eigh(A)        # ascending, left = right
-            right = right.astype(complex)
             left = None if pick is None else right
         else:
             w, right = np.linalg.eig(A)
-            order = np.lexsort((w.imag, w.real))
-            w, right = w[order], right[:, order].astype(complex)
+            order = np.argsort(w, kind="stable")     # by real part, ties by imaginary
+            w, right = w[order], right[:, order]
             left = None if pick is None else _left_vectors(A, w, right, pick(w))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
-    return Spectrum(k=M.k, J=M.J, eigenvalues=w.astype(complex), right_vectors=right,
-                    left_vectors=left)
+    return Spectrum(k=M.k, J=M.J, eigenvalues=w.astype(complex, copy=False),
+                    right_vectors=right, left_vectors=left)
 
 
 def _left_vectors(A, w, right, cols):
     """Unit left vectors in columns cols, NaN in the others.
 
-    Column i takes one inverse-iteration step (A^H - (conj(w_i) + d) I) x = r_i
-    from its right vector r_i.  The shift d = u max_j |w_j|, u ||A|| for these
-    matrices whose diagonal (j + k)^2 dominates, keeps an exactly singular
-    system (w_i exact, as on a diagonal block) solvable without a second code
-    path, as LAPACK's xLAEIN perturbs tiny pivots.  The step
-    leaves l_i a part d |x_j^H r_i| / |w_j - w_i| along the left vector of
-    another eigenvalue w_j (x_j its right vector), so eigenvalues apart by
-    about d with overlapping right vectors (the near-doubles at the top of a
-    block) are not told apart; the callers' picks are well separated or exact
-    doubles on disjoint chains of harmonics.  For real A the left vector at
-    conj(w) is the conjugate of the one at w: the minus-Im member of a pair is
-    solved at its partner and conjugated, the two members share one solve,
-    and real eigenvalues solve in real arithmetic.
+    Column i is row i of R^{-1} (R the right vectors), conjugated: the left
+    vector biorthogonal to every other right vector, however close its
+    eigenvalue, so near-doubles stay apart.  Its residual grows with the
+    conditioning of R, as every ill-conditioned eigenvalue of the block leaks
+    into it.  Where the residual exceeds n d, d = u max(1, max_j |w_j|)
+    (u ||A|| for these matrices whose diagonal (j + k)^2 dominates), the
+    column is replaced by one inverse-iteration step
+    (A^H - (conj(w_i) + d) I) x = r_i from its right vector (Ipsen, SIAM
+    Rev. 39, 1997): r_i carries 1/|l_i^H r_i| >= 1 along l_i, so one step
+    gives a residual of order d, and the shift d keeps the system of an exact
+    eigenvalue (a diagonal block) nonsingular.  The step mixes in the left
+    vector of another eigenvalue w_j by about d / |w_j - w_i|, so an
+    eigenvalue within sqrt(u) max|w| of another keeps its R^{-1} row.  Real
+    R solves in real arithmetic.  A singular R (an exactly defective
+    eigenvalue) raises LinAlgError.
     """
     n = len(w)
-    om, r = w[cols], right[:, cols]
-    pairs = np.isrealobj(A) and om.imag.any()
-    if pairs:
-        om, r = om.copy(), r.copy()
-        minus = om.imag < 0
-        om[minus], r[:, minus] = om[minus].conj(), r[:, minus].conj()
-        # the two members of a conjugate pair are now the same system, adjacent
-        # in the (Re, Im) order
-        new = np.ones(len(om), dtype=bool)
-        new[1:] = (om[1:] != om[:-1]) | (r[:, 1:] != r[:, :-1]).any(axis=0)
-        om, r = om[new], r[:, new]
-    elif np.isrealobj(A):
-        om, r = om.real, r.real
-    S = np.empty((len(om), n, n), dtype=np.result_type(A, om))
-    S[:] = A.conj().T
-    d = np.finfo(float).eps * abs(w).max()
-    S.reshape(len(om), n * n)[:, ::n + 1] -= (om.conj() + d)[:, None]
-    x = np.linalg.solve(S, r.T[:, :, None])[:, :, 0].T
-    x /= np.linalg.norm(x, axis=0)
-    if pairs:
-        x = x[:, np.cumsum(new) - 1]
-        x[:, minus] = x[:, minus].conj()
+    x = np.linalg.solve(right.conj().T, np.eye(n)[:, cols])
+    size = np.sqrt(np.einsum("ij,ij->j", x.conj(), x).real)
+    om = w[cols].conj()
+    res = A.conj().T @ x - x * om
+    d = np.finfo(float).eps * max(1.0, abs(w).max())
+    x = x / size
+    # a column's residual is at most sqrt(n) times its largest entry: most
+    # blocks pass without a look at single columns
+    if abs(res).max() > np.sqrt(n) * d * size.min():
+        far = np.nonzero(np.linalg.norm(res, axis=0) > n * d * size)[0]
+        gap = np.partition(np.abs(w[:, None] - w[cols][far]), 1, axis=0)[1]
+        far = far[gap > d / np.sqrt(np.finfo(float).eps)]
+        if far.size:
+            S = np.empty((far.size, n, n), dtype=np.result_type(A, om))
+            S[:] = A.conj().T
+            S.reshape(far.size, n * n)[:, ::n + 1] -= (om[far] + d)[:, None]
+            y = np.linalg.solve(S, right[:, cols][:, far].T[:, :, None])[:, :, 0].T
+            x = x.astype(np.result_type(x, y))
+            x[:, far] = y / np.linalg.norm(y, axis=0)
     left = np.full((n, n), np.nan, dtype=complex)
     left[:, cols] = x
     return left

@@ -61,12 +61,22 @@ class TestLeftVectors:
             assert abs(abs(np.vdot(v_adj[:, j], L[:, i])) - 1) <= 1e-9
 
     def test_biorthogonal_to_right_vectors(self):
-        # the five bands the sweep picks on this lattice; the near-doubles at the
-        # top of the block (gaps 1e-13, about u ||M||) are left out, see eigen._left_vectors
-        spec = solve(assemble(two_harmonic_potential(1.5), 0.5, 16), lambda w: slice(5))
-        G = spec.left_vectors[:, :5].conj().T @ spec.right_vectors[:, :5]
+        spec = solve(assemble(two_harmonic_potential(1.5), 0.5, 16), every_column)
+        G = spec.left_vectors.conj().T @ spec.right_vectors
         off = G - np.diag(np.diag(G))
         assert np.abs(off).max() <= 1e-9
+
+    def test_near_doubles_and_near_exceptional_pair_stay_apart(self):
+        # at J = 32 the top of this block holds near-doubles 1e-13 apart (about
+        # u ||M||) and a pair with |l^H r| ~ 1e-9; one inverse-iteration step
+        # from the right vectors mixes such neighbours by up to 0.1
+        M = assemble(two_harmonic_potential(1.5), 0.5, 32)
+        spec = solve(M, every_column)
+        L, R = spec.left_vectors, spec.right_vectors
+        G = L.conj().T @ R
+        assert np.abs(G - np.diag(np.diag(G))).max() <= 1e-9
+        res = M.entries.conj().T @ L - L * np.conj(spec.eigenvalues)
+        assert np.abs(res).max() <= 1e-9 * M.norm()
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_mirrored_equals_direct_solve(self, case):
@@ -150,6 +160,18 @@ class TestPickedLeftVectors:
             expect = np.sort_complex((js + k) ** 2 + 1j)[:5]
             assert np.abs(np.sort_complex(bs.omega[:, i]) - expect).max() <= 1e-13
 
+    def test_exact_eigenvalue_takes_a_nonsingular_step(self):
+        # a right vector 1e-6 off spoils row 0 of R^{-1}; the inverse-iteration
+        # step at the exact eigenvalue 1 meets A^H - I, singular without its shift
+        from ptbands.eigen import _left_vectors
+        A = np.diag([1.0, 2.0, 3.0])
+        right = np.eye(3)
+        right[0, 1] = 1e-6
+        left = _left_vectors(A, np.array([1.0, 2.0, 3.0]), right, [0])
+        assert abs(abs(left[0, 0]) - 1) <= 1e-15
+        assert np.abs(left[1:, 0]).max() <= 1e-15
+        assert np.isnan(left[:, 1:]).all()
+
     def test_unpicked_columns_carry_no_left_vector(self):
         from ptbands import PTBandsError
         M = assemble(two_harmonic_potential(1.0), 0.25, 12)
@@ -159,6 +181,17 @@ class TestPickedLeftVectors:
         make_mode(spec, 1)
         with pytest.raises(PTBandsError, match="did not pick"):
             make_mode(spec, 2)
+
+    def test_mirror_and_lowest_refuse_missing_left_vectors(self):
+        from ptbands import PTBandsError
+        M = assemble(two_harmonic_potential(1.0), 0.25, 12)
+        for spec in (solve(M), solve(M, lambda w: [0, 2])):
+            with pytest.raises(PTBandsError, match="did not pick"):
+                spec.mirrored()
+            with pytest.raises(PTBandsError, match="did not pick"):
+                spec.lowest(3)
+        spec = solve(M, lambda w: slice(3))
+        assert spec.lowest(3).mirrored().k == -0.25
 
 
 class TestClassify:
