@@ -4,13 +4,20 @@ The k grid is exactly antisymmetric, so the sweep solves only the
 N_k/2 + 1 points k >= 0 (every right vector, and the left vectors of the
 columns it certifies) and fills each -k column from the mirror at |k|
 (eigen.Spectrum.mirrored).
-At each k it solves only the leading block M_{J'}(k) of the J-truncated
+Each k is solved only in the leading block M_{J'}(k) of the J-truncated
 matrix, J' on the ladder 8, 10, 12, 15, 18, 22, ... (each rung about 5/4
-of the last, capped at J), and stops at the first J' where the lowest
-n_bands right and left vectors weigh at most TAIL_TOL in the slots
-J' - h < |j| <= J', h the highest harmonic of the potential: the slots
-through which M_J couples a block vector to the harmonics past J'.  J'
-carries from column to column, so only k = 0 climbs the ladder.  The
+of the last, capped at J): the first J' where the lowest n_bands right and
+left vectors weigh at most TAIL_TOL in the slots J' - h < |j| <= J', h the
+highest harmonic of the potential: the slots through which M_J couples a
+block vector to the harmonics past J'.  Only k = 0 climbs the ladder, one
+decomposition per rung.  The columns k > 0 are then decomposed at its J' as
+stacks of up to STACK_COLUMNS blocks, assembled from one Toeplitz matrix,
+through one eigen.decompose each (one batched eigensolve and one batched
+left-vector solve), with the tails and padded residuals of the whole stack
+taken at once.  J' carries from column to column: the first column of a
+stack whose tail exceeds TAIL_TOL climbs on its own, the columns before it
+are kept, and those after it are stacked again at its J', so every column
+is solved at the J' of a walk through the grid one column at a time.  The
 residual of the zero-padded pairs against M_J is their backward error as
 eigenpairs of M_J (Kahan, Parlett & Jiang, SIAM J. Numer. Anal. 19, 1982)
 and is recorded per column.  A tail above TAIL_MAX at J' = J means J
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discretize, eigen
-from .errors import AssumptionError, ComplexBandError, ConfigError, TruncationError
+from .errors import AssumptionError, ComplexBandError, ConfigError, PTBandsError, TruncationError
 from .potential import PeriodicPotential
 
 # reality tolerance: an omega counts as real when
@@ -43,6 +50,8 @@ REALITY_TOL = 1e-8
 # a band is isolated when its complex-plane distance to every other
 # computed eigenvalue over the k grid exceeds this
 ISOLATION_THRESHOLD = 1e-3
+# entries of the largest temporary check_assumption makes for that distance
+ISOLATION_CHUNK = 2 ** 16
 
 # a block ladder stops once the certified columns (the lowest n_bands, or the
 # pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
@@ -60,6 +69,13 @@ TAIL_TOL = 1e-14
 # band-edge eigenvalues 2.7e-10 off, and 3.6e-7 at J = 12, where they are
 # within roundoff
 TAIL_MAX = 1e-6
+
+# the sweep decomposes the columns k > 0 at one J' in stacks of at most this
+# many blocks, so its temporaries stay bounded on any grid.  Stacks of 16 run
+# the N_k = 64 sweeps as fast as one stack of 32 and leave peak RSS as it was
+# with one decomposition per column; stacks of 32 (about 3.5 MB of
+# temporaries at J' = 22) raised it by 1.8 MB over a fixed benchmark round
+STACK_COLUMNS = 16
 
 # second_derivative divides its step by 4 at most this often
 MAX_STEP_RETRIES = 3
@@ -169,25 +185,47 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
     if not 1 <= n_bands <= 2 * J + 1:
         raise ConfigError(f"n_bands={n_bands} outside 1..{2 * J + 1}")
     zero = N_k // 2 - 1                     # ks[zero] = 0, ks[-1] = 1/2
-
-    # the block holds n_bands pairs and every harmonic of p
-    Jb = min(J, max(SWEEP_J0, n_bands, p.max_harmonic))
+    what = f"the lowest {n_bands} bands"
 
     def lowest_n(w):
         return slice(n_bands)
 
     edges, lowest, block_J, tails, residuals = {}, [], [], [], []
-    for k in ks[zero:]:
-        spec, _, tail, M = _leading_block(p, k, J, lowest_n, Jb, rung=_sweep_rung)
-        _require_resolved(p, k, J, lowest_n, tail, f"the lowest {n_bands} bands")
-        Jb = spec.J                         # the next column starts here
-        if k in (0.0, 0.5):
-            edges[float(k)] = spec
-        low = spec.lowest(n_bands)
-        lowest.append(low)
-        block_J.append(Jb)
+
+    def keep(spec, tail, residual):
+        if spec.k in (0.0, 0.5):            # copied, so that no stack outlives its step
+            edges[spec.k] = eigen.Spectrum(
+                k=spec.k, J=spec.J, eigenvalues=spec.eigenvalues.copy(order="K"),
+                right_vectors=spec.right_vectors.copy(order="K"),
+                left_vectors=spec.left_vectors.copy(order="K"))
+        lowest.append(spec.lowest(n_bands))
+        block_J.append(spec.J)
         tails.append(tail)
-        residuals.append(_padded_residual(M, low))
+        residuals.append(residual)
+
+    # k = 0 climbs from a block that holds n_bands pairs and every harmonic of p
+    i, climb = zero, min(J, max(SWEEP_J0, n_bands, p.max_harmonic))
+    while i < N_k:
+        if climb is not None:
+            spec, _, tail, M = _leading_block(p, ks[i], J, lowest_n, climb, rung=_sweep_rung)
+            _require_resolved(p, ks[i], J, lowest_n, tail, what)
+            keep(spec, tail, _padded_residual(M, spec.lowest(n_bands)))
+            Jb, i, climb = spec.J, i + 1, None
+            continue
+        stack = ks[i:i + STACK_COLUMNS]
+        w, right, left, tail, residual = _stacked_blocks(p, stack, J, Jb, n_bands)
+        # the walk one column at a time keeps J' up to the first column whose
+        # tail exceeds TAIL_TOL; that column climbs on its own from the next rung
+        over = np.nonzero(tail > TAIL_TOL)[0] if Jb < J else []
+        n_kept = over[0] if len(over) else len(stack)
+        for j in range(n_kept):
+            _require_resolved(p, stack[j], J, lowest_n, tail[j], what)
+            keep(eigen.Spectrum(k=float(stack[j]), J=Jb, eigenvalues=w[j], right_vectors=right[j],
+                                left_vectors=left[j]), tail[j], residual[j])
+        del w, right, left                  # the stack, once its columns are kept
+        i += n_kept
+        if n_kept < len(stack):
+            climb = _sweep_rung(Jb)
 
     def mirror(seq):
         # ks[i] = -ks[2 zero - i]: column i < zero mirrors seq[zero - i]
@@ -205,6 +243,28 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
 def _sweep_rung(J):
     """The sweep's rung after J': about 5/4 J', at least J' + 2."""
     return max(J + 2, 5 * J // 4)
+
+
+def _stacked_blocks(p, ks, J_max, J, n_bands):
+    """The blocks M_J(k), k in ks, decomposed as one stack, with the lowest
+    n_bands left vectors.
+
+    Returns the eigenvalues, right and left vectors of every block, and per
+    block the tail weight of the lowest n_bands pairs and the residual of
+    those pairs zero-padded against M_{J_max}, from one assembly of
+    M_{J''}(k), J'' = min(J_max, J + max_harmonic), with the blocks at its
+    centre (as in _leading_block).
+    """
+    E = discretize.assemble_stack(p, ks, min(J_max, J + p.max_harmonic))
+    inner = slice(len(E[0]) // 2 - J, len(E[0]) // 2 + J + 1)
+    cols = slice(n_bands)
+    try:
+        w, right, left = eigen.decompose(E[:, inner, inner], lambda w: cols)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise PTBandsError(f"eigensolver failed at k = {ks[0]:g} ... {ks[-1]:g}, J={J}: {exc}") from exc
+    tail = _tail(p, right, left, cols)
+    residual = _padded_residuals(E, w[:, cols], right[..., cols], left[..., cols])
+    return w, right, left, tail, residual
 
 
 def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J: 2 * J):
@@ -225,12 +285,20 @@ def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J:
         M = discretize.assemble(p, k, min(J_max, Jb + h))
         spec = eigen.solve(M.block(Jb), pick)
         cols = pick(spec.eigenvalues)
-        edge = np.abs(np.arange(-Jb, Jb + 1)) > Jb - max(1, h)
-        tail = max(np.abs(spec.right_vectors[edge][:, cols]).max(),
-                   np.abs(spec.left_vectors[edge][:, cols]).max())
+        tail = _tail(p, spec.right_vectors, spec.left_vectors, cols)
         if tail <= tol or Jb >= J_max:
             return spec, cols, tail, M
         Jb = min(rung(Jb), J_max)
+
+
+def _tail(p, right, left, cols):
+    """Largest |entry| of the right and left vectors in columns cols at
+    J - max_harmonic < |j| <= J, J the block size; one value per block of a
+    stack."""
+    J = right.shape[-2] // 2
+    edge = np.abs(np.arange(-J, J + 1)) > J - max(1, p.max_harmonic)
+    return np.maximum(np.abs(right[..., edge, :][..., cols]).max(axis=(-2, -1)),
+                      np.abs(left[..., edge, :][..., cols]).max(axis=(-2, -1)))
 
 
 def _require_resolved(p, k, J, pick, tail, what):
@@ -253,13 +321,25 @@ def _padded_residual(M, spec):
     |j| <= spec.J + max_harmonic, so M = M_{min(J, spec.J + max_harmonic)}
     gives the residual against M_J.
     """
-    inner = slice(M.J - spec.J, M.J + spec.J + 1)
-    w, r, l = spec.eigenvalues, spec.right_vectors, spec.left_vectors
-    res_r = M.entries[:, inner] @ r
-    res_r[inner] -= r * w
-    res_l = M.entries[inner].conj().T @ l
-    res_l[inner] -= l * w.conj()
-    return max(np.linalg.norm(res_r, axis=0).max(), np.linalg.norm(res_l, axis=0).max())
+    return _padded_residuals(M.entries, spec.eigenvalues, spec.right_vectors, spec.left_vectors)
+
+
+def _padded_residuals(M, w, r, l):
+    """_padded_residual on arrays: the matrix or stack M (..., n, n) and the
+    pairs (w, r, l) of its centre block or blocks; one value per block.
+    The pairs are padded, so M is read in place, not copied in slices; the
+    left residual M^H l - conj(w) l is taken as its conjugate
+    M^T conj(l) - w conj(l), which has the same norm."""
+    J, Jb = M.shape[-1] // 2, r.shape[-2] // 2
+    inner = slice(J - Jb, J + Jb + 1)
+    res = []
+    for v, om, MT in ((r, w, M), (l.conj(), w, M.swapaxes(-1, -2))):
+        pad = np.zeros(v.shape[:-2] + (M.shape[-1], v.shape[-1]), dtype=complex)
+        pad[..., inner, :] = v
+        Mv = eigen._matmul(MT, pad)
+        Mv[..., inner, :] -= v * om[..., None, :]
+        res.append(np.linalg.norm(Mv, axis=-2).max(axis=-1))
+    return np.maximum(*res)
 
 
 def _track(spectra, n_bands, J):
@@ -394,7 +474,11 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
 
     others = np.delete(bs.omega, m - 1, axis=0)
     if others.size:
-        isolation = np.abs(vals[None, None, :] - others[:, :, None]).min()
+        # every pair (k, k') in slices of k, so the temporary stays near
+        # ISOLATION_CHUNK entries however fine the grid
+        step = max(1, ISOLATION_CHUNK // others.size)
+        isolation = min(np.abs(vals[i:i + step, None, None] - others).min()
+                        for i in range(0, len(vals), step))
         simplicity = np.abs(vals[None, :] - others[:, :]).min()
     else:
         isolation = simplicity = np.inf

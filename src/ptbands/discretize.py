@@ -76,3 +76,18 @@ def assemble(p: PeriodicPotential, k: float, J: int) -> BlochOperatorMatrix:
     M = potential_matrix(p, J)
     M[np.diag_indices(2 * J + 1)] += (np.arange(-J, J + 1) + k) ** 2
     return BlochOperatorMatrix(k=float(k), J=int(J), entries=M)
+
+
+def assemble_stack(p: PeriodicPotential, ks, J: int) -> np.ndarray:
+    """The entries of assemble(p, k, J) for every k in ks, bit for bit, as
+    one (len(ks), 2J+1, 2J+1) array: the Toeplitz part is built once.  The
+    array is real when every coefficient of p is."""
+    ks = np.asarray(ks, dtype=float)
+    _check_args(p, np.abs(ks).max(), J)
+    T = potential_matrix(p, J)
+    if not T.imag.any():
+        T = T.real
+    n = 2 * J + 1
+    M = np.repeat(T[None], len(ks), axis=0)
+    M.reshape(len(ks), n * n)[:, ::n + 1] += (np.arange(-J, J + 1) + ks[:, None]) ** 2
+    return M

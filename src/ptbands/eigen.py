@@ -15,13 +15,17 @@ Conventions used throughout:
 * every phase is fixed by gauge(v, angle), which turns the largest-|.|
   coefficient onto the angle.
 
-solve() returns every right vector and, for the columns a caller picks, the
-left vector too.  The right vectors come from numpy's LAPACK eigensolver
-(eigh when the block is exactly Hermitian, which makes left = right).  Each
-picked left vector is the matching row of the inverse of the right-vector
-matrix, biorthogonal to every other right vector; a row whose residual the
-conditioning of that matrix has spoilt is replaced by one shifted
-inverse-iteration step on M^H from its right vector (_left_vectors).  Because
+decompose() decomposes one matrix, or a stack of them at once: every right
+vector and, for the columns a caller picks, the left vector too; solve()
+is decompose() on one matrix, which the same code treats as a stack of
+one.  The right vectors come from one call of
+numpy's LAPACK eigensolver for the whole stack (eigh when the stack is
+exactly Hermitian, which makes left = right).  Each picked left vector is
+the matching row of the inverse of the right-vector matrix, biorthogonal to
+every other right vector, from one batched solve for the stack; a row whose
+residual the conditioning of that matrix has spoilt is replaced by one
+shifted inverse-iteration step on M^H from its right vector, block by block
+and only in the blocks that need it (_left_vectors).  Because
 M(-k) = R M(k)^T R with R the reversal j -> -j, the decomposition at -k is
 the reflected one at k (Spectrum.mirrored): the same eigenvalues, right
 vectors R conj(l) and left vectors R conj(r).  This is the reflection
@@ -41,6 +45,8 @@ TWO_PI = 2.0 * np.pi
 # entries with |Im| below this are treated as exactly real so the real
 # (dgeev) path is taken and conjugate pairs come out exact
 _REAL_ENTRY_TOL = 1e-14
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,14 +141,16 @@ def inner(u_coeffs, v_coeffs):
     return TWO_PI * np.sum(u_coeffs * np.conj(v_coeffs))
 
 
-def _lapack_entries(M: BlochOperatorMatrix):
+def _lapack_entries(A):
     """Entries as LAPACK should see them: real-entried matrices (every
     PT-symmetric potential) take the real path, which returns exactly
-    conjugate complex pairs."""
-    A = M.entries
-    if not A.imag.any() or (np.abs(A.imag).max()
-                            <= _REAL_ENTRY_TOL * max(1.0, np.abs(A.real).max())):
-        A = A.real
+    conjugate complex pairs.  A stack (..., n, n) is real when every matrix
+    in it is."""
+    if A.dtype != complex or not A.imag.any():
+        return A.real
+    if (np.abs(A.imag).max(axis=(-2, -1))
+            <= _REAL_ENTRY_TOL * np.maximum(1.0, np.abs(A.real).max(axis=(-2, -1)))).all():
+        return A.real
     return A
 
 
@@ -150,26 +158,45 @@ def solve(M: BlochOperatorMatrix, pick=None) -> Spectrum:
     """Eigendecomposition of a Bloch operator matrix: every right vector, and
     the left vectors in the columns pick(eigenvalues) selects (an index array
     or slice into the sorted eigenvalues).  Without pick no left vector is
-    computed."""
-    A = _lapack_entries(M)
+    computed.  This is decompose() on one matrix."""
     try:
-        # exactly Hermitian: one pair of entries settles most non-Hermitian blocks
-        if A[1, 0] == np.conj(A[0, 1]) and np.array_equal(A, A.conj().T):
-            w, right = np.linalg.eigh(A)        # ascending, left = right
-            left = None if pick is None else right
-        else:
-            w, right = np.linalg.eig(A)
-            order = np.argsort(w, kind="stable")     # by real part, ties by imaginary
-            w, right = w[order], right[:, order]
-            left = None if pick is None else _left_vectors(A, w, right, pick(w))
+        w, right, left = decompose(M.entries, pick)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
-    return Spectrum(k=M.k, J=M.J, eigenvalues=w.astype(complex, copy=False),
-                    right_vectors=right, left_vectors=left)
+    return Spectrum(k=M.k, J=M.J, eigenvalues=w, right_vectors=right, left_vectors=left)
+
+
+def decompose(A, pick=None):
+    """Eigendecompositions of a matrix A (n, n), or of every matrix of a
+    stack A (m, n, n) at once.
+
+    Returns the eigenvalues (..., n), each row sorted as solve() sorts them,
+    the unit right vectors (..., n, n), and the unit left vectors
+    (..., n, n) in the columns pick(eigenvalues) selects in every row, NaN in
+    the others, or None without pick.  An exactly Hermitian stack takes
+    eigh, whose left vectors are the right ones.  A LAPACK failure raises
+    LinAlgError.
+    """
+    A = _lapack_entries(A)
+    n = A.shape[-1]
+    first = A.reshape(-1, n, n)[0]
+    # exactly Hermitian: the first row and column settle most non-Hermitian stacks
+    if (first[:, 0] == first[0].conj()).all() and np.array_equal(A, A.conj().swapaxes(-1, -2)):
+        w, right = np.linalg.eigh(A)        # ascending, left = right
+        left = None if pick is None else right
+    else:
+        w, right = np.linalg.eig(A)
+        order = np.argsort(w, axis=-1, kind="stable")     # by real part, ties by imaginary
+        at = (*np.indices(order.shape, sparse=True)[:-1], order)
+        # each block's right vectors come out column-major, as from one eig
+        w, right = w[at], right.swapaxes(-1, -2)[at].swapaxes(-1, -2)
+        left = None if pick is None else _left_vectors(A, w, right, pick(w))
+    return w.astype(complex, copy=False), right, left
 
 
 def _left_vectors(A, w, right, cols):
-    """Unit left vectors in columns cols, NaN in the others.
+    """Unit left vectors in columns cols, NaN in the others, of a matrix
+    A (n, n) or of every matrix of a stack A (m, n, n) at once.
 
     Column i is row i of R^{-1} (R the right vectors), conjugated: the left
     vector biorthogonal to every other right vector, however close its
@@ -185,37 +212,58 @@ def _left_vectors(A, w, right, cols):
     vector of another eigenvalue w_j by about d / |w_j - w_i|, so an
     eigenvalue within sqrt(u) max|w| of another keeps its R^{-1} row.  Real
     R solves in real arithmetic.  A singular R (an exactly defective
-    eigenvalue) raises LinAlgError.
+    eigenvalue) raises LinAlgError.  The inverses and residuals of a stack
+    come from one batched solve and product; only a matrix whose residuals
+    fail the test is looked at on its own.
     """
-    n = len(w)
-    x = np.linalg.solve(right.conj().T, np.eye(n)[:, cols])
-    size = np.sqrt(np.einsum("ij,ij->j", x.conj(), x).real)
-    om = w[cols].conj()
-    res = A.conj().T @ x - x * om
-    d = np.finfo(float).eps * max(1.0, abs(w).max())
-    x = x / size
+    n = w.shape[-1]
+    # R^H x = e is R^T y = e with y = conj(x), and A^H x = conj(A^T y): no
+    # conjugated copy of the stack is made
+    y = np.linalg.solve(right.swapaxes(-1, -2), np.eye(n)[:, cols])
+    x = y.conj()
+    size = np.sqrt(np.einsum("...ij,...ij->...j", y, x).real)
+    om = w[..., cols].conj()
+    res = _matmul(A.swapaxes(-1, -2), y).conj() - x * om[..., None, :]
+    d = _EPS * np.abs(w).max(axis=-1, initial=1.0)
+    x = x / size[..., None, :]
     # a column's residual is at most sqrt(n) times its largest entry: most
-    # blocks pass without a look at single columns
-    if abs(res).max() > np.sqrt(n) * d * size.min():
-        far = np.nonzero(np.linalg.norm(res, axis=0) > n * d * size)[0]
-        gap = np.partition(np.abs(w[:, None] - w[cols][far]), 1, axis=0)[1]
-        far = far[gap > d / np.sqrt(np.finfo(float).eps)]
-        if far.size:
-            S = np.empty((far.size, n, n), dtype=np.result_type(A, om))
-            S[:] = A.conj().T
-            S.reshape(far.size, n * n)[:, ::n + 1] -= (om[far] + d)[:, None]
-            y = np.linalg.solve(S, right[:, cols][:, far].T[:, :, None])[:, :, 0].T
-            x = x.astype(np.result_type(x, y))
-            x[:, far] = y / np.linalg.norm(y, axis=0)
-    left = np.full((n, n), np.nan, dtype=complex)
-    left[:, cols] = x
+    # matrices pass without a look at single columns
+    err = np.abs(res)
+    tol = np.sqrt(n) * d * size.min(axis=-1)
+    if err.max() > tol.min():
+        # the matrices one at a time, as (m, ...) views of the stack
+        m, lead = d.size, w.ndim - 1
+        A, w, right, res, d, size, om = (a.reshape(m, *a.shape[lead:])
+                                         for a in (A, w, right, res, d, size, om))
+        for i in np.nonzero(err.reshape(m, -1).max(axis=1) > tol.reshape(m))[0]:
+            far = np.nonzero(np.linalg.norm(res[i], axis=0) > n * d[i] * size[i])[0]
+            gap = np.partition(np.abs(w[i][:, None] - w[i][cols][far]), 1, axis=0)[1]
+            far = far[gap > d[i] / np.sqrt(_EPS)]
+            if far.size:
+                S = np.empty((far.size, n, n), dtype=np.result_type(A, om))
+                S[:] = A[i].conj().T
+                S.reshape(far.size, n * n)[:, ::n + 1] -= (om[i][far] + d[i])[:, None]
+                y = np.linalg.solve(S, right[i][:, cols][:, far].T[:, :, None])[:, :, 0].T
+                x = x.astype(np.result_type(x, y), copy=False)
+                x.reshape(m, n, -1)[i][:, far] = y / np.linalg.norm(y, axis=0)
+    left = np.full(x.shape[:-1] + (n,), np.nan, dtype=complex)
+    left[..., cols] = x
     return left
+
+
+def _matmul(A, x):
+    """A @ x.  A real A meets a complex x as the real and imaginary parts of
+    x side by side, in one real product and without a complex copy of A."""
+    if A.dtype == float and x.dtype == complex:
+        x = np.ascontiguousarray(x)
+        return (A @ x.view(float)).view(complex)
+    return A @ x
 
 
 def eigenvalues(M: BlochOperatorMatrix) -> np.ndarray:
     """Eigenvalues of a Bloch operator matrix in solve()'s order, no vectors."""
     try:
-        w = np.linalg.eigvals(_lapack_entries(M)).astype(complex)
+        w = np.linalg.eigvals(_lapack_entries(M.entries)).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
     return w[np.lexsort((w.imag, w.real))]

@@ -8,7 +8,7 @@ from ptbands import (AssumptionError, ComplexBandError, ConfigError, TruncationE
 from ptbands import bands
 from ptbands.bands import (TAIL_MAX, TAIL_TOL, _assignment, _best_match, _leading_block,
                            _padded_residual, _track, k_grid, require_assumption)
-from conftest import every_column, gentle_parts, two_harmonic_potential
+from conftest import every_column, gentle_parts, two_harmonic_parts, two_harmonic_potential
 
 FREE = constant(0.0)
 
@@ -80,12 +80,13 @@ class TestComputeBands:
                 assert abs(omega - w[j]) <= kappa * np.finfo(float).eps * M.norm()
 
     def test_block_size_independent_of_J(self, monkeypatch):
-        # the largest matrix the sweep decomposes is fixed by the lattice, not by J
+        # the largest matrix the sweep decomposes is fixed by the lattice, not by J;
+        # every decomposition, the k = 0 ladder's and the stacks', passes decompose
         p = two_harmonic_potential(1.5)
         sizes = []
-        full_solve = eigen.solve
-        monkeypatch.setattr(eigen, "solve",
-                            lambda M, pick=None: sizes.append(M.J) or full_solve(M, pick))
+        full_decompose = eigen.decompose
+        monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: sizes.append(
+            (A.shape[-1] - 1) // 2) or full_decompose(A, pick))
         largest = []
         for J in (32, 128):
             sizes.clear()
@@ -106,6 +107,34 @@ class TestComputeBands:
             v = bs.vectors[:, i, :].T
             res = np.linalg.norm(assemble(p, k, J).entries @ v - v * bs.omega[:, i], axis=0)
             assert (res <= 1e-12 * scale[i]).all()
+
+    @pytest.mark.parametrize("parts, J, n_bands, block_J", [
+        # two blocks a column apart: 18 for k = 0 ... 5/32, then 22
+        (two_harmonic_parts(1.5), 64, 3, [18] * 6 + [22] * 11),
+        (gentle_parts(), 64, 1, [10] * 9 + [12] * 8),
+    ])
+    def test_block_climbs_mid_sweep_as_column_by_column(self, monkeypatch, parts, J, n_bands,
+                                                        block_J):
+        # a column whose tail exceeds TAIL_TOL in the stack climbs on its own and
+        # the columns after it are stacked again, so every column is solved at
+        # the J' and to the bits of a walk through the grid one column at a time
+        p = from_parts(parts)
+        stacks = []
+        full_decompose = eigen.decompose
+        monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: stacks.append(
+            A.shape) or full_decompose(A, pick))
+        bs = compute_bands(p, J, 32, n_bands)
+        ks = bs.k_grid[15:]                     # k = 0, 1/32, ..., 1/2
+        assert bs.block_J[15:].tolist() == block_J
+        assert len({shape[-1] for shape in stacks if len(shape) == 3}) == 2
+        Jb, walk = min(J, max(bands.SWEEP_J0, n_bands, p.max_harmonic)), []
+        for i, k in enumerate(ks):
+            spec = _leading_block(p, k, J, lambda w: slice(n_bands), Jb, rung=bands._sweep_rung)[0]
+            Jb = spec.J
+            walk.append(Jb)
+            assert np.array_equal(np.sort_complex(bs.omega[:, 15 + i]),
+                                  np.sort_complex(spec.eigenvalues[:n_bands]))
+        assert walk == block_J
 
     def test_block_grows_for_every_requested_band(self):
         # gamma = 1, k = 0, J' = 17: band 1 weighs 2.5e-15 at |j| = 16, 17, band 6 3.4e-13
@@ -140,6 +169,27 @@ class TestComputeBands:
         # J = 12 resolves them: weight 3.6e-7, eigenvalues within roundoff
         bs = compute_bands(two_harmonic_potential(1.5), 12, 32, 5)
         assert bs.tail_weight.max() < TAIL_MAX
+
+    @pytest.mark.parametrize("parts, n_bands", [(two_harmonic_parts(1.0), 3),
+                                                 (PotentialParts((), (0.0, 1.0), 0.0), 6)])
+    def test_stacked_edge_spectrum_matches_single_solve(self, parts, n_bands):
+        # k = 1/2 comes out of a stack: its spectrum is the block's own, with
+        # left vectors in the picked columns only, or in every column when the
+        # block is Hermitian (sin 2x at gamma = 0, where left = right)
+        p = from_parts(parts)
+        bs = compute_bands(p, 32, 64, n_bands)
+        edge = bs.edge_spectra[0.5]
+        spec = solve(assemble(p, 0.5, edge.J), lambda w: slice(n_bands))
+        assert np.array_equal(edge.eigenvalues, spec.eigenvalues)
+        assert np.array_equal(edge.right_vectors, spec.right_vectors)
+        assert np.array_equal(np.isnan(edge.left_vectors), np.isnan(spec.left_vectors))
+        picked = slice(n_bands)
+        assert np.abs(edge.left_vectors[:, picked] - spec.left_vectors[:, picked]).max() <= 1e-14
+        if parts.gamma == 0.0:
+            assert not np.isnan(edge.left_vectors).any()
+            assert np.array_equal(edge.left_vectors, edge.right_vectors)
+        else:
+            assert np.isnan(edge.left_vectors[:, n_bands:]).all()
 
     def test_keeps_full_edge_spectra_only(self):
         p = two_harmonic_potential(1.0)
@@ -249,6 +299,34 @@ class TestCheckAssumption:
         rep = check_assumption(bs, 1)
         assert rep.isolation_gap < 1e-10
         assert not rep.assumption_ok
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2 ** 16])
+    def test_isolation_gap_equals_dense_distance(self, monkeypatch, chunk):
+        # the gap is taken over slices of k; its value is the dense minimum
+        monkeypatch.setattr(bands, "ISOLATION_CHUNK", chunk)
+        bs = compute_bands(two_harmonic_potential(1.5), 24, 32, 5)
+        for m in range(1, 6):
+            vals, others = bs.band(m), np.delete(bs.omega, m - 1, axis=0)
+            dense = np.abs(vals[None, None, :] - others[:, :, None]).min()
+            assert check_assumption(bs, m).isolation_gap == dense
+
+    def test_isolation_gap_memory_does_not_grow_with_grid_squared(self):
+        # N_k = 2048, 6 bands: the dense distance array would hold 5 * 2048^2
+        # complex entries (336 MB)
+        import tracemalloc
+        from ptbands.bands import BandStructure
+        rng = np.random.default_rng(3)
+        omega = rng.standard_normal((6, 2048)) + 1j * rng.standard_normal((6, 2048))
+        bs = BandStructure(k_grid=k_grid(2048), omega=omega, vectors=None, tracking_quality=None,
+                           J=32, edge_spectra={}, block_J=None, tail_weight=None, residual=None)
+        tracemalloc.start()
+        try:
+            rep = check_assumption(bs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert 0 < rep.isolation_gap < 0.1
 
 
 class TestEdgeCurvature:

@@ -4,7 +4,8 @@ import pytest
 from ptbands import (ClassificationError, ComplexBandError, DegenerateEigenvalueError,
                      PotentialParts, assemble, classify, constant,
                      fix_pt_phase, from_parts, make_mode, solve)
-from ptbands.eigen import TWO_PI, inner
+from ptbands.discretize import assemble_stack
+from ptbands.eigen import TWO_PI, decompose, inner
 from conftest import every_column, two_harmonic_potential
 
 FREE = constant(0.0)
@@ -192,6 +193,63 @@ class TestPickedLeftVectors:
                 spec.lowest(3)
         spec = solve(M, lambda w: slice(3))
         assert spec.lowest(3).mirrored().k == -0.25
+
+
+class TestStackedDecomposition:
+    """decompose() on the k > 0 blocks of a sweep, one stack, against one
+    decomposition per block."""
+
+    LATTICES = {"two_harmonic_g15": (PotentialParts((2.0, 1.0), (0.0, 1.0), 1.5), 22, 5),
+                "gentle": (PotentialParts((1.0,), (1.0,), 0.5), 12, 4),
+                "sin2x_hermitian": (PotentialParts((), (0.0, 1.0), 0.0), 8, 6)}
+    KS = np.arange(1, 33) / 64
+
+    def stack(self, name):
+        parts, J, n_bands = self.LATTICES[name]
+        p = from_parts(parts)
+        A = assemble_stack(p, self.KS, J)
+        return p, J, n_bands, A, decompose(A, lambda w: slice(n_bands))
+
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_matches_one_decomposition_per_block(self, name):
+        p, J, n_bands, A, (w, right, left) = self.stack(name)
+        hermitian = name == "sin2x_hermitian"
+        assert A.dtype == float
+        if hermitian:
+            assert left is right
+        for i, k in enumerate(self.KS):
+            M = assemble(p, k, J)
+            assert np.array_equal(A[i], M.entries)
+            if hermitian:
+                wi, ri = np.linalg.eigh(M.entries.real)
+            else:
+                wi, ri = np.linalg.eig(M.entries.real)
+                order = np.argsort(wi, kind="stable")
+                wi, ri = wi[order], ri[:, order]
+            assert np.array_equal(w[i], wi) and np.array_equal(right[i], ri)
+            spec = solve(M, lambda w: slice(n_bands))
+            assert np.abs(left[i][:, :n_bands] - spec.left_vectors[:, :n_bands]).max() <= 1e-14
+            if not hermitian:
+                assert np.isnan(left[i][:, n_bands:]).all()
+
+    @pytest.mark.parametrize("name", ["two_harmonic_g15", "gentle"])
+    def test_spoilt_rows_take_the_inverse_iteration_step(self, name):
+        # on the gamma = 1.5 lattice the R^{-1} rows of the lowest five at k = 1/2
+        # carry residuals past n d, d = u max(1, max|w|): that block alone is
+        # refined, and every picked left vector ends with a residual of order d
+        p, J, n_bands, A, (w, right, left) = self.stack(name)
+        n, u = 2 * J + 1, np.finfo(float).eps
+        spoilt = []
+        for i in range(len(self.KS)):
+            d = u * max(1.0, np.abs(w[i]).max())
+            x = np.linalg.solve(right[i].conj().T, np.eye(n)[:, :n_bands])
+            res = np.linalg.norm(A[i].T @ x - x * w[i, :n_bands].conj(), axis=0)
+            if (res > n * d * np.linalg.norm(x, axis=0)).any():
+                spoilt.append(i)
+            L = left[i][:, :n_bands]
+            res = np.linalg.norm(A[i].T @ L - L * w[i, :n_bands].conj(), axis=0)
+            assert res.max() <= 10 * n_bands * u * np.linalg.norm(A[i], np.inf)
+        assert spoilt == ([len(self.KS) - 1] if name == "two_harmonic_g15" else [])
 
 
 class TestClassify:
