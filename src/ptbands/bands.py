@@ -2,40 +2,46 @@
 
 The k grid is exactly antisymmetric, so the sweep solves only the
 N_k/2 + 1 points k >= 0 (every right vector, and the left vectors of the
-columns it certifies) and fills each -k column from the mirror at |k|
-(eigen.Spectrum.mirrored).
+lowest n_bands) and fills each -k column from |k|: M(-k) = R M(k)^T R,
+R the reversal j -> -j, so column -k has the eigenvalues of column k and
+the right vectors R conj(l), l its left vectors.
 Each k is solved only in the leading block M_{J'}(k) of the J-truncated
 matrix, J' on the ladder 8, 10, 12, 15, 18, 22, ... (each rung about 5/4
 of the last, capped at J): the first J' where the lowest n_bands right and
 left vectors weigh at most TAIL_TOL in the slots J' - h < |j| <= J', h the
 highest harmonic of the potential: the slots through which M_J couples a
-block vector to the harmonics past J'.  Only k = 0 climbs the ladder, one
-decomposition per rung.  The columns k > 0 are then decomposed at its J' as
-stacks of up to STACK_COLUMNS blocks, assembled from one Toeplitz matrix,
-through one eigen.decompose each (one batched eigensolve and one batched
-left-vector solve), with the tails and padded residuals of the whole stack
-taken at once.  J' carries from column to column: the first column of a
-stack whose tail exceeds TAIL_TOL climbs on its own, the columns before it
-are kept, and those after it are stacked again at its J', so every column
-is solved at the J' of a walk through the grid one column at a time.  The
-residual of the zero-padded pairs against M_J is their backward error as
-eigenpairs of M_J (Kahan, Parlett & Jiang, SIAM J. Numer. Anal. 19, 1982)
-and is recorded per column.  A tail above TAIL_MAX at J' = J means J
-itself does not resolve the bands (TruncationError).  The ladder and that
-refusal take the columns to certify, so dirac.measure_splitting certifies
-its pair near mu the same way, on the doubling ladder from BLOCK_J0.  Bands
-are tracked across the grid by maximal eigenvector overlap (value
-proximity fails at avoided crossings); the tracking is a permutation of
-the lowest-n eigenvalues at each k by construction, and its vectors are
-zero-padded to J once, as they are tracked.  The block spectra at the
-edges k = 0 and 1/2 are kept: they give the edge modes and, through one
-bordered reduced-resolvent solve each, the edge curvatures.
+block vector to the harmonics past J'.  Every block is assembled,
+decomposed and certified by _stacked_blocks: a stack of blocks at one J',
+assembled from one Toeplitz matrix, through one eigen.decompose (one
+batched eigensolve and one batched left-vector solve), with the tails of
+the whole stack taken at once.  k = 0 climbs the ladder as a stack of one,
+one decomposition per rung; the columns k > 0 then run at its J' in stacks
+of up to STACK_COLUMNS.  J' carries from column to column: the first
+column of a stack whose tail exceeds TAIL_TOL climbs on its own, again as
+a stack of one, the columns before it are kept, and those after it are
+stacked again at its J', so every column is solved at the J' of a walk
+through the grid one column at a time.  A kept column keeps copies of its
+lowest n_bands eigenvalues, right and left vectors, and the residual of
+those pairs, zero-padded, against M_J, taken for the kept columns of a
+stack at once: their backward error as eigenpairs of M_J (Kahan, Parlett &
+Jiang, SIAM J. Numer. Anal. 19, 1982).  A tail above TAIL_MAX at J' = J
+means J itself does not resolve the bands (TruncationError).  The ladder
+and that refusal take the columns to certify, so dirac.measure_splitting
+certifies its pair near mu the same way, through stacks of one on the
+doubling ladder from BLOCK_J0 (_leading_block).  Bands are tracked across
+the grid by maximal eigenvector overlap (value proximity fails at avoided
+crossings); the tracking is a permutation of the lowest-n eigenvalues at
+each k by construction, and its vectors are zero-padded to J once, as they
+are tracked.  The whole block spectra at the edges k = 0 and 1/2 are kept:
+they give the edge modes and, through one bordered reduced-resolvent solve
+each, the edge curvatures.
 second_derivative is the independent finite-difference estimator.  Band
 indices m are 1-based in the public API.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,49 +196,43 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
     def lowest_n(w):
         return slice(n_bands)
 
-    edges, lowest, block_J, tails, residuals = {}, [], [], [], []
-
-    def keep(spec, tail, residual):
-        if spec.k in (0.0, 0.5):            # copied, so that no stack outlives its step
-            edges[spec.k] = eigen.Spectrum(
-                k=spec.k, J=spec.J, eigenvalues=spec.eigenvalues.copy(order="K"),
-                right_vectors=spec.right_vectors.copy(order="K"),
-                left_vectors=spec.left_vectors.copy(order="K"))
-        lowest.append(spec.lowest(n_bands))
-        block_J.append(spec.J)
-        tails.append(tail)
-        residuals.append(residual)
-
-    # k = 0 climbs from a block that holds n_bands pairs and every harmonic of p
-    i, climb = zero, min(J, max(SWEEP_J0, n_bands, p.max_harmonic))
+    edges, values, rights, lefts, block_J, tails, residuals = {}, [], [], [], [], [], []
+    # k = 0 climbs from a block that holds n_bands pairs and every harmonic of
+    # p; a climbing column is a stack of one, solved one rung at a time
+    i, Jb, width = zero, min(J, max(SWEEP_J0, n_bands, p.max_harmonic)), 1
     while i < N_k:
-        if climb is not None:
-            spec, _, tail, M = _leading_block(p, ks[i], J, lowest_n, climb, rung=_sweep_rung)
-            _require_resolved(p, ks[i], J, lowest_n, tail, what)
-            keep(spec, tail, _padded_residual(M, spec.lowest(n_bands)))
-            Jb, i, climb = spec.J, i + 1, None
-            continue
-        stack = ks[i:i + STACK_COLUMNS]
-        w, right, left, tail, residual = _stacked_blocks(p, stack, J, Jb, n_bands)
+        stack = ks[i:i + width]
+        E, w, right, left, cols, tail = _stacked_blocks(p, stack, J, Jb, lowest_n)
         # the walk one column at a time keeps J' up to the first column whose
         # tail exceeds TAIL_TOL; that column climbs on its own from the next rung
         over = np.nonzero(tail > TAIL_TOL)[0] if Jb < J else []
         n_kept = over[0] if len(over) else len(stack)
-        for j in range(n_kept):
-            _require_resolved(p, stack[j], J, lowest_n, tail[j], what)
-            keep(eigen.Spectrum(k=float(stack[j]), J=Jb, eigenvalues=w[j], right_vectors=right[j],
-                                left_vectors=left[j]), tail[j], residual[j])
-        del w, right, left                  # the stack, once its columns are kept
+        for j, k in enumerate(stack[:n_kept]):
+            _require_resolved(p, k, J, lowest_n, tail[j], what)
+            if k in (0.0, 0.5):             # copied, so that no stack outlives its step
+                edges[float(k)] = eigen.Spectrum(
+                    k=float(k), J=Jb, eigenvalues=w[j].copy(order="K"),
+                    right_vectors=right[j].copy(order="K"), left_vectors=left[j].copy(order="K"))
+        if n_kept:
+            # the lowest n_bands pairs of the kept columns, copied for the same reason
+            w_k, r_k, l_k = w[:n_kept, cols], right[:n_kept, :, cols], left[:n_kept, :, cols]
+            values += list(w_k.copy())
+            rights += list(r_k.copy())
+            lefts += list(l_k.copy())
+            block_J += [Jb] * n_kept
+            tails += list(tail[:n_kept])
+            residuals += list(_padded_residuals(E[:n_kept], w_k, r_k, l_k))
+        del E, w, right, left               # the stack, once its columns are kept
         i += n_kept
-        if n_kept < len(stack):
-            climb = _sweep_rung(Jb)
+        Jb, width = (min(_sweep_rung(Jb), J), 1) if n_kept < len(stack) else (Jb, STACK_COLUMNS)
 
     def mirror(seq):
         # ks[i] = -ks[2 zero - i]: column i < zero mirrors seq[zero - i]
         return seq[zero:0:-1] + seq
 
+    # M(-k) = R M(k)^T R (R: j -> -j): the right vectors at -k are R conj(l)
     omega, vectors, quality = _track(
-        [s.mirrored() for s in mirror(lowest)[:zero]] + lowest, n_bands, J)
+        mirror(values), [l[::-1].conj() for l in lefts[zero:0:-1]] + rights, J)
     return BandStructure(k_grid=ks, omega=omega, vectors=vectors,
                          tracking_quality=quality, J=J, edge_spectra=edges,
                          block_J=np.array(mirror(block_J)),
@@ -245,26 +245,39 @@ def _sweep_rung(J):
     return max(J + 2, 5 * J // 4)
 
 
-def _stacked_blocks(p, ks, J_max, J, n_bands):
-    """The blocks M_J(k), k in ks, decomposed as one stack, with the lowest
-    n_bands left vectors.
+class _Blocks(NamedTuple):
+    """A stack of blocks M_J(k), decomposed by _stacked_blocks."""
 
-    Returns the eigenvalues, right and left vectors of every block, and per
-    block the tail weight of the lowest n_bands pairs and the residual of
-    those pairs zero-padded against M_{J_max}, from one assembly of
-    M_{J''}(k), J'' = min(J_max, J + max_harmonic), with the blocks at its
-    centre (as in _leading_block).
+    E: np.ndarray           # M_{J''}(k) per block, with M_J(k) at its centre
+    w: np.ndarray           # eigenvalues, right and left vectors of M_J(k)
+    right: np.ndarray
+    left: np.ndarray
+    cols: object            # the columns picked in every block
+    tail: np.ndarray        # their tail weight, per block
+
+    @property
+    def J(self):
+        return self.w.shape[-1] // 2
+
+
+def _stacked_blocks(p, ks, J_max, J, pick):
+    """The blocks M_J(k), k in ks, decomposed as one stack, with the left
+    vectors in the columns pick(eigenvalues of the stack) selects in every
+    block.
+
+    M_{J''}(k), J'' = min(J_max, J + max_harmonic), is assembled once per k
+    with M_J(k) at its centre: the rows of M_{J_max} that a zero-padded pair
+    meets (_padded_residuals).  Returns it with the decomposition, the picked
+    columns and their tail weight per block (_tail).
     """
     E = discretize.assemble_stack(p, ks, min(J_max, J + p.max_harmonic))
     inner = slice(len(E[0]) // 2 - J, len(E[0]) // 2 + J + 1)
-    cols = slice(n_bands)
     try:
-        w, right, left = eigen.decompose(E[:, inner, inner], lambda w: cols)
+        w, right, left = eigen.decompose(E[:, inner, inner], pick)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at k = {ks[0]:g} ... {ks[-1]:g}, J={J}: {exc}") from exc
-    tail = _tail(p, right, left, cols)
-    residual = _padded_residuals(E, w[:, cols], right[..., cols], left[..., cols])
-    return w, right, left, tail, residual
+    cols = pick(w)
+    return _Blocks(E, w, right, left, cols, _tail(p, right, left, cols))
 
 
 def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J: 2 * J):
@@ -274,20 +287,14 @@ def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J:
 
     Those are the slots M_{J_max} couples out of the block, so a small tail
     means a small residual of the zero-padded pairs.  J_start defaults to
-    max(BLOCK_J0, max_harmonic) and rung to doubling.  Returns the Spectrum
-    of M_{J'}(k), the picked columns, their tail weight, and M_{J''}(k) for
-    J'' = min(J_max, J' + max_harmonic), assembled once per J' with M_{J'} as
-    its centre block: the rows of M_{J_max} that a zero-padded pair meets.
+    max(BLOCK_J0, max_harmonic) and rung to doubling.  Returns the
+    _stacked_blocks of k alone at J'.
     """
-    h = p.max_harmonic
-    Jb = min(J_max, max(BLOCK_J0, h) if J_start is None else J_start)
+    Jb = min(J_max, max(BLOCK_J0, p.max_harmonic) if J_start is None else J_start)
     while True:
-        M = discretize.assemble(p, k, min(J_max, Jb + h))
-        spec = eigen.solve(M.block(Jb), pick)
-        cols = pick(spec.eigenvalues)
-        tail = _tail(p, spec.right_vectors, spec.left_vectors, cols)
-        if tail <= tol or Jb >= J_max:
-            return spec, cols, tail, M
+        blocks = _stacked_blocks(p, [k], J_max, Jb, lambda w: pick(w[0]))
+        if blocks.tail[0] <= tol or Jb >= J_max:
+            return blocks
         Jb = min(rung(Jb), J_max)
 
 
@@ -306,30 +313,23 @@ def _require_resolved(p, k, J, pick, tail, what):
     weigh more than TAIL_MAX at J - max_harmonic < |j| <= J; the message
     gives their weight at a larger J.  what names the pairs."""
     if tail > TAIL_MAX:
-        more, _, more_tail, _ = _leading_block(p, k, 4 * J, pick, 2 * J, TAIL_MAX)
+        more = _leading_block(p, k, 4 * J, pick, 2 * J, TAIL_MAX)
         raise TruncationError(
             f"J = {J} does not resolve {what}: their eigenvectors weigh {tail:.1e} at "
             f"|j| > {J - max(1, p.max_harmonic)} (k = {k:g}, limit {TAIL_MAX:.0e}); "
-            f"at J = {more.J} they weigh {more_tail:.1e}")
-
-
-def _padded_residual(M, spec):
-    """Largest 2-norm residual of spec's right and left pairs, zero-padded from
-    spec.J to M.J, against M.
-
-    M_J is banded: a padded vector meets only rows and columns with
-    |j| <= spec.J + max_harmonic, so M = M_{min(J, spec.J + max_harmonic)}
-    gives the residual against M_J.
-    """
-    return _padded_residuals(M.entries, spec.eigenvalues, spec.right_vectors, spec.left_vectors)
+            f"at J = {more.J} they weigh {more.tail[0]:.1e}")
 
 
 def _padded_residuals(M, w, r, l):
-    """_padded_residual on arrays: the matrix or stack M (..., n, n) and the
-    pairs (w, r, l) of its centre block or blocks; one value per block.
-    The pairs are padded, so M is read in place, not copied in slices; the
-    left residual M^H l - conj(w) l is taken as its conjugate
-    M^T conj(l) - w conj(l), which has the same norm."""
+    """Largest 2-norm residual of the right and left pairs (w, r, l) of the
+    centre block of M, zero-padded to M, against M; M is a matrix or a stack
+    (..., n, n), with one value per block.
+
+    M_J is banded: a padded vector meets only rows and columns with
+    |j| <= J' + max_harmonic, so M = M_{min(J, J' + max_harmonic)} gives the
+    residual against M_J.  The pairs are padded, so M is read in place, not
+    copied in slices; the left residual M^H l - conj(w) l is taken as its
+    conjugate M^T conj(l) - w conj(l), which has the same norm."""
     J, Jb = M.shape[-1] // 2, r.shape[-2] // 2
     inner = slice(J - Jb, J + Jb + 1)
     res = []
@@ -342,30 +342,31 @@ def _padded_residuals(M, w, r, l):
     return np.maximum(*res)
 
 
-def _track(spectra, n_bands, J):
-    """Continue the lowest n_bands across consecutive spectra by overlap.
+def _track(values, vectors, J):
+    """Continue bands across consecutive columns by overlap.
 
-    The spectra may come from blocks of different J' <= J; each column's
-    vectors are written zero-padded to |j| <= J as they are tracked, so no
-    spectrum is padded on its own.
+    Column i holds the eigenvalues values[i] and their right vectors
+    vectors[i] (2J' + 1, n_bands); the blocks may differ in J' <= J, and
+    each column's vectors are written zero-padded to |j| <= J as they are
+    tracked, so no column is padded on its own.
     """
-    n_k = len(spectra)
+    n_bands, n_k = len(values[0]), len(values)
     omega = np.zeros((n_bands, n_k), dtype=complex)
-    vectors = np.zeros((n_bands, n_k, 2 * J + 1), dtype=complex)
+    tracked = np.zeros((n_bands, n_k, 2 * J + 1), dtype=complex)
     quality = np.ones((n_bands, n_k))
 
     perm = np.arange(n_bands)
-    for i, spec in enumerate(spectra):
-        inner = slice(J - spec.J, J + spec.J + 1)
-        vr = spec.right_vectors[:, :n_bands]
+    for i, (w, vr) in enumerate(zip(values, vectors)):
+        Jb = len(vr) // 2
+        inner = slice(J - Jb, J + Jb + 1)
         if i:
             # overlap[a, b] = |<v_a(k_{i-1}), v_b(k_i)>|; v_b is zero outside inner
-            overlap = np.abs(vectors[:, i - 1, inner].conj() @ vr)
+            overlap = np.abs(tracked[:, i - 1, inner].conj() @ vr)
             perm = _best_match(overlap)
             quality[:, i] = overlap[np.arange(n_bands), perm]
-        omega[:, i] = spec.eigenvalues[perm]
-        vectors[:, i, inner] = vr[:, perm].T
-    return omega, vectors, quality
+        omega[:, i] = w[perm]
+        tracked[:, i, inner] = vr[:, perm].T
+    return omega, tracked, quality
 
 
 def _best_match(overlap):

@@ -110,6 +110,12 @@ class Prop3Config:
     m_range: tuple[int, int]
     J: int = 32
 
+    def __post_init__(self):
+        lo, hi = self.m_range
+        if lo > hi:
+            raise ConfigError(f"m_range [{lo}, {hi}] is reversed: "
+                              "the first entry must not exceed the last")
+
 
 _PARSERS = {PeriodicPotential: potential.potential_from_json,
             PotentialParts: potential.parts_from_json}

@@ -16,10 +16,11 @@ Fourier coefficients of (U, W) at the coupling harmonic of the point
 (the harmonic q with c_q connecting the two resonant basis modes).
 
 measure_splitting takes the measured pair from the smallest leading block
-M_{J'}(k0) that certifies it, by the band sweep's certificate
-(bands._leading_block) on the doubling ladder from BLOCK_J0: its cost is
-set by the lattice and mu, not by J, and a J that does not resolve the
-pair raises TruncationError.
+M_{J'}(k0) that certifies it, by the band sweep's certificate on the
+doubling ladder from BLOCK_J0 (bands._leading_block, each rung a stack of
+one through the sweep's bands._stacked_blocks): its cost is set by the
+lattice and mu, not by J, and a J that does not resolve the pair raises
+TruncationError.
 prop3_scan keeps one eigenvalue-only solve of the full matrix for all m.
 """
 
@@ -220,23 +221,24 @@ def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
 
     They come from the leading block M_{J'}(k0) on the ladder of
     bands._leading_block, J' = max(BLOCK_J0, max harmonic), 2 J', ...
-    (capped at J), at the first J' where their right and left unit vectors
-    weigh at most TAIL_TOL in the slots J' - max harmonic < |j| <= J', the
-    ones M_J couples out of the block; the block size is set by the lattice
-    and mu, not by J.  Raises ClassificationError when fewer than two
+    (capped at J), each rung assembled and decomposed as a stack of one the
+    way the band sweep's blocks are, at the first J' where their right and
+    left unit vectors weigh at most TAIL_TOL in the slots
+    J' - max harmonic < |j| <= J', the ones M_J couples out of the block;
+    the block size is set by the lattice and mu, not by J.  Raises ClassificationError when fewer than two
     eigenvalues lie within 1 of mu, and then TruncationError when the pair
     still weighs more than TAIL_MAX there at J' = J.
     """
     def near_mu(w):
         return _nearest(w, mu)
 
-    spec, cols, tail, _ = bands._leading_block(p, k0, J, near_mu)
-    pair = _plus_first(spec.eigenvalues[cols])
+    blocks = bands._leading_block(p, k0, J, near_mu)
+    pair = _plus_first(blocks.w[0, blocks.cols])
     if max(abs(z - mu) for z in pair) >= 1.0:
         raise ClassificationError(
             f"fewer than two eigenvalues within distance 1 of mu = {mu} at k0 = {k0}"
         )
-    bands._require_resolved(p, k0, J, near_mu, tail, f"the pair near mu = {mu:g}")
+    bands._require_resolved(p, k0, J, near_mu, blocks.tail[0], f"the pair near mu = {mu:g}")
     return pair
 
 

@@ -9,7 +9,7 @@ exact for trigonometric potentials and spectrally convergent otherwise.
 For PT-symmetric potentials every entry is real, so the spectrum is
 closed under complex conjugation.  For every potential
 M(-k) = R M(k)^T R with R the reversal j -> -j, so one decomposition per
-|k| serves both signs (see eigen.Spectrum.mirrored).  The adjoint
+|k| serves both signs (see bands.compute_bands).  The adjoint
 L*(k) = -(d/dx + ik)^2 + conj(V) is M(k)^H; its eigenvectors are the left
 eigenvectors of M(k) and are never assembled separately.
 """
@@ -33,14 +33,6 @@ class BlochOperatorMatrix:
     def norm(self):
         """Infinity norm, used as the scale in simplicity thresholds."""
         return np.linalg.norm(self.entries, np.inf)
-
-    def block(self, J):
-        """The leading block M_J: rows and columns |j| <= J, the same entries
-        bit for bit as assemble(p, k, J)."""
-        if J == self.J:
-            return self
-        inner = slice(self.J - J, self.J + J + 1)
-        return BlochOperatorMatrix(k=self.k, J=J, entries=self.entries[inner, inner])
 
 
 def _check_args(p: PeriodicPotential, k: float, J: int):

@@ -27,10 +27,10 @@ residual the conditioning of that matrix has spoilt is replaced by one
 shifted inverse-iteration step on M^H from its right vector, block by block
 and only in the blocks that need it (_left_vectors).  Because
 M(-k) = R M(k)^T R with R the reversal j -> -j, the decomposition at -k is
-the reflected one at k (Spectrum.mirrored): the same eigenvalues, right
-vectors R conj(l) and left vectors R conj(r).  This is the reflection
-identity p*(x, k) = p(-x, -k) in coefficient form.  eigenvalues() serves
-callers that read no vectors.  The module needs numpy only.
+the reflected one at k: the same eigenvalues, right vectors R conj(l) and
+left vectors R conj(r), which is how bands.compute_bands fills -k.  This is
+the reflection identity p*(x, k) = p(-x, -k) in coefficient form.
+eigenvalues() serves callers that read no vectors.  The module needs numpy only.
 """
 
 from dataclasses import dataclass, replace
@@ -68,26 +68,11 @@ class Spectrum:
     right_vectors: np.ndarray
     left_vectors: np.ndarray = None
 
-    def mirrored(self):
-        """The decomposition at -k, from M(-k) = R M(k)^T R (R: j -> -j)."""
-        return Spectrum(k=-self.k, J=self.J, eigenvalues=self.eigenvalues,
-                        right_vectors=self._left(slice(None), "every column")[::-1].conj(),
-                        left_vectors=self.right_vectors[::-1].conj())
-
-    def lowest(self, n):
-        """The first n eigenpairs, copied so the full decomposition can be freed."""
-        return Spectrum(k=self.k, J=self.J, eigenvalues=self.eigenvalues[:n].copy(),
-                        right_vectors=self.right_vectors[:, :n].copy(),
-                        left_vectors=self._left(slice(n), f"the first {n} columns").copy())
-
     def left(self, index):
         """left_vectors[:, index]; PTBandsError when solve() did not pick it."""
-        return self._left(index, f"column {index}")
-
-    def _left(self, cols, what):
-        l = None if self.left_vectors is None else self.left_vectors[:, cols]
-        if l is None or np.isnan(l[0]).any():
-            raise PTBandsError(f"no left vector in {what} at k={self.k}: "
+        l = None if self.left_vectors is None else self.left_vectors[:, index]
+        if l is None or np.isnan(l[0]):
+            raise PTBandsError(f"no left vector in column {index} at k={self.k}: "
                                "solve() did not pick it")
         return l
 

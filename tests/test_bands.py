@@ -7,7 +7,7 @@ from ptbands import (AssumptionError, ComplexBandError, ConfigError, TruncationE
                      PotentialParts)
 from ptbands import bands
 from ptbands.bands import (TAIL_MAX, TAIL_TOL, _assignment, _best_match, _leading_block,
-                           _padded_residual, _track, k_grid, require_assumption)
+                           _padded_residuals, _track, k_grid, require_assumption)
 from conftest import every_column, gentle_parts, two_harmonic_parts, two_harmonic_potential
 
 FREE = constant(0.0)
@@ -49,14 +49,17 @@ class TestComputeBands:
             raw = solve(assemble(p, abs(k), 16)).eigenvalues[:6]
             assert np.array_equal(np.sort_complex(bs.omega[:, i]), np.sort_complex(raw))
 
-    def test_mirrored_sweep_matches_direct(self):
-        # every column solved directly in the block the sweep certified at |k|,
-        # tracked and padded to J the same way; N_k = 48 is not a power of two,
-        # so this also needs the exactly antisymmetric grid
-        p = two_harmonic_potential(1.5)
+    @pytest.mark.parametrize("parts", [two_harmonic_parts(1.0), two_harmonic_parts(1.5),
+                                       gentle_parts()], ids=["gamma1", "gamma15", "gentle"])
+    def test_mirrored_sweep_matches_direct(self, parts):
+        # every column, -k included, solved directly in the block the sweep
+        # certified at |k|, tracked and padded to J the same way; N_k = 48 is
+        # not a power of two, so this also needs the exactly antisymmetric grid
+        p = from_parts(parts)
         bs = compute_bands(p, 32, 48, 5)
         direct = [solve(assemble(p, k, Jb)) for k, Jb in zip(bs.k_grid, bs.block_J)]
-        omega, vectors, quality = _track(direct, 5, 32)
+        omega, vectors, quality = _track([s.eigenvalues[:5] for s in direct],
+                                         [s.right_vectors[:, :5] for s in direct], 32)
         assert np.abs(omega - bs.omega).max() <= 2e-13 * np.abs(omega).max()
         assert np.abs(quality - bs.tracking_quality).max() <= 1e-12
         # each tracked vector is the direct one up to a phase
@@ -80,8 +83,7 @@ class TestComputeBands:
                 assert abs(omega - w[j]) <= kappa * np.finfo(float).eps * M.norm()
 
     def test_block_size_independent_of_J(self, monkeypatch):
-        # the largest matrix the sweep decomposes is fixed by the lattice, not by J;
-        # every decomposition, the k = 0 ladder's and the stacks', passes decompose
+        # the largest matrix the sweep decomposes is fixed by the lattice, not by J
         p = two_harmonic_potential(1.5)
         sizes = []
         full_decompose = eigen.decompose
@@ -126,21 +128,29 @@ class TestComputeBands:
         bs = compute_bands(p, J, 32, n_bands)
         ks = bs.k_grid[15:]                     # k = 0, 1/32, ..., 1/2
         assert bs.block_J[15:].tolist() == block_J
-        assert len({shape[-1] for shape in stacks if len(shape) == 3}) == 2
+        # climbing columns are stacks of one
+        assert len({shape[-1] for shape in stacks if shape[0] > 1}) == 2
         Jb, walk = min(J, max(bands.SWEEP_J0, n_bands, p.max_harmonic)), []
         for i, k in enumerate(ks):
-            spec = _leading_block(p, k, J, lambda w: slice(n_bands), Jb, rung=bands._sweep_rung)[0]
-            Jb = spec.J
+            blocks = _leading_block(p, k, J, lambda w: slice(n_bands), Jb, rung=bands._sweep_rung)
+            Jb = blocks.J
             walk.append(Jb)
             assert np.array_equal(np.sort_complex(bs.omega[:, 15 + i]),
-                                  np.sort_complex(spec.eigenvalues[:n_bands]))
+                                  np.sort_complex(blocks.w[0, :n_bands]))
         assert walk == block_J
+
+    def test_sweep_decomposes_only_stacks(self, monkeypatch):
+        # the k = 0 climb and the mid-sweep re-climb (two-harmonic gamma = 1.5,
+        # 3 bands: 18 up to k = 5/32, then 22) are stacks of one, not solves
+        monkeypatch.setattr(eigen, "solve", lambda *a, **kw: pytest.fail("eigen.solve called"))
+        bs = compute_bands(two_harmonic_potential(1.5), 64, 32, 3)
+        assert set(bs.block_J.tolist()) == {18, 22}
 
     def test_block_grows_for_every_requested_band(self):
         # gamma = 1, k = 0, J' = 17: band 1 weighs 2.5e-15 at |j| = 16, 17, band 6 3.4e-13
         p = two_harmonic_potential(1.0)
-        assert _leading_block(p, 0.0, 68, lambda w: slice(1), 17)[0].J == 17
-        assert _leading_block(p, 0.0, 68, lambda w: slice(6), 17)[0].J == 34
+        assert _leading_block(p, 0.0, 68, lambda w: slice(1), 17).J == 17
+        assert _leading_block(p, 0.0, 68, lambda w: slice(6), 17).J == 34
 
     @pytest.mark.parametrize("k", [0.0, 0.5])
     def test_banded_residual_matches_dense(self, k):
@@ -149,17 +159,16 @@ class TestComputeBands:
         # 1.5e-11, against 1e-13 inside the block) comes from the rows past 16,
         # which the ladder assembles once with the block at its centre
         p = two_harmonic_potential(1.5)
-        spec, _, _, M_res = _leading_block(p, k, 32, lambda w: slice(5), 16, 1.0)
-        assert (spec.J, M_res.J) == (16, 18)
-        assert np.array_equal(spec.eigenvalues, solve(assemble(p, k, 16)).eigenvalues)
-        low = spec.lowest(5)
-        w = low.eigenvalues
-        r, l = (np.pad(v, ((16, 16), (0, 0))) for v in (low.right_vectors, low.left_vectors))
+        E, w, right, left, cols, _ = blocks = _leading_block(p, k, 32, lambda w: slice(5), 16, 1.0)
+        assert (blocks.J, E.shape[-1]) == (16, 2 * 18 + 1)
+        assert np.array_equal(w[0], solve(assemble(p, k, 16)).eigenvalues)
+        w, right, left = w[:, cols], right[:, :, cols], left[:, :, cols]
+        r, l = (np.pad(v[0], ((16, 16), (0, 0))) for v in (right, left))
         M = assemble(p, k, 32).entries
-        dense = max(np.linalg.norm(M @ r - r * w, axis=0).max(),
-                    np.linalg.norm(M.conj().T @ l - l * w.conj(), axis=0).max())
+        dense = max(np.linalg.norm(M @ r - r * w[0], axis=0).max(),
+                    np.linalg.norm(M.conj().T @ l - l * w[0].conj(), axis=0).max())
         assert dense > 5e-12
-        assert _padded_residual(M_res, low) == pytest.approx(dense, rel=1e-6)
+        assert _padded_residuals(E, w, right, left)[0] == pytest.approx(dense, rel=1e-6)
 
     def test_unresolved_truncation_refused(self):
         # J = 4: the lowest bands weigh 0.25 at |j| = 3, 4 and the band-edge

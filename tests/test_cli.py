@@ -490,6 +490,7 @@ MALFORMED = {                   # case: (command, shipped config, key path, valu
     "m-range-str": ("dirac", "dirac_prop3", ("m_range",), [1, "b"]),
     "m-range-float": ("dirac", "dirac_prop3", ("m_range",), [1, 2.5]),
     "m-range-three": ("dirac", "dirac_prop3", ("m_range",), [1, 2, 3]),
+    "m-range-reversed": ("dirac", "dirac_prop3", ("m_range",), [5, 3]),
     "J-null": ("bands", BANDS, ("J",), None),
     "n-bands-null": ("bands", BANDS, ("n_bands",), None),
     "tol-real-nan": ("bands", BANDS, ("tol_real",), math.nan),
@@ -504,6 +505,8 @@ MALFORMED = {                   # case: (command, shipped config, key path, valu
     "s-nan": ("converge", "converge_gentle", ("s",), math.nan),
     "not-an-object": ("bands", BANDS, (), [1, 2]),
 }
+# words the one stderr line must hold, where the cause is easy to misstate
+MALFORMED_CAUSE = {"m-range-reversed": "reversed"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -512,6 +515,7 @@ def test_malformed_config_exit1(tmp_path, case):
     code, err, out = run_captured(tmp_path, command, shipped(name, path, value))
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert MALFORMED_CAUSE.get(case, "") in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -221,13 +221,20 @@ class TestMeasureSplitting:
         kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
         assert np.abs(block - full).max() <= kappa * np.finfo(float).eps * M.norm()
 
+    def test_pair_decomposed_as_a_stack(self, monkeypatch):
+        # the pair at 225 climbs the doubling ladder (J' = 16, then 32) through
+        # stacks of one, not through solves
+        monkeypatch.setattr(eigen, "solve", lambda *a, **kw: pytest.fail("eigen.solve called"))
+        plus, minus = measure_splitting(from_parts(SIN2X), 0.0, 225.0, 64)
+        assert abs(plus - 225.0) < 1 and abs(minus - 225.0) < 1
+
     def test_block_size_independent_of_J(self, monkeypatch, free_points):
         # the largest matrix measure_splitting and splitting_slope decompose is
         # fixed by the lattice and mu, not by J
         sizes = []
-        full_solve = eigen.solve
-        monkeypatch.setattr(eigen, "solve",
-                            lambda M, pick=None: sizes.append(M.J) or full_solve(M, pick))
+        full_decompose = eigen.decompose
+        monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: sizes.append(
+            (A.shape[-1] - 1) // 2) or full_decompose(A, pick))
         monkeypatch.setattr(eigen, "eigenvalues", lambda M: pytest.fail("full solve"))
         V = from_parts(SIN2X)
         largest = []

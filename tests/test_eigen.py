@@ -79,20 +79,6 @@ class TestLeftVectors:
         res = M.entries.conj().T @ L - L * np.conj(spec.eigenvalues)
         assert np.abs(res).max() <= 1e-9 * M.norm()
 
-    @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_mirrored_equals_direct_solve(self, case):
-        p, k = self.CASES[case]
-        if k in (0.0, 0.5):
-            k = 0.37
-        spec, direct = solve(assemble(p, k, 16), every_column), solve(assemble(p, -k, 16))
-        mirror = spec.mirrored()
-        assert mirror.k == -k
-        assert np.abs(mirror.eigenvalues - direct.eigenvalues).max() <= 1e-12 * 256
-        M = assemble(p, -k, 16).entries
-        for vecs, A, w in ((mirror.right_vectors, M, mirror.eigenvalues),
-                           (mirror.left_vectors, M.conj().T, np.conj(mirror.eigenvalues))):
-            assert np.abs(A @ vecs - vecs * w).max() <= 1e-9 * 256
-
     def test_eigenvalues_only_matches_solve(self):
         from ptbands import eigenvalues
         for p, k in self.CASES:
@@ -182,17 +168,8 @@ class TestPickedLeftVectors:
         make_mode(spec, 1)
         with pytest.raises(PTBandsError, match="did not pick"):
             make_mode(spec, 2)
-
-    def test_mirror_and_lowest_refuse_missing_left_vectors(self):
-        from ptbands import PTBandsError
-        M = assemble(two_harmonic_potential(1.0), 0.25, 12)
-        for spec in (solve(M), solve(M, lambda w: [0, 2])):
-            with pytest.raises(PTBandsError, match="did not pick"):
-                spec.mirrored()
-            with pytest.raises(PTBandsError, match="did not pick"):
-                spec.lowest(3)
-        spec = solve(M, lambda w: slice(3))
-        assert spec.lowest(3).mirrored().k == -0.25
+        with pytest.raises(PTBandsError, match="did not pick"):
+            make_mode(solve(M), 1)
 
 
 class TestStackedDecomposition:
