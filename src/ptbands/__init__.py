@@ -9,7 +9,7 @@ from .discretize import BlochOperatorMatrix, assemble
 from .effective import (EffectiveModel, SechEnvelope, build_ansatz,
                         envelope_residual, extract_effective_model,
                         gamma_coefficient, sech_envelope)
-from .eigen import (BlochMode, Spectrum, classify, eigenvalues, fix_pt_phase,
+from .eigen import (BlochMode, Spectrum, eigenvalues, fix_pt_phase,
                     make_mode, solve)
 from .errors import (AssumptionError, ClassificationError, ComplexBandError,
                      ConfigError, DegenerateEigenvalueError, ExistenceError,
@@ -19,6 +19,6 @@ from .gpsolve import (BoundState, ConvergenceStudy, convergence_study,
                       gp_residual, hs_norm, newton_solve)
 from .grid import RealLineGrid, grid_for_envelope
 from .potential import (Convention, PeriodicPotential, PotentialParts, constant,
-                        from_parts, potential_from_json, to_parts, validate_pt)
+                        from_parts, potential_from_json, validate_pt)
 
 __version__ = "0.1.0"

@@ -62,8 +62,8 @@ ISOLATION_CHUNK = 2 ** 16
 # a block ladder stops once the certified columns (the lowest n_bands, or the
 # pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
 # their right and left unit vectors.  dirac.measure_splitting's ladder starts
-# at BLOCK_J0 and doubles: a finer one there made no Dirac run faster and put
-# pairs up to 6.3e-13 from the full solve, past kappa u ||M_J|| = 2.3e-13.  The
+# at BLOCK_J0 and doubles for cost: 279 decompositions per spectra round, 711 on the
+# sweep's ladder; either puts the mu = 225 pair within kappa r of a 40-digit solve.  The
 # sweep's starts at SWEEP_J0 and grows by about 5/4 (_sweep_rung): its blocks
 # are met at J' = 18, 22 and 12 on the gamma = 1, gamma = 1.5 two-harmonic
 # and the gentle lattices, where doubling from 16 solved at 32, 32 and 16
@@ -158,7 +158,6 @@ class BandEdgeReport:
     simplicity_margin: float
     edges: tuple
     extrema_at_high_symmetry: bool
-    derivative_at_edges: tuple
 
     @property
     def assumption_ok(self):
@@ -440,21 +439,6 @@ def _assignment(cost):
     return col4row
 
 
-def _edge_derivative(bs: BandStructure, m: int, k0: float):
-    """Central difference of Re omega_m at k0 using grid neighbours.
-
-    At k0 = 1/2 the right neighbour comes from 1-periodicity in k
-    (the first grid point -1/2 + dk represents 1/2 + dk).
-    """
-    i = bs.column(k0)
-    vals = bs.band(m).real
-    N = len(bs.k_grid)
-    dk = 1.0 / N
-    right = vals[(i + 1) % N]
-    left = vals[i - 1]
-    return (right - left) / (2 * dk)
-
-
 def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
                      p: PeriodicPotential = None) -> BandEdgeReport:
     """Reality, isolation and simplicity report for band m (1-based).
@@ -485,7 +469,6 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
         isolation = simplicity = np.inf
 
     edges = ()
-    derivs = ()
     extrema_ok = False
     if is_real:
         re = vals.real
@@ -507,7 +490,6 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
                 curv, cond = np.nan, np.nan
             edge_list.append(BandEdge(k0, om_star, which, curv, cond))
         edges = tuple(edge_list)
-        derivs = tuple(_edge_derivative(bs, m, k0) for k0 in (0.0, 0.5))
 
     return BandEdgeReport(
         m=m,
@@ -518,7 +500,6 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
         simplicity_margin=float(simplicity),
         edges=edges,
         extrema_at_high_symmetry=bool(extrema_ok),
-        derivative_at_edges=derivs,
     )
 
 
@@ -538,15 +519,15 @@ def edge_curvature(p: PeriodicPotential, spec: eigen.Spectrum, index: int):
     system regular at a simple eigenvalue, however close other
     eigenvalues or exceptional pairs sit elsewhere in the spectrum.  Returns (curvature, condition)
     with condition = ||l|| ||r|| / |l^H r|; the curvature is NaN when the
-    eigenvalue is degenerate (gap <= 1e-6 max(1, |omega|), as in
-    eigen.make_mode) or near-exceptional (condition > 1e8).
+    eigenvalue is degenerate (eigen.Spectrum.is_degenerate, which
+    eigen.make_mode refuses) or near-exceptional (condition > 1e8).
     """
     omega = spec.eigenvalues[index]
     r = spec.right_vectors[:, index]
     l = spec.left(index)
     s = np.vdot(l, r)
     condition = float(np.linalg.norm(l) * np.linalg.norm(r) / abs(s))
-    if spec.gap(index) <= 1e-6 * max(1.0, abs(omega)) or condition > 1e8:
+    if spec.is_degenerate(index) or condition > 1e8:
         return np.nan, condition
     M = discretize.assemble(p, spec.k, spec.J).entries
     n = len(r)

@@ -56,8 +56,8 @@ class BandsConfig:
     tol_real: float = bands.REALITY_TOL
 
     def __post_init__(self):
-        if self.n_bands is not None and self.band_index > self.n_bands:
-            raise ConfigError(f"band_index {self.band_index} exceeds n_bands {self.n_bands}")
+        if self.n_bands is not None and self.band_index >= self.n_bands:
+            raise ConfigError(f"band_index {self.band_index} must be below n_bands {self.n_bands}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -73,8 +73,8 @@ class AnsatzConfig(EffectiveConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.eps > 0.5:
-            raise ConfigError(f"eps = {self.eps} outside (0, 0.5]")
+        if self.eps > effective.EPS_MAX:
+            raise ConfigError(f"eps = {self.eps} outside (0, {effective.EPS_MAX}]")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -18,9 +18,9 @@ Fourier coefficients of (U, W) at the coupling harmonic of the point
 measure_splitting takes the measured pair from the smallest leading block
 M_{J'}(k0) that certifies it, by the band sweep's certificate on the
 doubling ladder from BLOCK_J0 (bands._leading_block, each rung a stack of
-one through the sweep's bands._stacked_blocks): its cost is set by the
-lattice and mu, not by J, and a J that does not resolve the pair raises
-TruncationError.
+one through bands._stacked_blocks), cheaper here than the sweep's finer
+ladder and, like it, within kappa r of an exact solve at mu = 225: its cost
+is set by the lattice and mu, not by J; an unresolving J raises TruncationError.
 prop3_scan keeps one eigenvalue-only solve of the full matrix for all m.
 """
 

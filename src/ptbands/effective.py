@@ -18,7 +18,7 @@ gpsolve is a sharp end-to-end test of this).  Gamma is an exact
 trapezoid sum over FFT samples of p and p*.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .eigen import TWO_PI, BlochMode
 from .errors import ConfigError, ExistenceError, GridError, PTSymmetryError
 from .grid import RealLineGrid
 from .potential import PeriodicPotential
+
+EPS_MAX = 0.5      # largest eps of an envelope ansatz
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,19 +41,12 @@ class EffectiveModel:
     gamma_nl: complex       # imaginary part kept as a PT diagnostic
     Omega: int              # -1 at edge a, +1 at edge b
     exists: bool
-    band_index: int = 0
-    edge: str = ""
 
     def to_json_dict(self):
-        return {
-            "k0": self.k0,
-            "omega_star": self.omega_star,
-            "curvature": self.curvature,
-            "gamma_re": self.gamma_nl.real,
-            "gamma_im": self.gamma_nl.imag,
-            "Omega": self.Omega,
-            "exists": self.exists,
-        }
+        """The fields, with Gamma split into gamma_re and gamma_im."""
+        d = asdict(self)
+        gamma_nl = d.pop("gamma_nl")
+        return {**d, "gamma_re": gamma_nl.real, "gamma_im": gamma_nl.imag}
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,17 +140,17 @@ def envelope_residual(env: SechEnvelope, model: EffectiveModel, X) -> np.ndarray
 def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineGrid):
     """Slowly-varying-envelope ansatz u_form(x) = eps A(eps x) g(x) on a grid.
 
-    Returns a BoundState carrying the sampled field.  The grid must
-    resolve the cell (>= 32 points per cell, enforced by RealLineGrid),
-    split into whole cells, and contain the envelope: eps*L >= 15*width
-    keeps the sech tail below 1e-6 at the periodic seam.  With P points
+    Returns a BoundState carrying the sampled field; eps must lie in
+    (0, EPS_MAX].  The grid must contain the envelope: eps*L >= 15*width
+    keeps the sech tail below 1e-6 at the periodic seam.  RealLineGrid
+    resolves the cell (>= 32 points per cell) in whole cells: with P points
     per cell, x_n = -L + 2 pi n / P and L a multiple of 2 pi, so p(x_n) is
     the cell sample n mod P: p is sampled once on one cell and tiled.
     """
     from .gpsolve import BoundState  # local import: gpsolve builds on this module
 
-    if not 0.0 < eps <= 0.5:
-        raise ConfigError(f"eps = {eps} outside (0, 0.5]")
+    if not 0.0 < eps <= EPS_MAX:
+        raise ConfigError(f"eps = {eps} outside (0, {EPS_MAX}]")
     # sech tail at the seam: ~2 e^{-eps L / width} < 1e-6  <=>  eps L >= 15 width
     need = 15.0 * env.width
     if eps * grid.half_length < need:
@@ -163,11 +158,9 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
             f"envelope under-resolved: eps*L = {eps * grid.half_length:.2f} < {need:.2f}; "
             f"need half_length >= {need / eps:.1f}"
         )
-    if grid.n_points % grid.cells:
-        raise GridError(f"{grid.n_points} points do not split into {grid.cells} equal cells")
     p = np.tile(_cell_samples(mode.p_coeffs, grid.n_points // grid.cells), grid.cells)
     u = eps * env(eps * grid.x) * np.exp(1j * mode.k * grid.x) * p
-    pt_defect = np.abs(np.conj(u[grid.mirror]) - u).max()
+    pt_defect = grid.pt_defect(u)
     if pt_defect > 1e-8:
         raise PTSymmetryError(
             f"ansatz not PT-symmetric on the grid (defect {pt_defect:.3e}); "
@@ -186,13 +179,15 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
     Everything at the edge comes from the band sweep's stored edge
     spectrum: the mode with p* from its left vector, and omega'' from
     bands.edge_curvature.  Returns (EffectiveModel, BlochMode).  Raises
-    AssumptionError when the reality/isolation/simplicity check fails for
-    band m.
+    ConfigError when n_bands (default min(m + 3, 2J + 1)) is at most m, and
+    AssumptionError when the reality/isolation/simplicity check fails.
     """
     if edge not in ("a", "b"):
         raise ConfigError("edge must be 'a' or 'b'")
     if n_bands is None:
         n_bands = min(m + 3, 2 * J + 1)
+    if n_bands <= m:
+        raise ConfigError(f"n_bands {n_bands} holds no band above band {m} to check isolation")
     bs = bands.compute_bands(V, J, N_k, n_bands)
     report = bands.check_assumption(bs, m, tol_real)
     bands.require_assumption(report)
@@ -211,7 +206,5 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
         gamma_nl=gamma_nl,
         Omega=Omega,
         exists=bool(existence_condition(gamma_nl.real, curvature, Omega)),
-        band_index=m,
-        edge=edge,
     )
     return model, mode

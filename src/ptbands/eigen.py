@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretize import BlochOperatorMatrix
-from .errors import ClassificationError, ComplexBandError, DegenerateEigenvalueError, PTBandsError
+from .errors import ComplexBandError, DegenerateEigenvalueError, PTBandsError
 
 TWO_PI = 2.0 * np.pi
 
@@ -82,15 +82,9 @@ class Spectrum:
         d[index] = np.inf
         return d.min()
 
-
-@dataclass(frozen=True, slots=True)
-class SpectrumClasses:
-    """classify() result: real values and conjugate pairs (plus-Im first)."""
-
-    real_values: np.ndarray
-    real_indices: np.ndarray
-    pairs: tuple
-    pair_indices: tuple
+    def is_degenerate(self, index):
+        """gap(index) <= 1e-6 max(1, |omega|), a scale free of the truncation."""
+        return self.gap(index) <= 1e-6 * max(1.0, abs(self.eigenvalues[index]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +177,7 @@ def _left_vectors(A, w, right, cols):
     """Unit left vectors in columns cols, NaN in the others, of a matrix
     A (n, n) or of every matrix of a stack A (m, n, n) at once.
 
-    Column i is row i of R^{-1} (R the right vectors), conjugated: the left
+    Column i is the conjugate of row i of R^{-1} (R the right vectors): the left
     vector biorthogonal to every other right vector, however close its
     eigenvalue, so near-doubles stay apart.  Its residual grows with the
     conditioning of R, as every ill-conditioned eigenvalue of the block leaks
@@ -203,7 +197,7 @@ def _left_vectors(A, w, right, cols):
     """
     n = w.shape[-1]
     # R^H x = e is R^T y = e with y = conj(x), and A^H x = conj(A^T y): no
-    # conjugated copy of the stack is made
+    # conjugate copy of the stack is made
     y = np.linalg.solve(right.swapaxes(-1, -2), np.eye(n)[:, cols])
     x = y.conj()
     size = np.sqrt(np.einsum("...ij,...ij->...j", y, x).real)
@@ -254,59 +248,18 @@ def eigenvalues(M: BlochOperatorMatrix) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def classify(spec: Spectrum, tol_real: float) -> SpectrumClasses:
-    """Partition a spectrum into real eigenvalues and conjugate pairs.
-
-    An eigenvalue counts as real when |Im omega| <= tol_real * max(1, |omega|).
-    Complex ones are matched greedily by conjugate distance; an unpaired
-    complex eigenvalue signals broken PT structure (or a tolerance that
-    is too tight) and raises ClassificationError.
-    """
-    w = spec.eigenvalues
-    scale = np.maximum(1.0, np.abs(w))
-    is_real = np.abs(w.imag) <= tol_real * scale
-    real_idx = np.nonzero(is_real)[0]
-    cplx_idx = list(np.nonzero(~is_real)[0])
-
-    pairs, pair_indices = [], []
-    while cplx_idx:
-        i = cplx_idx.pop(0)
-        target = np.conj(w[i])
-        if not cplx_idx:
-            raise ClassificationError(f"unpaired complex eigenvalue {w[i]}")
-        dists = [abs(w[j] - target) for j in cplx_idx]
-        jbest = int(np.argmin(dists))
-        if dists[jbest] > tol_real * max(1.0, abs(w[i])):
-            raise ClassificationError(
-                f"eigenvalue {w[i]} has no conjugate partner within "
-                f"{tol_real * max(1.0, abs(w[i])):.3e} (closest at {dists[jbest]:.3e})"
-            )
-        j = cplx_idx.pop(jbest)
-        plus, minus = (i, j) if w[i].imag >= w[j].imag else (j, i)
-        pairs.append((w[plus], w[minus]))
-        pair_indices.append((plus, minus))
-    return SpectrumClasses(
-        real_values=w[real_idx].real,
-        real_indices=real_idx,
-        pairs=tuple(pairs),
-        pair_indices=tuple(pair_indices),
-    )
-
-
 def make_mode(spec: Spectrum, index: int) -> BlochMode:
     """Biorthonormalized Bloch mode for spec.eigenvalues[index].
 
     p is the right vector at cell norm 1; p* is the left vector of the
-    same decomposition rescaled so <p, p*> = 1.  Refuses near-degenerate
-    eigenvalues (gap at most 1e-6 max(1, |omega|), a scale that does not
-    depend on the truncation): there the pairing <p, p*> tends to zero
-    and the normalization is unstable.
+    same decomposition rescaled so <p, p*> = 1.  Refuses a degenerate
+    eigenvalue (Spectrum.is_degenerate): there the pairing <p, p*> tends
+    to zero and the normalization is unstable.
     """
     omega = spec.eigenvalues[index]
-    scale = max(1.0, abs(omega))
-    if spec.gap(index) <= 1e-6 * scale:
+    if spec.is_degenerate(index):
         raise DegenerateEigenvalueError(
-            f"eigenvalue {omega} within {1e-6 * scale:.3e} of another; "
+            f"eigenvalue {omega} within {spec.gap(index):.3e} of another; "
             "mode construction refused"
         )
     v = spec.right_vectors[:, index].copy()

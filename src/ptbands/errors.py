@@ -24,7 +24,7 @@ class DegenerateEigenvalueError(PTBandsError):
 
 
 class ClassificationError(PTBandsError):
-    """Spectrum cannot be split into real values and conjugate pairs."""
+    """Fewer than two eigenvalues lie near a requested Dirac point."""
 
 
 class ComplexBandError(PTBandsError):
@@ -41,7 +41,7 @@ class ExistenceError(PTBandsError):
 
 
 class GridError(PTBandsError):
-    """Real-line grid does not resolve the lattice cell or the envelope."""
+    """Real-line grid does not resolve the lattice cell in whole cells, or the envelope."""
 
 
 class NewtonError(PTBandsError):

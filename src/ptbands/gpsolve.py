@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import effective as effective_mod
-from .errors import ConfigError, GridError, NewtonError, PTSymmetryError
+from .errors import ConfigError, NewtonError, PTSymmetryError
 from .grid import RealLineGrid, grid_for_envelope
 from .potential import PeriodicPotential, validate_pt
 from .util import is_real
@@ -64,9 +64,8 @@ class BoundState:
     residual_history: tuple = ()
 
     def pt_defect(self):
-        """max |conj(u(-x)) - u(x)| over the grid."""
-        u = self.values
-        return float(np.abs(np.conj(u[self.grid.mirror]) - u).max())
+        """max |conj(u(-x)) - u(x)| over the grid (RealLineGrid.pt_defect)."""
+        return self.grid.pt_defect(self.values)
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,6 @@ def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
     from scipy.linalg.lapack import dgetrf, dgetri     # imported here: only Newton needs it
     C = grid.cells
     N = grid.n_points
-    if N % C:
-        raise GridError(f"{N} points do not split into {C} equal cells")
     P = N // C
     q = np.arange(P)
     vhat = np.fft.fft(Vx[:P]).real / P
@@ -189,7 +186,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     Raises NewtonError on divergence, a GMRES breakdown or miss of the forcing
     tolerance, a non-finite step (typically eps too large or a violated band
     assumption), or a singular preconditioner block (omega on a band of the
-    grid).  The grid must hold a whole number of points per cell (GridError).
+    grid).
     """
     import scipy.sparse.linalg     # imported here: only Newton solves need it
 
@@ -197,7 +194,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     N = grid.n_points
     if len(u0) != N:
         raise ValueError("u0 does not match the grid")
-    defect = np.abs(np.conj(u0[grid.mirror]) - u0).max()
+    defect = grid.pt_defect(u0)
     if defect > 1e-6:
         raise PTSymmetryError(f"initial guess not PT-symmetric (defect {defect:.3e})")
     if not (validate_pt(V, 1e-12) and validate_pt(sigma, 1e-12)):
@@ -253,13 +250,14 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
     half length grows like grid.TAIL_DECAY*width/eps so the envelope tail
     at the seam stays below ~2e-9 for every eps.  Any Newton failure aborts
     the study with the failing eps attached to the error.  eps_list must
-    hold distinct real numbers in (0, 0.5] and s must lie in [0, 2]
-    (ConfigError otherwise).
+    hold distinct real numbers in (0, effective.EPS_MAX] and s must lie in
+    [0, 2] (ConfigError otherwise).
     """
     eps_list = list(eps_list)
-    if not (eps_list and all(is_real(e) and 0 < e <= 0.5 for e in eps_list)
+    eps_max = effective_mod.EPS_MAX
+    if not (eps_list and all(is_real(e) and 0 < e <= eps_max for e in eps_list)
             and len(set(eps_list)) == len(eps_list)):
-        raise ConfigError(f"eps_list must be distinct numbers in (0, 0.5], got {eps_list!r}")
+        raise ConfigError(f"eps_list must be distinct numbers in (0, {eps_max}], got {eps_list!r}")
     if not (is_real(s) and 0 <= s <= 2):
         raise ConfigError(f"s must be a number in [0, 2], got {s!r}")
     model, mode = effective_mod.extract_effective_model(V, sigma, m, edge, J, N_k)

@@ -19,7 +19,7 @@ class RealLineGrid:
     Periodic identification keeps the lattice potential exactly periodic
     across the seam and makes Fourier differentiation and the discrete
     H^s norm exact for grid-resolved fields.  x = 0 sits at index
-    n_points // 2.
+    n_points // 2.  The cells, an even number, hold equal numbers of points.
     """
 
     half_length: float
@@ -29,8 +29,8 @@ class RealLineGrid:
         M = self.half_length / TWO_PI
         if abs(M - round(M)) > 1e-9 or round(M) < 1:
             raise GridError(f"half length {self.half_length} is not a positive multiple of 2pi")
-        if self.n_points < 2 or self.n_points % 2:
-            raise GridError("n_points must be even")
+        if self.n_points < 2 or self.n_points % self.cells:
+            raise GridError(f"{self.n_points} points do not split into {self.cells} equal cells")
         if self.spacing > TWO_PI / POINTS_PER_CELL + 1e-12:
             raise GridError(
                 f"grid spacing {self.spacing:.4f} exceeds 2pi/{POINTS_PER_CELL}; "
@@ -62,6 +62,10 @@ class RealLineGrid:
     def mirror(self):
         """Index map n -> index of -x_n under periodic identification."""
         return (self.n_points - np.arange(self.n_points)) % self.n_points
+
+    def pt_defect(self, u):
+        """PT defect max |conj(u(-x)) - u(x)| of a grid field u."""
+        return float(np.abs(np.conj(u[self.mirror]) - u).max())
 
     def l2_norm(self, f):
         """Discrete L2(R) norm (trapezoid = Riemann sum on a periodic grid)."""

@@ -75,10 +75,6 @@ class PeriodicPotential:
             out += c * np.exp(1j * j * x)
         return out if out.shape else complex(out)
 
-    def conjugated(self):
-        """Potential with conjugated values, conj(V(x)); coefficients conj(c_{-j})."""
-        return PeriodicPotential({-j: np.conj(c) for j, c in self.coeffs.items()})
-
 
 def constant(value):
     """Constant potential V(x) = value."""
@@ -102,31 +98,6 @@ def from_parts(parts: PotentialParts) -> PeriodicPotential:
         coeffs[j] = coeffs.get(j, 0.0) + fac * parts.gamma * b / 2.0
         coeffs[-j] = coeffs.get(-j, 0.0) - fac * parts.gamma * b / 2.0
     return PeriodicPotential(coeffs)
-
-
-def to_parts(p: PeriodicPotential, convention=Convention.PROP2_SINE, gamma=1.0) -> PotentialParts:
-    """Inverse of from_parts for PT-symmetric potentials (real coefficients).
-
-    gamma must be the perturbation strength the potential was built with;
-    it cannot be recovered from the coefficients alone (only the product
-    gamma*b_j is).
-    """
-    if not validate_pt(p, 1e-12):
-        raise ConfigError("only PT-symmetric potentials decompose into real (U, W) parts")
-    if gamma == 0:
-        raise ConfigError("gamma = 0 leaves the sine part undetermined")
-    fac = 2.0 if convention is Convention.PROP3_DOUBLED else 1.0
-    if 0 in p.coeffs:
-        raise ConfigError("constant offset does not fit the (U, W) decomposition")
-    jmax = p.max_harmonic
-    cos = np.zeros(jmax)
-    sin = np.zeros(jmax)
-    for j in range(1, jmax + 1):
-        cp = complex(p.coeffs.get(j, 0.0)).real
-        cm = complex(p.coeffs.get(-j, 0.0)).real
-        cos[j - 1] = (cp + cm) / fac
-        sin[j - 1] = (cp - cm) / (fac * gamma)
-    return PotentialParts(tuple(cos), tuple(sin), gamma, convention)
 
 
 def validate_pt(p: PeriodicPotential, tol: float) -> bool:

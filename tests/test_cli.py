@@ -125,9 +125,25 @@ class TestBandsCommand:
         assert (out2 / "bands.csv").read_bytes() == first
 
     def test_band_index_above_n_bands_exit1_before_solving(self, tmp_path, monkeypatch):
+        # band_index = n_bands leaves out the band above, which the isolation
+        # check needs
         monkeypatch.setattr(bands, "compute_bands", lambda *args: pytest.fail("solved"))
-        code, err, out = run_captured(tmp_path, "bands", two_harmonic_cfg(1.0, 6, n_bands=5))
-        assert code == 1 and "band_index" in err
+        for m in (6, 5):
+            code, err, out = run_captured(tmp_path, "bands", two_harmonic_cfg(1.0, m, n_bands=5),
+                                          name=f"m{m}.json")
+            assert code == 1 and "band_index" in err
+            assert len(err.splitlines()) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("command", ["bands", "effective"])
+    def test_top_computed_band_refused(self, tmp_path, command):
+        # band 3 sits 2.0e-4 above band 2 at k = 0; with n_bands = 2 it was
+        # never computed, and both commands exited 0 with an isolation gap
+        # of 0.020 (exit 2 with n_bands = 3)
+        cfg = {"potential": {"cosine": [0.02]}, "J": 16, "n_bands": 2, "band_index": 2}
+        if command == "effective":
+            cfg.update(sigma={"exp_coeffs": [[0, -1.0, 0.0]]}, edge="a")
+        code, err, out = run_captured(tmp_path, command, cfg)
+        assert code == 1 and err.startswith("config error: band_index 2 ")
         assert len(err.splitlines()) == 1 and not out.exists()
 
     def test_edge_condition_reported(self, tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ptbands import (ClassificationError, ConfigError, PotentialParts, assemble, compute_bands,
-                     constant, eigen, find_dirac_points, from_parts, measure_splitting,
-                     mw_matrix, predict_splitting, prop3_scan, solve, splitting_slope,
-                     TruncationError)
+from ptbands import (ClassificationError, ConfigError, PotentialParts, assemble, bands,
+                     compute_bands, constant, eigen, find_dirac_points, from_parts,
+                     measure_splitting, mw_matrix, predict_splitting, prop3_scan, solve,
+                     splitting_slope, TruncationError)
 from ptbands.dirac import Regime, _nearest
 from ptbands.eigen import TWO_PI
 from conftest import two_harmonic_potential
@@ -220,6 +220,28 @@ class TestMeasureSplitting:
         R, L = spec.right_vectors[:, idx], spec.left_vectors[:, idx]
         kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
         assert np.abs(block - full).max() <= kappa * np.finfo(float).eps * M.norm()
+
+    def test_pair_at_225_within_condition_of_exact_truncation(self):
+        # a 40-digit solve of M_32's odd-j chain (W = sin 2x couples j to
+        # j +- 2) is the exact truncated pair: the certified pair lies within
+        # kappa r of it, r its padded residual against M_32 and kappa its
+        # condition.  Measured: 1.08e-12 off, r = 1.14e-12, kappa = 1; the full
+        # double solve is 1.08e-12 off as well
+        import mpmath
+        V, J, mu = from_parts(SIN2X), 32, 225.0
+        odd = np.arange(-J, J + 1) % 2 == 1
+        chain = assemble(V, 0.0, J).entries[np.ix_(odd, odd)].real
+        with mpmath.workdps(40):
+            w = np.array([complex(z) for z in mpmath.eig(mpmath.matrix(chain.tolist()),
+                                                         left=False, right=False)])
+        exact = np.sort_complex(w[_nearest(w, mu)])
+        pair = np.sort_complex(np.array(measure_splitting(V, 0.0, mu, J)))
+        blocks = bands._leading_block(V, 0.0, J, lambda w: _nearest(w, mu))
+        R, L = blocks.right[0][:, blocks.cols], blocks.left[0][:, blocks.cols]
+        r = bands._padded_residuals(blocks.E[0], blocks.w[0, blocks.cols], R, L)
+        kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
+        assert blocks.E.shape[-1] == 2 * J + 1          # the residual is against M_32
+        assert np.abs(pair - exact).max() <= kappa * r
 
     def test_pair_decomposed_as_a_stack(self, monkeypatch):
         # the pair at 225 climbs the doubling ladder (J' = 16, then 32) through

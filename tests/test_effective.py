@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from ptbands import (AssumptionError, ConfigError, EffectiveModel, ExistenceError,
                      GridError, PotentialParts, RealLineGrid, SechEnvelope, assemble,
-                     build_ansatz, constant, envelope_residual,
+                     bands, build_ansatz, constant, envelope_residual,
                      extract_effective_model, fix_pt_phase, from_parts,
                      gamma_coefficient, grid_for_envelope, hs_norm, make_mode,
                      sech_envelope, solve)
@@ -106,7 +106,7 @@ class TestSechEnvelope:
     def model(self, curvature, Omega, gamma_re):
         return EffectiveModel(k0=0.0, omega_star=0.0, curvature=curvature,
                               gamma_nl=complex(gamma_re), Omega=Omega,
-                              exists=True, band_index=1, edge="a" if Omega < 0 else "b")
+                              exists=True)
 
     def test_upper_edge_standard(self):
         env = sech_envelope(self.model(-2.0, +1, 1.0))
@@ -246,6 +246,14 @@ class TestExtractEffectiveModel:
         assert not model.exists
         with pytest.raises(ExistenceError):
             sech_envelope(model)
+
+    @pytest.mark.parametrize("m, J, n_bands", [(2, 16, 2), (3, 1, None)])
+    def test_no_band_above_refused_before_solving(self, monkeypatch, m, J, n_bands):
+        # isolation is checked against band m + 1, which n_bands, or its
+        # default min(m + 3, 2J + 1), must include
+        monkeypatch.setattr(bands, "compute_bands", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ConfigError, match=f"no band above band {m}"):
+            extract_effective_model(FREE, constant(-1.0), m, "a", J=J, n_bands=n_bands)
 
     def test_assumption_gate(self):
         with pytest.raises(AssumptionError):

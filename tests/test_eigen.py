@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ptbands import (ClassificationError, ComplexBandError, DegenerateEigenvalueError,
-                     PotentialParts, assemble, classify, constant,
+from ptbands import (ComplexBandError, DegenerateEigenvalueError,
+                     PotentialParts, assemble, constant,
                      fix_pt_phase, from_parts, make_mode, solve)
 from ptbands.discretize import assemble_stack
 from ptbands.eigen import TWO_PI, decompose, inner
@@ -229,37 +229,6 @@ class TestStackedDecomposition:
         assert spoilt == ([len(self.KS) - 1] if name == "two_harmonic_g15" else [])
 
 
-class TestClassify:
-    def test_all_real(self):
-        spec = solve(assemble(two_harmonic_potential(1.0), 0.25, 12))
-        cls = classify(spec, 1e-8)
-        assert len(cls.pairs) == 0
-        assert len(cls.real_values) == 25
-
-    def test_constructed_pair(self):
-        from ptbands.eigen import Spectrum
-        w = np.array([1 - 0.1j, 1 + 0.1j, 2 + 0j])
-        spec = Spectrum(k=0.0, J=1, eigenvalues=w, right_vectors=np.eye(3, dtype=complex))
-        cls = classify(spec, 1e-8)
-        assert len(cls.pairs) == 1 and len(cls.real_values) == 1
-        assert cls.pairs[0][0].imag > 0
-
-    def test_broken_pt_pair(self):
-        p = from_parts(PotentialParts((), (0.0, 1.0), gamma=0.2))
-        spec = solve(assemble(p, 0.0, 16))
-        cls = classify(spec, 1e-8)
-        near_one = [pair for pair in cls.pairs if abs(pair[0] - 1) < 0.5]
-        assert len(near_one) == 1
-        assert near_one[0][0] == pytest.approx(1 + 0.1j, abs=5e-3)
-
-    def test_unpaired_complex_raises(self):
-        from ptbands.eigen import Spectrum
-        w = np.array([1 + 0.1j, 2 + 0j])
-        spec = Spectrum(k=0.0, J=0, eigenvalues=w, right_vectors=np.eye(2, dtype=complex))
-        with pytest.raises(ClassificationError):
-            classify(spec, 1e-8)
-
-
 class TestGaugeSimilarityOracle:
     """Independent oracle for the non-selfadjoint path.
 
@@ -307,30 +276,6 @@ def test_random_pt_spectra_conjugation_closed(cos, sin, gamma, k):
     scale = np.maximum(1.0, np.abs(w))
     closure = max(np.abs(np.conj(val) - w).min() / s for val, s in zip(w, scale))
     assert closure <= 1e-9
-
-
-@given(
-    reals=st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=8),
-    pairs=st.lists(st.tuples(st.floats(-50, 50, allow_nan=False),
-                             st.floats(1e-4, 10, allow_nan=False)), max_size=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_classify_partition_property(reals, pairs):
-    # any conjugation-closed multiset splits with nothing lost or duplicated
-    from ptbands.eigen import Spectrum
-    w = [complex(r) for r in reals]
-    for re, im in pairs:
-        w += [complex(re, im), complex(re, -im)]
-    w = np.array(w)
-    order = np.lexsort((w.imag, w.real))
-    spec = Spectrum(k=0.0, J=(len(w) - 1) // 2, eigenvalues=w[order],
-                    right_vectors=np.eye(len(w), dtype=complex))
-    cls = classify(spec, 1e-8)
-    assert len(cls.real_values) + 2 * len(cls.pairs) == len(w)
-    recovered = list(cls.real_values.astype(complex))
-    for plus, minus in cls.pairs:
-        recovered += [plus, minus]
-    assert np.allclose(np.sort_complex(np.array(recovered)), np.sort_complex(w))
 
 
 class TestMakeMode:

@@ -163,10 +163,10 @@ class TestNewtonKrylov:
         assert np.linalg.norm(inverse(Ac) - c) <= 1e-11 * np.linalg.norm(c)
 
     def test_grid_without_whole_cells_rejected(self):
-        g = RealLineGrid(half_length=TWO_PI * 4, n_points=258)
-        u0 = np.sqrt(2) / np.cosh(g.x) + 0j
+        # the Floquet-Bloch blocks split the grid into whole cells, and no
+        # grid without them can be built
         with pytest.raises(GridError, match="258 points"):
-            newton_solve(1.1 * u0, -1.0, FREE, constant(-1.0), g)
+            RealLineGrid(half_length=TWO_PI * 4, n_points=258)
 
     @pytest.mark.parametrize("omega", [1.0, 1.0 + 1e-14])
     def test_singular_preconditioner_block_reported(self, omega):

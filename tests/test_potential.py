@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptbands import (ConfigError, Convention, PeriodicPotential, PotentialParts,
-                     constant, from_parts, potential_from_json, to_parts, validate_pt)
+                     constant, from_parts, potential_from_json, validate_pt)
 from ptbands.potential import parts_from_json
 from conftest import two_harmonic_parts, two_harmonic_potential
 
@@ -33,20 +33,6 @@ class TestFromParts:
         doubled = from_parts(PotentialParts((1.0,), (1.0,), 0.5, Convention.PROP3_DOUBLED))
         for j in (1, -1):
             assert doubled.coeffs[j] == pytest.approx(2 * single.coeffs[j])
-
-    def test_roundtrip_through_parts(self):
-        parts = PotentialParts((0.4, 0.0, 1.1), (0.2, 0.9), gamma=0.3)
-        back = to_parts(from_parts(parts), gamma=0.3)
-        assert np.allclose(back.cosine_coeffs, (0.4, 0.0, 1.1))
-        assert np.allclose(back.sine_coeffs[:2], (0.2, 0.9))
-
-    def test_to_parts_rejects_undecomposable(self):
-        with pytest.raises(ConfigError):
-            to_parts(constant(1.0), gamma=1.0)      # constant offset
-        with pytest.raises(ConfigError):
-            to_parts(two_harmonic_potential(1.0), gamma=0.0)  # sine part undetermined
-        with pytest.raises(ConfigError):
-            to_parts(PeriodicPotential({1: 1j}), gamma=1.0)  # not PT
 
 
 class TestEval:
@@ -94,12 +80,6 @@ def test_pt_symmetry_of_values(rng):
     p = two_harmonic_potential(1.5)
     x = rng.uniform(-10, 10, size=100)
     assert np.abs(p.eval(-x) - np.conj(p.eval(x))).max() < 1e-13
-
-
-def test_conjugated_is_reflection(rng):
-    p = from_parts(PotentialParts((1.0, 0.2), (0.5,), gamma=0.7))
-    x = rng.uniform(-5, 5, size=20)
-    assert np.allclose(p.conjugated().eval(x), np.conj(p.eval(x)))
 
 
 class TestJson:
