@@ -373,7 +373,7 @@ def _best_match(overlap):
 
     When the row-wise argmax is a permutation and every row's maximum is
     strict, it is the unique optimum; otherwise (a tie or two rows on one
-    column) _assignment decides, with scipy's tie rule.
+    column) _assignment decides, with Crouse's tie rule.
     """
     perm = overlap.argmax(axis=1)
     n = len(perm)
@@ -389,8 +389,8 @@ def _assignment(cost):
     """col[i] assigned to row i minimising sum cost[i][col[i]] for a square cost.
 
     Shortest augmenting paths (D. F. Crouse, IEEE Trans. Aerosp. Electron.
-    Syst. 52, 2016) with the scan order and tie-breaking of
-    scipy.optimize.linear_sum_assignment, so equal-cost optima resolve alike.
+    Syst. 52, 2016) with the scan order and tie-breaking of Crouse's
+    reference implementation, so equal-cost optima resolve as there.
     u and v are the dual variables, spc the shortest-path costs of one
     augmentation and SR, SC its scanned rows and columns.
     """

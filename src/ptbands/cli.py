@@ -286,15 +286,19 @@ def cmd_dirac(cfg, out):
         U = potential.from_parts(replace(parts, gamma=0.0))
         bs0 = bands.compute_bands(U, J, cfg.N_k, cfg.n_bands)
         for dp in dirac.find_dirac_points(bs0, cfg.dirac_tol):
+            plus = {}
             for g in gamma_list:
                 V = potential.from_parts(replace(parts, gamma=g))
-                records.append(dirac.predict_splitting(dp, parts, g).with_measurement(
-                    dirac.measure_splitting(V, dp.k0, dp.mu, J)))
+                measured = dirac.measure_splitting(V, dp.k0, dp.mu, J)
+                plus[g] = measured[0]
+                records.append(dirac.predict_splitting(dp, parts, g).with_measurement(measured))
             summary["points"].append({"k0": dp.k0, "mu": dp.mu,
                                       "band_pair": list(dp.band_pair)})
             if len(gamma_list) >= 3:
                 try:
-                    slope = dirac.splitting_slope(parts, dp, J, tuple(sorted(gamma_list)[:3]))
+                    # the Richardson slope reuses the pairs just measured
+                    gammas = dirac._slope_gammas(sorted(gamma_list)[:3])
+                    slope = dirac._richardson([abs(plus[g].imag) / g for g in gammas])
                     coupling = abs(dirac.mw_matrix(dp, parts)[1, 0])
                     summary["slopes"].append({"mu": dp.mu, "k0": dp.k0,
                                               "richardson_slope": slope,

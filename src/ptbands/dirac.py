@@ -250,16 +250,27 @@ def splitting_slope(U_parts: PotentialParts, dp: DiracPoint, J: int,
     and removes the O(gamma^2) and O(gamma^4) bias (the splitting is even
     in gamma for PT potentials).  Comparable to |<W phi_+, phi_->|.
     """
+    ratios = []
+    for g in _slope_gammas(gammas):
+        plus, _ = measure_splitting(from_parts(replace(U_parts, gamma=g)), dp.k0, dp.mu, J)
+        ratios.append(abs(plus.imag) / g)
+    return _richardson(ratios)
+
+
+def _slope_gammas(gammas):
+    """gammas sorted; ConfigError unless they are three positive numbers in ratio 1:2:4."""
     gammas = sorted(gammas)
     if len(gammas) != 3 or gammas[0] <= 0 or not np.allclose(np.diff(np.log(gammas)), np.log(2)):
         raise ConfigError("splitting_slope expects three positive gammas in ratio 1:2:4")
-    s = []
-    for g in gammas:
-        V = from_parts(replace(U_parts, gamma=g))
-        plus, _ = measure_splitting(V, dp.k0, dp.mu, J)
-        s.append(abs(plus.imag) / g)
-    r1a = (4 * s[0] - s[1]) / 3
-    r1b = (4 * s[1] - s[2]) / 3
+    return gammas
+
+
+def _richardson(ratios):
+    """Limit at gamma -> 0 of |Im omega_+|/gamma from its values at gammas in
+    ratio 1:2:4, free of the O(gamma^2) and O(gamma^4) terms."""
+    s1, s2, s4 = ratios
+    r1a = (4 * s1 - s2) / 3
+    r1b = (4 * s2 - s4) / 3
     return (16 * r1a - r1b) / 15
 
 

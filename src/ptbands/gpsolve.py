@@ -21,6 +21,11 @@ so the Krylov count per Newton step stays bounded as eps -> 0 (the
 preconditioned Newton iteration of J. Yang, J. Comput. Phys. 228, 2009).
 Set-up inverts the C real dense blocks once per solve (8 P N bytes); each
 application is a batched P x P product on c, O(P N), with no FFT.
+
+The Krylov solver is an in-package restarted GMRES (Saad & Schultz, SIAM
+J. Sci. Stat. Comput. 7, 1986) on numpy alone, left-preconditioned by the
+Floquet-Bloch inverse like SciPy's gmres, whose iteration it follows step
+for step (a test compares the two).
 """
 
 from dataclasses import dataclass
@@ -34,10 +39,10 @@ from .potential import PeriodicPotential, validate_pt
 from .util import is_real
 
 # Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
-# sends the eps = 0.2 solve to another solution).  gmres allocates its
-# (GMRES_RESTART + 1) x N Krylov basis on every step; with the Floquet-Bloch
-# preconditioner a step takes at most 15 matvecs on the tested lattices, so 30
-# never restarts there
+# sends the eps = 0.2 solve to another solution).  _gmres, left-preconditioned
+# like SciPy's, allocates its (GMRES_RESTART + 1) x N Krylov basis on every
+# step; with the Floquet-Bloch preconditioner a step takes at most 15 matvecs on
+# the tested lattices, so 30 never restarts there
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 30
 FORCING_MAX = 1e-4
@@ -52,7 +57,8 @@ class BoundState:
 
     residual_norm is the L2 norm of the GP residual (None for a bare
     ansatz that has not been solved); residual_history holds the Newton
-    residuals including the final one.
+    residuals including the final one, and matvecs the Jacobian actions of
+    each Newton step's GMRES solve.
     """
 
     values: np.ndarray
@@ -62,6 +68,7 @@ class BoundState:
     residual_norm: float = None
     newton_iters: int = None
     residual_history: tuple = ()
+    matvecs: tuple = ()
 
     def pt_defect(self):
         """max |conj(u(-x)) - u(x)| over the grid (RealLineGrid.pt_defect)."""
@@ -77,6 +84,7 @@ class ConvergenceRow:
     residual: float
     hs_error: float
     hs_error_rel: float
+    matvecs: tuple
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,10 @@ def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
 
     With c reshaped to (P, C), column r holds the indices n = qC + r;
     block r has entries vhat[(q - q') mod P] + (xi_{qC+r}^2 - omega) delta_{qq'}
-    with vhat the DFT of V on one cell, real as V is PT.  Each block is inverted in place.
-    Raises NewtonError when a block is singular or its 1-norm condition
-    exceeds BLOCK_COND_MAX.
+    with vhat the DFT of V on one cell, real as V is PT.  All blocks are inverted
+    in one batched call.  Raises NewtonError when a block is singular or its
+    1-norm condition exceeds BLOCK_COND_MAX.
     """
-    from scipy.linalg.lapack import dgetrf, dgetri     # imported here: only Newton needs it
     C = grid.cells
     N = grid.n_points
     P = N // C
@@ -159,19 +166,105 @@ def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
     blocks = np.empty((C, P, P))
     blocks[:] = vhat[(q[:, None] - q) % P]
     blocks[:, q, q] += (grid.frequencies**2 - omega).reshape(P, C).T
-    for r, block in enumerate(blocks):
-        norm = np.abs(block).sum(axis=0).max()
-        # the transpose is Fortran-ordered, so LAPACK inverts it in the block's
-        # memory; inv is the transposed inverse
-        lu, piv, info = dgetrf(block.T, overwrite_a=True)
-        if info == 0:
-            inv, info = dgetri(lu, piv, overwrite_lu=True)
-        if info or not norm * np.abs(inv).sum(axis=1).max() <= BLOCK_COND_MAX:
-            raise NewtonError(f"preconditioner block {r} of {C} is singular or "
-                              f"ill-conditioned at omega = {omega:.6g} "
-                              "(omega on a band of the grid)")
-        blocks[r] = inv.T
-    return lambda c: np.matmul(blocks, c.reshape(P, C).T[:, :, None])[:, :, 0].T.reshape(N)
+    try:
+        inv = np.linalg.inv(blocks)
+        cond = np.abs(blocks).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    except np.linalg.LinAlgError:     # an exactly singular block: its condition is inf
+        cond = np.linalg.cond(blocks, 1)
+    bad = np.flatnonzero(~(cond <= BLOCK_COND_MAX))
+    if bad.size:
+        raise NewtonError(f"preconditioner block {bad[0]} of {C} is singular or "
+                          f"ill-conditioned at omega = {omega:.6g} "
+                          "(omega on a band of the grid)")
+    return lambda c: np.matmul(inv, c.reshape(P, C).T[:, :, None])[:, :, 0].T.reshape(N)
+
+
+def _gmres(matvec, b, rtol: float, restart: int, maxiter: int, psolve):
+    """Solve A x = b from x = 0 by left-preconditioned restarted GMRES.
+
+    matvec applies A and psolve the preconditioner M ~ A^{-1}; maxiter
+    bounds the restart cycles of at most restart Krylov steps each.  Step for
+    step the iteration of SciPy 1.17's sparse.linalg.gmres: modified
+    Gram-Schmidt, the breakdown test h1 <= eps h0, an inner tolerance on the
+    preconditioned residual adapted between cycles (SciPy gh-8400), and
+    success only when the true residual ||b - A x|| <= rtol ||b||.  Returns
+    (x, info, number of matvec calls), info 0 on success and maxiter on a miss.
+    """
+    n = len(b)
+    bnrm2 = np.linalg.norm(b)
+    atol = rtol * bnrm2
+    if bnrm2 == 0 or bnrm2 < atol:     # x = 0 already meets the tolerance
+        return np.zeros(n), 0, 0
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+    # the inner iteration sees only the preconditioned residual: its tolerance
+    # ptol is rescaled after every cycle from the true one
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))      # h[j, i] is entry (i, j) of the Hessenberg matrix
+    givens = np.zeros((restart, 2))
+    x = np.zeros(n)
+    r = b.copy()
+    n_matvec = 0
+    for _ in range(maxiter):
+        v[0] = psolve(r)
+        S = np.zeros(restart + 1)
+        S[0] = np.linalg.norm(v[0])
+        v[0] *= 1 / S[0]
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(v[col]))
+            n_matvec += 1
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[col, k] = tmp = np.dot(v[k], w)
+                w -= tmp * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:     # the Krylov space holds the exact solution
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            # the rotation of LAPACK dlartg: mag carries the sign of f
+            f, g = h[col, col], h[col, col + 1]
+            mag = np.copysign(np.hypot(f, g), f)
+            c, s = (f / mag, g / mag) if mag else (1.0, 0.0)
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0
+            S[col], S[col + 1] = c * S[col], -s * S[col]
+            presid = abs(S[col + 1])
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangular h, skipping zero right-hand sides
+        # so a singular h gives a pseudo-solution
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - matvec(x)
+        n_matvec += 1
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:     # the inner test passed but the true one did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter, n_matvec
 
 
 def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
@@ -188,8 +281,6 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     assumption), or a singular preconditioner block (omega on a band of the
     grid).
     """
-    import scipy.sparse.linalg     # imported here: only Newton solves need it
-
     u0 = np.asarray(u0, dtype=complex)
     N = grid.n_points
     if len(u0) != N:
@@ -206,6 +297,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     precond = None
     u = _pt_project(u0, grid)
     history = []
+    matvecs = []
     iters = 0
     for _ in range(max_iter + 1):
         G = _residual(u, omega, Vx, sx, grid)
@@ -216,18 +308,16 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
         if rnorm <= tol:
             return BoundState(values=u, eps=np.nan, omega=omega, grid=grid,
                               residual_norm=rnorm, newton_iters=iters,
-                              residual_history=tuple(history))
+                              residual_history=tuple(history), matvecs=tuple(matvecs))
         if iters >= max_iter:
             break
         if precond is None:     # a converged u0 needs none, even with omega on a band
-            precond = scipy.sparse.linalg.LinearOperator(
-                (N, N), matvec=_bloch_inverse(Vx, omega, grid), dtype=float)
-        jac = scipy.sparse.linalg.LinearOperator(
-            (N, N), matvec=_jacobian_action(u, omega, Vx, sx, grid), dtype=float)
+            precond = _bloch_inverse(Vx, omega, grid)
         # z holds the real DFT coefficients of the PT correction
-        z, info = scipy.sparse.linalg.gmres(
-            jac, np.fft.fft(G).real, rtol=min(FORCING_MAX, rnorm),
-            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES, M=precond)
+        z, info, n_matvec = _gmres(_jacobian_action(u, omega, Vx, sx, grid),
+                                   np.fft.fft(G).real, min(FORCING_MAX, rnorm),
+                                   GMRES_RESTART, GMRES_MAX_CYCLES, precond)
+        matvecs.append(n_matvec)
         if info != 0 or not np.all(np.isfinite(z)):
             raise NewtonError(f"GMRES failed at iteration {iters} (info {info})",
                               last_residual=rnorm)
@@ -278,7 +368,7 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
         rows.append(ConvergenceRow(
             eps=float(eps), half_length=grid.half_length, n_points=grid.n_points,
             newton_iters=state.newton_iters, residual=state.residual_norm,
-            hs_error=err, hs_error_rel=rel,
+            hs_error=err, hs_error_rel=rel, matvecs=state.matvecs,
         ))
 
     def fit(errors):

@@ -384,10 +384,9 @@ class TestDiracCommand:
             assert "dimension" in err and err.rstrip().endswith("more)")
 
 
-def test_cli_import_leaves_out_optimize_and_sparse_linalg(tmp_path):
-    # scipy is about half of a CLI process's start-up and only Newton needs it:
-    # importing the CLI and running every shipped non-converge config loads no
-    # scipy module, and converge then still runs
+def test_cli_loads_no_scipy(tmp_path):
+    # ptbands runs on numpy alone: importing the CLI, running every shipped
+    # non-converge config and then a converge study load no scipy module
     probe = textwrap.dedent("""
         import json, pathlib, sys
         import ptbands.cli
@@ -404,17 +403,18 @@ def test_cli_import_leaves_out_optimize_and_sparse_linalg(tmp_path):
         (out / "converge.json").write_text(json.dumps(cfg))
         code = main(["converge", "--config", str(out / "converge.json"),
                      "--out", str(out / "converge")])
-        print(json.dumps([loaded, code, "scipy.sparse.linalg" in sys.modules]))
+        loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(json.dumps([loaded, code]))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", probe, str(CONFIGS), str(tmp_path)],
                          capture_output=True, text=True, env=env, check=True)
-    loaded, code, newton_loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == [[], []]
+    loaded, code = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == [[], [], []]
     assert {p.stem.split("_")[0] for p in CONFIGS.glob("*.json")} == {
         "ansatz", "bands", "converge", "dirac", "effective"}
-    assert code == 0 and newton_loaded
+    assert code == 0
 
 
 def test_sample_configs_parse(tmp_path):
