@@ -2,15 +2,14 @@
 for one-dimensional PT-symmetric periodic Schroedinger operators."""
 
 from .bands import (BandEdge, BandEdgeReport, BandStructure, check_assumption,
-                    compute_bands, curvature_from_fit, edge_curvature, second_derivative)
+                    compute_bands, edge_curvature, second_derivative)
 from .dirac import (DiracPoint, SplittingPrediction, find_dirac_points, mw_matrix,
-                    measure_splitting, predict_splitting, prop3_scan, splitting_slope)
-from .discretize import BlochOperatorMatrix, assemble
+                    measure_splitting, predict_splitting, prop3_scan, richardson_slope,
+                    splitting_slope)
 from .effective import (EffectiveModel, SechEnvelope, build_ansatz,
                         envelope_residual, extract_effective_model,
                         gamma_coefficient, sech_envelope)
-from .eigen import (BlochMode, Spectrum, eigenvalues, fix_pt_phase,
-                    make_mode, solve)
+from .eigen import BlochMode, Spectrum, eigenvalues, fix_pt_phase, make_mode
 from .errors import (AssumptionError, ClassificationError, ComplexBandError,
                      ConfigError, DegenerateEigenvalueError, ExistenceError,
                      GridError, NewtonError, PTBandsError, PTSymmetryError,

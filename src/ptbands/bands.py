@@ -35,8 +35,9 @@ each k by construction, and its vectors are zero-padded to J once, as they
 are tracked.  The whole block spectra at the edges k = 0 and 1/2 are kept:
 they give the edge modes and, through one bordered reduced-resolvent solve
 each, the edge curvatures.
-second_derivative is the independent finite-difference estimator.  Band
-indices m are 1-based in the public API.
+second_derivative is the independent finite-difference estimator; its
+matrices, like edge_curvature's, are stacks of one.  Band indices m are
+1-based in the public API.
 """
 
 import math
@@ -529,7 +530,7 @@ def edge_curvature(p: PeriodicPotential, spec: eigen.Spectrum, index: int):
     condition = float(np.linalg.norm(l) * np.linalg.norm(r) / abs(s))
     if spec.is_degenerate(index) or condition > 1e8:
         return np.nan, condition
-    M = discretize.assemble(p, spec.k, spec.J).entries
+    M = discretize.assemble_stack(p, [spec.k], spec.J)[0]
     n = len(r)
     B = np.block([[M - omega * np.eye(n), r[:, None]],
                   [l.conj()[None, :], np.zeros((1, 1))]])
@@ -550,7 +551,7 @@ def _band_value_near(p, k, J, ref_vector, tol_real):
         k, shift = k - 1.0, 1
     elif k <= -0.5:
         k, shift = k + 1.0, -1
-    spec = eigen.solve(discretize.assemble(p, k, J))
+    w, right = _spectrum(p, k, J)
     ref = ref_vector
     if shift:
         # p(x, k - 1) = e^{ix} p(x, k): frequency j + k in the old frame is
@@ -560,14 +561,23 @@ def _band_value_near(p, k, J, ref_vector, tol_real):
             ref[1:] = ref_vector[:-1]
         else:
             ref[:-1] = ref_vector[1:]
-    ov = np.abs(ref.conj() @ spec.right_vectors)
+    ov = np.abs(ref.conj() @ right)
     i = int(np.argmax(ov))
-    om = spec.eigenvalues[i]
+    om = w[i]
     if abs(om.imag) > tol_real * max(1.0, abs(om)):
         raise ComplexBandError(
             f"band value at k={k} is complex ({om}); curvature refused"
         )
     return om.real
+
+
+def _spectrum(p, k, J):
+    """Eigenvalues and right vectors of M_J(k), decomposed as a stack of one."""
+    try:
+        w, right, _ = eigen.decompose(discretize.assemble_stack(p, [k], J))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise PTBandsError(f"eigensolver failed at k={k}, J={J}: {exc}") from exc
+    return w[0], right[0]
 
 
 def _richardson_d2(p, om0, ref, k0, J, h, tol_real):
@@ -601,11 +611,11 @@ def second_derivative(p: PeriodicPotential, m: int, k0: float, J: int,
     """
     if k0 not in (0.0, 0.5):
         raise ConfigError("band-edge curvature is defined at k0 in {0, 1/2}")
-    spec0 = eigen.solve(discretize.assemble(p, k0, J))
-    om0 = spec0.eigenvalues[m - 1]
+    w, right = _spectrum(p, k0, J)
+    om0 = w[m - 1]
     if abs(om0.imag) > tol_real * max(1.0, abs(om0)):
         raise ComplexBandError(f"omega_{m}({k0}) = {om0} is not real")
-    ref = spec0.right_vectors[:, m - 1]
+    ref = right[:, m - 1]
 
     value, err = _richardson_d2(p, om0.real, ref, k0, J, h, tol_real)
     for _ in range(MAX_STEP_RETRIES):
@@ -617,28 +627,6 @@ def second_derivative(p: PeriodicPotential, m: int, k0: float, J: int,
             break
         value, err = value2, err2
     return float(value), float(err)
-
-
-def curvature_from_fit(p: PeriodicPotential, m: int, k0: float, J: int,
-                       half_width: float = 0.05, n_samples: int = 11,
-                       tol_real: float = REALITY_TOL):
-    """Independent curvature estimate: even quartic fit of omega_m near k0.
-
-    Fits omega = a0 + a2 d^2 + a4 d^4 on |d| <= half_width (d measured into
-    the zone) and returns 2*a2.  Serves as the second estimator guarding
-    the difference-based second_derivative against tracking errors.
-    """
-    if k0 not in (0.0, 0.5):
-        raise ConfigError("band-edge curvature is defined at k0 in {0, 1/2}")
-    spec0 = eigen.solve(discretize.assemble(p, k0, J))
-    om0 = spec0.eigenvalues[m - 1]
-    ref = spec0.right_vectors[:, m - 1]
-    s = 1.0 if k0 == 0.0 else -1.0
-    ds = np.linspace(half_width / n_samples, half_width, n_samples)
-    oms = [_band_value_near(p, k0 + s * d, J, ref, tol_real) for d in ds]
-    A = np.vstack([np.ones_like(ds), ds**2, ds**4]).T
-    coef, *_ = np.linalg.lstsq(A, np.asarray(oms) - om0.real, rcond=None)
-    return float(2 * coef[1])
 
 
 def require_assumption(report: BandEdgeReport):

@@ -297,8 +297,7 @@ def cmd_dirac(cfg, out):
             if len(gamma_list) >= 3:
                 try:
                     # the Richardson slope reuses the pairs just measured
-                    gammas = dirac._slope_gammas(sorted(gamma_list)[:3])
-                    slope = dirac._richardson([abs(plus[g].imag) / g for g in gammas])
+                    slope = dirac.richardson_slope(plus)
                     coupling = abs(dirac.mw_matrix(dp, parts)[1, 0])
                     summary["slopes"].append({"mu": dp.mu, "k0": dp.k0,
                                               "richardson_slope": slope,

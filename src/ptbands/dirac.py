@@ -165,9 +165,9 @@ def mw_matrix(dp: DiracPoint, W_parts: PotentialParts) -> np.ndarray:
         [[<W phi_+, phi_+>, <W phi_-, phi_+>],
          [<W phi_+, phi_->, <W phi_-, phi_->]]
     That is 2 pi B^H T_W B with B = [phi_+, phi_-] and T_W the Toeplitz
-    matrix of W (discretize.potential_matrix), applied one diagonal per
-    harmonic of W.  Hermitian for real W; anti-diagonal in the parity basis
-    because W is odd and |phi_+-|^2 are even.
+    matrix of W (built as in discretize.assemble_stack), applied one
+    diagonal per harmonic of W.  Hermitian for real W; anti-diagonal in the
+    parity basis because W is odd and |phi_+-|^2 are even.
     """
     if any(W_parts.cosine_coeffs):
         raise ConfigError("W must be odd: cosine part not allowed in mw_matrix")
@@ -244,17 +244,24 @@ def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
 
 def splitting_slope(U_parts: PotentialParts, dp: DiracPoint, J: int,
                     gammas=(0.01, 0.02, 0.04)):
-    """d(Im omega_+)/d gamma at gamma -> 0 by Richardson extrapolation.
+    """richardson_slope of the pairs measured at gammas, which must be three
+    positive numbers in ratio 1:2:4 (ConfigError before any measurement
+    otherwise).  Comparable to |<W phi_+, phi_->|."""
+    return richardson_slope({
+        g: measure_splitting(from_parts(replace(U_parts, gamma=g)), dp.k0, dp.mu, J)[0]
+        for g in _slope_gammas(gammas)})
 
-    Measures Im omega_+(gamma)/gamma at three geometrically spaced gammas
-    and removes the O(gamma^2) and O(gamma^4) bias (the splitting is even
-    in gamma for PT potentials).  Comparable to |<W phi_+, phi_->|.
-    """
-    ratios = []
-    for g in _slope_gammas(gammas):
-        plus, _ = measure_splitting(from_parts(replace(U_parts, gamma=g)), dp.k0, dp.mu, J)
-        ratios.append(abs(plus.imag) / g)
-    return _richardson(ratios)
+
+def richardson_slope(plus_by_gamma):
+    """d(Im omega_+)/d gamma at gamma -> 0 from a mapping gamma -> omega_+(gamma):
+    |Im omega_+|/gamma at its three smallest gammas, which must be positive and
+    in ratio 1:2:4 (ConfigError otherwise), Richardson-extrapolated free of the
+    O(gamma^2) and O(gamma^4) terms (the splitting is even in gamma)."""
+    s1, s2, s4 = (abs(plus_by_gamma[g].imag) / g
+                  for g in _slope_gammas(sorted(plus_by_gamma)[:3]))
+    r1a = (4 * s1 - s2) / 3
+    r1b = (4 * s2 - s4) / 3
+    return (16 * r1a - r1b) / 15
 
 
 def _slope_gammas(gammas):
@@ -263,15 +270,6 @@ def _slope_gammas(gammas):
     if len(gammas) != 3 or gammas[0] <= 0 or not np.allclose(np.diff(np.log(gammas)), np.log(2)):
         raise ConfigError("splitting_slope expects three positive gammas in ratio 1:2:4")
     return gammas
-
-
-def _richardson(ratios):
-    """Limit at gamma -> 0 of |Im omega_+|/gamma from its values at gammas in
-    ratio 1:2:4, free of the O(gamma^2) and O(gamma^4) terms."""
-    s1, s2, s4 = ratios
-    r1a = (4 * s1 - s2) / 3
-    r1b = (4 * s2 - s4) / 3
-    return (16 * r1a - r1b) / 15
 
 
 def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
@@ -302,7 +300,7 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
         )
     parts = PotentialParts(tuple(a_seq), tuple(b_seq), gamma, Convention.PROP3_DOUBLED)
     V = from_parts(parts)
-    w = eigen.eigenvalues(discretize.assemble(V, 0.0, J))
+    w = eigen.eigenvalues(discretize.assemble_stack(V, [0.0], J)[0])
 
     records = []
     for m in m_range:

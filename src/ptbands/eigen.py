@@ -15,10 +15,9 @@ Conventions used throughout:
 * every phase is fixed by gauge(v, angle), which turns the largest-|.|
   coefficient onto the angle.
 
-decompose() decomposes one matrix, or a stack of them at once: every right
-vector and, for the columns a caller picks, the left vector too; solve()
-is decompose() on one matrix, which the same code treats as a stack of
-one.  The right vectors come from one call of
+decompose() is the one decomposition: of one matrix, or of a stack of them
+at once, every right vector and, for the columns a caller picks, the left
+vector too.  The right vectors come from one call of
 numpy's LAPACK eigensolver for the whole stack (eigh when the stack is
 exactly Hermitian, which makes left = right).  Each picked left vector is
 the matching row of the inverse of the right-vector matrix, biorthogonal to
@@ -37,7 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import BlochOperatorMatrix
 from .errors import ComplexBandError, DegenerateEigenvalueError, PTBandsError
 
 TWO_PI = 2.0 * np.pi
@@ -57,9 +55,9 @@ class Spectrum:
     part); right_vectors[:, i] is the unit-2-norm eigenvector of
     eigenvalues[i] in the e^{ijx} coefficient basis, j = -J..J, and
     left_vectors[:, i] the unit-2-norm left eigenvector
-    (l^H M = omega l^H, i.e. M^H l = conj(omega) l) in the columns solve()
-    was asked to pick, NaN in the others; left_vectors is None when solve()
-    picked none.
+    (l^H M = omega l^H, i.e. M^H l = conj(omega) l) in the columns
+    decompose() was asked to pick, NaN in the others; left_vectors is None
+    when it picked none.
     """
 
     k: float
@@ -69,11 +67,11 @@ class Spectrum:
     left_vectors: np.ndarray = None
 
     def left(self, index):
-        """left_vectors[:, index]; PTBandsError when solve() did not pick it."""
+        """left_vectors[:, index]; PTBandsError when decompose() did not pick it."""
         l = None if self.left_vectors is None else self.left_vectors[:, index]
         if l is None or np.isnan(l[0]):
             raise PTBandsError(f"no left vector in column {index} at k={self.k}: "
-                               "solve() did not pick it")
+                               "decompose() did not pick it")
         return l
 
     def gap(self, index):
@@ -99,13 +97,6 @@ class BlochMode:
     @property
     def J(self):
         return (len(self.p_coeffs) - 1) // 2
-
-    def g_values(self, x):
-        """Bloch wave g(x) = e^{ikx} p(x) at arbitrary points; PT-symmetric
-        when the phase is fixed."""
-        x = np.asarray(x, dtype=float)
-        js = np.arange(-self.J, self.J + 1)
-        return np.exp(1j * self.k * x) * (np.exp(1j * np.outer(x, js)) @ self.p_coeffs)
 
 
 def gauge(v, angle=0.0):
@@ -133,28 +124,16 @@ def _lapack_entries(A):
     return A
 
 
-def solve(M: BlochOperatorMatrix, pick=None) -> Spectrum:
-    """Eigendecomposition of a Bloch operator matrix: every right vector, and
-    the left vectors in the columns pick(eigenvalues) selects (an index array
-    or slice into the sorted eigenvalues).  Without pick no left vector is
-    computed.  This is decompose() on one matrix."""
-    try:
-        w, right, left = decompose(M.entries, pick)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
-    return Spectrum(k=M.k, J=M.J, eigenvalues=w, right_vectors=right, left_vectors=left)
-
-
 def decompose(A, pick=None):
     """Eigendecompositions of a matrix A (n, n), or of every matrix of a
     stack A (m, n, n) at once.
 
-    Returns the eigenvalues (..., n), each row sorted as solve() sorts them,
-    the unit right vectors (..., n, n), and the unit left vectors
-    (..., n, n) in the columns pick(eigenvalues) selects in every row, NaN in
-    the others, or None without pick.  An exactly Hermitian stack takes
-    eigh, whose left vectors are the right ones.  A LAPACK failure raises
-    LinAlgError.
+    Returns the eigenvalues (..., n), each row sorted ascending by real part
+    (ties by imaginary part), the unit right vectors (..., n, n), and the
+    unit left vectors (..., n, n) in the columns pick(eigenvalues) selects in
+    every row (an index array or slice), NaN in the others, or None without
+    pick.  An exactly Hermitian stack takes eigh, whose left vectors are the
+    right ones.  A LAPACK failure raises LinAlgError.
     """
     A = _lapack_entries(A)
     n = A.shape[-1]
@@ -239,12 +218,12 @@ def _matmul(A, x):
     return A @ x
 
 
-def eigenvalues(M: BlochOperatorMatrix) -> np.ndarray:
-    """Eigenvalues of a Bloch operator matrix in solve()'s order, no vectors."""
+def eigenvalues(A) -> np.ndarray:
+    """Eigenvalues of one matrix A (n, n) in decompose()'s order, no vectors."""
     try:
-        w = np.linalg.eigvals(_lapack_entries(M.entries)).astype(complex)
+        w = np.linalg.eigvals(_lapack_entries(A)).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise PTBandsError(f"eigensolver failed at k={M.k}, J={M.J}: {exc}") from exc
+        raise PTBandsError(f"eigensolver failed at J={len(A) // 2}: {exc}") from exc
     return w[np.lexsort((w.imag, w.real))]
 
 

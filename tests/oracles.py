@@ -1,0 +1,71 @@
+"""Test-side references the package itself does not need.
+
+assemble and solve give one Galerkin matrix M_J(k) and its decomposition,
+built on the package's one assembly (discretize.assemble_stack) and one
+decomposition (eigen.decompose) as stacks of one.  g_values evaluates a
+Bloch wave at points; curvature_from_fit is a second finite-difference
+estimator of a band-edge curvature, beside bands.second_derivative.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ptbands import ConfigError, Spectrum
+from ptbands.bands import REALITY_TOL, _band_value_near
+from ptbands.discretize import assemble_stack
+from ptbands.eigen import decompose
+
+
+@dataclass(frozen=True, slots=True)
+class Matrix:
+    """Dense Galerkin matrix of L(k) at quasimomentum k."""
+
+    k: float
+    J: int
+    entries: np.ndarray
+
+    def norm(self):
+        """Infinity norm, the scale of roundoff bounds."""
+        return np.linalg.norm(self.entries, np.inf)
+
+
+def assemble(p, k, J):
+    """M_J(k): assemble_stack at the one quasimomentum k."""
+    return Matrix(k=float(k), J=int(J), entries=assemble_stack(p, [k], J)[0])
+
+
+def solve(M, pick=None):
+    """eigen.decompose of one matrix as a Spectrum: every right vector, and
+    the left vectors in the columns pick(eigenvalues) selects (none without
+    pick)."""
+    w, right, left = decompose(M.entries, pick)
+    return Spectrum(k=M.k, J=M.J, eigenvalues=w, right_vectors=right, left_vectors=left)
+
+
+def g_values(mode, x):
+    """Bloch wave g(x) = e^{ikx} p(x) of an eigen.BlochMode at arbitrary
+    points; PT-symmetric when the phase is fixed."""
+    x = np.asarray(x, dtype=float)
+    js = np.arange(-mode.J, mode.J + 1)
+    return np.exp(1j * mode.k * x) * (np.exp(1j * np.outer(x, js)) @ mode.p_coeffs)
+
+
+def curvature_from_fit(p, m, k0, J, half_width=0.05, n_samples=11, tol_real=REALITY_TOL):
+    """Independent curvature estimate: even quartic fit of omega_m near k0.
+
+    Fits omega = a0 + a2 d^2 + a4 d^4 on |d| <= half_width (d measured into
+    the zone) and returns 2*a2.  Serves as the second estimator guarding
+    the difference-based second_derivative against tracking errors.
+    """
+    if k0 not in (0.0, 0.5):
+        raise ConfigError("band-edge curvature is defined at k0 in {0, 1/2}")
+    spec0 = solve(assemble(p, k0, J))
+    om0 = spec0.eigenvalues[m - 1]
+    ref = spec0.right_vectors[:, m - 1]
+    s = 1.0 if k0 == 0.0 else -1.0
+    ds = np.linspace(half_width / n_samples, half_width, n_samples)
+    oms = [_band_value_near(p, k0 + s * d, J, ref, tol_real) for d in ds]
+    A = np.vstack([np.ones_like(ds), ds**2, ds**4]).T
+    coef, *_ = np.linalg.lstsq(A, np.asarray(oms) - om0.real, rcond=None)
+    return float(2 * coef[1])

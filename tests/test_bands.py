@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from ptbands import (AssumptionError, ComplexBandError, ConfigError, TruncationError, assemble,
-                     check_assumption, compute_bands, constant, curvature_from_fit, eigen,
-                     edge_curvature, from_parts, make_mode, second_derivative, solve,
+from ptbands import (AssumptionError, ComplexBandError, ConfigError, TruncationError,
+                     check_assumption, compute_bands, constant, eigen,
+                     edge_curvature, from_parts, make_mode, second_derivative,
                      PotentialParts)
 from ptbands import bands
 from ptbands.bands import (TAIL_MAX, TAIL_TOL, _assignment, _best_match, _leading_block,
                            _padded_residuals, _track, k_grid, require_assumption)
 from conftest import every_column, gentle_parts, two_harmonic_parts, two_harmonic_potential
+from oracles import assemble, curvature_from_fit, solve
 
 FREE = constant(0.0)
 
@@ -42,7 +43,6 @@ class TestComputeBands:
     def test_tracking_is_a_permutation(self):
         # sorted tracked values equal sorted raw eigenvalues at every k, exactly;
         # the sweep solves |k| and mirrors it to -k, so that is the raw spectrum
-        from ptbands import assemble, solve
         p = two_harmonic_potential(1.5)
         bs = compute_bands(p, 16, 16, 6)
         for i, k in enumerate(bs.k_grid):
@@ -141,8 +141,10 @@ class TestComputeBands:
 
     def test_sweep_decomposes_only_stacks(self, monkeypatch):
         # the k = 0 climb and the mid-sweep re-climb (two-harmonic gamma = 1.5,
-        # 3 bands: 18 up to k = 5/32, then 22) are stacks of one, not solves
-        monkeypatch.setattr(eigen, "solve", lambda *a, **kw: pytest.fail("eigen.solve called"))
+        # 3 bands: 18 up to k = 5/32, then 22) are stacks of one, not single matrices
+        full_decompose = eigen.decompose
+        monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: full_decompose(A, pick)
+                            if A.ndim == 3 else pytest.fail("single matrix decomposed"))
         bs = compute_bands(two_harmonic_potential(1.5), 64, 32, 3)
         assert set(bs.block_J.tolist()) == {18, 22}
 
@@ -379,6 +381,16 @@ class TestEdgeCurvature:
         curv, _ = edge_curvature(p, spec, 2)
         assert curv == pytest.approx(-94.005, abs=1e-3)
 
+    def test_two_harmonic_band3_edges_pinned(self):
+        # band 3 of the gamma = 1.5 lattice at both edges of the sweep's J' = 22
+        # edge blocks, pinned to 1e-12: a change of assembly path must not move them
+        p = two_harmonic_potential(1.5)
+        bs = compute_bands(p, 24, 32, 5)
+        rep = check_assumption(bs, 3, p=p)
+        by_k0 = {e.k0: (e.curvature, e.condition) for e in rep.edges}
+        assert by_k0[0.0] == pytest.approx((6.568695499342126, 1.2688369757560725), rel=1e-12)
+        assert by_k0[0.5] == pytest.approx((-94.00529400286739, 7.464838349049885), rel=1e-12)
+
     def test_check_assumption_uses_bordered_curvature(self):
         p = two_harmonic_potential(1.5)
         bs = compute_bands(p, 24, 32, 5)
@@ -438,6 +450,12 @@ class TestSecondDerivative:
         val, err = second_derivative(from_parts(gentle_parts()), 3, 0.5, 20)
         assert val == pytest.approx(-446.194, abs=1e-3)
         assert err <= 1e-6 * abs(val)
+
+    def test_known_bad_gentle_edge_pinned(self):
+        # value and error estimate pinned to 1e-12 (the test above reads 1e-3)
+        val, err = second_derivative(from_parts(gentle_parts()), 3, 0.5, 20)
+        assert val == pytest.approx(-446.19425057529344, rel=1e-12)
+        assert err == pytest.approx(7.317430572584271e-05, rel=1e-12)
 
     def test_refuses_complex_band(self):
         with pytest.raises(ComplexBandError):

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptbands import PotentialParts, assemble, bands, eigen, from_parts, gpsolve, solve
+from ptbands import PotentialParts, bands, eigen, from_parts, gpsolve
 from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
                          EffectiveConfig, Prop3Config, main)
+from oracles import assemble, solve
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -366,7 +367,7 @@ class TestDiracCommand:
             R, L = spec.right_vectors[:, idx], spec.left_vectors[:, idx]
             kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
             plus = complex(float(r["meas_re_plus"]), float(r["meas_im_plus"]))
-            full = eigen.eigenvalues(M)
+            full = eigen.eigenvalues(M.entries)
             assert np.abs(full - plus).min() <= kappa * np.finfo(float).eps * M.norm()
 
     @pytest.mark.parametrize("tol, gamma, code, prefix", [(2.5, 0.2, 0, "warning: "),

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ptbands import (ClassificationError, ConfigError, PotentialParts, assemble, bands,
+from ptbands import (ClassificationError, ConfigError, PotentialParts, bands,
                      compute_bands, constant, eigen, find_dirac_points, from_parts,
-                     measure_splitting, mw_matrix, predict_splitting, prop3_scan, solve,
-                     splitting_slope, TruncationError)
+                     measure_splitting, mw_matrix, predict_splitting, prop3_scan,
+                     richardson_slope, splitting_slope, TruncationError)
 from ptbands.dirac import Regime, _nearest
 from ptbands.eigen import TWO_PI
 from conftest import two_harmonic_potential
+from oracles import assemble, solve
 
 FREE = constant(0.0)
 SIN2X = PotentialParts(sine_coeffs=(0.0, 1.0), gamma=0.2)
@@ -213,7 +214,7 @@ class TestMeasureSplitting:
         V = from_parts(SIN2X)
         M = assemble(V, k0, J)
         block = np.sort_complex(measure_splitting(V, k0, mu, J))
-        w = eigen.eigenvalues(M)
+        w = eigen.eigenvalues(M.entries)
         full = np.sort_complex(w[_nearest(w, mu)])
         spec = solve(M, lambda w: _nearest(w, mu))
         idx = _nearest(spec.eigenvalues, mu)
@@ -245,8 +246,10 @@ class TestMeasureSplitting:
 
     def test_pair_decomposed_as_a_stack(self, monkeypatch):
         # the pair at 225 climbs the doubling ladder (J' = 16, then 32) through
-        # stacks of one, not through solves
-        monkeypatch.setattr(eigen, "solve", lambda *a, **kw: pytest.fail("eigen.solve called"))
+        # stacks of one, not as single matrices
+        full_decompose = eigen.decompose
+        monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: full_decompose(A, pick)
+                            if A.ndim == 3 else pytest.fail("single matrix decomposed"))
         plus, minus = measure_splitting(from_parts(SIN2X), 0.0, 225.0, 64)
         assert abs(plus - 225.0) < 1 and abs(minus - 225.0) < 1
 
@@ -274,6 +277,19 @@ def test_linear_response_slope(free_points):
     slope = splitting_slope(PotentialParts(sine_coeffs=(0.0, 1.0)), dp, 24)
     coupling = abs(mw_matrix(dp, PotentialParts(sine_coeffs=(0.0, 1.0)))[1, 0])
     assert abs(slope - coupling) / coupling <= 0.02
+
+
+def test_richardson_slope_reads_three_smallest_gammas(free_points):
+    # splitting_slope is richardson_slope of its own measurements; a larger
+    # fourth gamma is not read, and three smallest not in ratio 1:2:4 are refused
+    dp = point_at(free_points, 1.0)
+    W = PotentialParts(sine_coeffs=(0.0, 1.0))
+    plus = {g: measure_splitting(from_parts(replace(W, gamma=g)), dp.k0, dp.mu, 24)[0]
+            for g in (0.01, 0.02, 0.04, 0.08)}
+    assert richardson_slope(plus) == splitting_slope(W, dp, 24)
+    del plus[0.02]
+    with pytest.raises(ConfigError, match="1:2:4"):
+        richardson_slope(plus)
 
 
 @pytest.mark.parametrize("gammas", [(0.0, 0.0, 0.0), (-0.01, -0.02, -0.04), (0.01, 0.03, 0.04)])
@@ -339,6 +355,29 @@ class TestProp3Scan:
         a, b = self.sequences(28)
         (rec,) = prop3_scan(a, b, 0.5, [12], J=64)
         assert rec.relative_gap == pytest.approx(0.0207, abs=5e-4)
+
+    def test_records_pinned_at_J64(self):
+        # the measured pairs and relative gaps of m = 1..12 at J = 64, pinned to
+        # 1e-12: a change of assembly or eigensolver path must not move them
+        a, b = self.sequences(48)
+        recs = prop3_scan(a, b, 0.5, range(1, 13), J=64)
+        assert [r.mu for r in recs] == [float(m * m) for m in range(1, 13)]
+        assert [r.measured[0] for r in recs] == pytest.approx([
+            0.6875407369647246, 4.109307644761931 + 0.104365876566542j,
+            9.042297371731788 + 0.04959843765103723j, 16.023304608817575 + 0.02717098766847321j,
+            25.014827094832594 + 0.01796159856988661j, 36.01026981693291 + 0.013112889053357165j,
+            49.0075347048238 + 0.010159294109158987j, 64.00576401363682 + 0.008189909828872735j,
+            81.00455189998189 + 0.0067937157890398244j, 100.00368574762605 + 0.005758842053138587j,
+            121.00304532896905 + 0.004965347427274498j,
+            144.00255847262483 + 0.004340445789594642j], rel=1e-12)
+        assert recs[0].measured[1] == pytest.approx(1.6335820589677934, rel=1e-12)
+        assert [r.measured[1] for r in recs[1:]] == pytest.approx(
+            [r.measured[0].conjugate() for r in recs[1:]], rel=1e-12)
+        assert [r.relative_gap for r in recs] == pytest.approx([
+            1.0, 0.6698540250646721, 0.45789037141144023, 0.22961853644246188,
+            0.13599123796929474, 0.09018512357256164, 0.06435273974242392,
+            0.04830845809571005, 0.03763862083898209, 0.030172984200187,
+            0.024739928339029153, 0.020660234308976847], rel=1e-12)
 
     def test_sequence_length_validated(self):
         a, b = self.sequences(10)

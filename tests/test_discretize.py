@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ptbands import ConfigError, assemble, constant, from_parts, PotentialParts
+from ptbands import ConfigError, constant, from_parts, PotentialParts
 from conftest import two_harmonic_potential
+from oracles import assemble
 
 
 def test_free_operator_is_diagonal():
