@@ -47,12 +47,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import discretize, eigen
+from .eigen import CONDITION_MAX, REALITY_TOL
 from .errors import AssumptionError, ComplexBandError, ConfigError, PTBandsError, TruncationError
 from .potential import PeriodicPotential
-
-# reality tolerance: an omega counts as real when
-# |Im omega| <= REALITY_TOL * max(1, |omega|)
-REALITY_TOL = 1e-8
 
 # a band is isolated when its complex-plane distance to every other
 # computed eigenvalue over the k grid exceeds this
@@ -440,9 +437,8 @@ def _assignment(cost):
     return col4row
 
 
-def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
-                     p: PeriodicPotential = None) -> BandEdgeReport:
-    """Reality, isolation and simplicity report for band m (1-based).
+def check_assumption(bs: BandStructure, m: int, p: PeriodicPotential = None) -> BandEdgeReport:
+    """Reality (REALITY_TOL), isolation and simplicity report for band m (1-based).
 
     isolation_gap is the complex-plane distance from band m (as a set over
     the grid) to every other computed eigenvalue at every grid k — the
@@ -456,7 +452,7 @@ def check_assumption(bs: BandStructure, m: int, tol_real: float = REALITY_TOL,
     scale = np.maximum(1.0, np.abs(vals))
     ims = np.abs(vals.imag) / scale
     worst = int(np.argmax(ims))
-    is_real = ims[worst] <= tol_real
+    is_real = ims[worst] <= REALITY_TOL
 
     others = np.delete(bs.omega, m - 1, axis=0)
     if others.size:
@@ -521,14 +517,14 @@ def edge_curvature(p: PeriodicPotential, spec: eigen.Spectrum, index: int):
     eigenvalues or exceptional pairs sit elsewhere in the spectrum.  Returns (curvature, condition)
     with condition = ||l|| ||r|| / |l^H r|; the curvature is NaN when the
     eigenvalue is degenerate (eigen.Spectrum.is_degenerate, which
-    eigen.make_mode refuses) or near-exceptional (condition > 1e8).
+    eigen.make_mode refuses) or near-exceptional (condition > CONDITION_MAX).
     """
     omega = spec.eigenvalues[index]
     r = spec.right_vectors[:, index]
     l = spec.left(index)
     s = np.vdot(l, r)
     condition = float(np.linalg.norm(l) * np.linalg.norm(r) / abs(s))
-    if spec.is_degenerate(index) or condition > 1e8:
+    if spec.is_degenerate(index) or condition > CONDITION_MAX:
         return np.nan, condition
     M = discretize.assemble_stack(p, [spec.k], spec.J)[0]
     n = len(r)
@@ -539,7 +535,7 @@ def edge_curvature(p: PeriodicPotential, spec: eigen.Spectrum, index: int):
     return float((2.0 - 2.0 * np.vdot(l, dM * x) / s).real), condition
 
 
-def _band_value_near(p, k, J, ref_vector, tol_real):
+def _band_value_near(p, k, J, ref_vector):
     """Eigenvalue at quasimomentum k whose eigenvector best overlaps ref_vector.
 
     k may fall just outside (-1/2, 1/2]: the problem is solved at k -+ 1
@@ -564,7 +560,7 @@ def _band_value_near(p, k, J, ref_vector, tol_real):
     ov = np.abs(ref.conj() @ right)
     i = int(np.argmax(ov))
     om = w[i]
-    if abs(om.imag) > tol_real * max(1.0, abs(om)):
+    if abs(om.imag) > REALITY_TOL * max(1.0, abs(om)):
         raise ComplexBandError(
             f"band value at k={k} is complex ({om}); curvature refused"
         )
@@ -580,20 +576,19 @@ def _spectrum(p, k, J):
     return w[0], right[0]
 
 
-def _richardson_d2(p, om0, ref, k0, J, h, tol_real):
-    diffs = []
-    for step in (h, h / 2, h / 4):
-        plus = _band_value_near(p, k0 + step, J, ref, tol_real)
-        minus = _band_value_near(p, k0 - step, J, ref, tol_real)
-        diffs.append((plus - 2.0 * om0 + minus) / step**2)
-    d1, d2, d3 = diffs
-    r1 = (4 * d2 - d1) / 3
-    r2 = (4 * d3 - d2) / 3
-    return (16 * r2 - r1) / 15, abs(r2 - r1) / 15
+def _richardson(coarse, mid, fine):
+    """D(0) from D(4s), D(2s), D(s), error even in s: two Richardson levels and their spread."""
+    r_coarse = (4 * mid - coarse) / 3
+    r_fine = (4 * fine - mid) / 3
+    return (16 * r_fine - r_coarse) / 15, abs(r_fine - r_coarse) / 15
 
 
-def second_derivative(p: PeriodicPotential, m: int, k0: float, J: int,
-                      h: float = 0.04, tol_real: float = REALITY_TOL):
+def _richardson_d2(p, om0, ref, k0, J, h):
+    return _richardson(*((_band_value_near(p, k0 + s, J, ref) - 2.0 * om0
+                          + _band_value_near(p, k0 - s, J, ref)) / s**2 for s in (h, h / 2, h / 4)))
+
+
+def second_derivative(p: PeriodicPotential, m: int, k0: float, J: int, h: float = 0.04):
     """omega_m''(k0) at k0 in {0, 1/2} by Richardson-extrapolated differences.
 
     The independent finite-difference estimator; the pipelines use
@@ -613,16 +608,16 @@ def second_derivative(p: PeriodicPotential, m: int, k0: float, J: int,
         raise ConfigError("band-edge curvature is defined at k0 in {0, 1/2}")
     w, right = _spectrum(p, k0, J)
     om0 = w[m - 1]
-    if abs(om0.imag) > tol_real * max(1.0, abs(om0)):
+    if abs(om0.imag) > REALITY_TOL * max(1.0, abs(om0)):
         raise ComplexBandError(f"omega_{m}({k0}) = {om0} is not real")
     ref = right[:, m - 1]
 
-    value, err = _richardson_d2(p, om0.real, ref, k0, J, h, tol_real)
+    value, err = _richardson_d2(p, om0.real, ref, k0, J, h)
     for _ in range(MAX_STEP_RETRIES):
         if err <= 1e-6 * max(1.0, abs(value)):
             break
         h /= 4
-        value2, err2 = _richardson_d2(p, om0.real, ref, k0, J, h, tol_real)
+        value2, err2 = _richardson_d2(p, om0.real, ref, k0, J, h)
         if err2 >= err:
             break
         value, err = value2, err2

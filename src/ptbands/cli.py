@@ -53,7 +53,6 @@ class BandsConfig:
     N_k: int = 32
     n_bands: int = 6
     band_index: int = 1
-    tol_real: float = bands.REALITY_TOL
 
     def __post_init__(self):
         if self.n_bands is not None and self.band_index >= self.n_bands:
@@ -96,7 +95,6 @@ class DiracConfig:
     potential: PotentialParts
     gamma_list: tuple[float, ...]
     J: int = 32
-    N_k: int = 32
     n_bands: int = 8
     dirac_tol: float = 1e-8
 
@@ -199,7 +197,7 @@ def cmd_bands(cfg, out):
     write_csv(out / "bands.csv",
               ["k", "band_index", "re_omega", "im_omega", "tracking_overlap"], rows)
 
-    reports = [bands.check_assumption(bs, mi, cfg.tol_real, p=V if mi == m else None)
+    reports = [bands.check_assumption(bs, mi, p=V if mi == m else None)
                for mi in range(1, n_bands + 1)]
     target = reports[m - 1]
     summary = {
@@ -229,7 +227,7 @@ def cmd_effective(cfg, out):
     """Band-edge model written to effective.json; returns (model, mode) for ansatz."""
     model, mode = effective.extract_effective_model(
         cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.J, cfg.N_k,
-        n_bands=cfg.n_bands, tol_real=cfg.tol_real)
+        n_bands=cfg.n_bands)
     write_json(out / "effective.json", model.to_json_dict())
     return model, mode
 
@@ -284,7 +282,8 @@ def cmd_dirac(cfg, out):
         ]
     else:
         U = potential.from_parts(replace(parts, gamma=0.0))
-        bs0 = bands.compute_bands(U, J, cfg.N_k, cfg.n_bands)
+        # find_dirac_points reads only k = 0 and 1/2, which the smallest grid, N_k = 16, holds
+        bs0 = bands.compute_bands(U, J, 16, cfg.n_bands)
         for dp in dirac.find_dirac_points(bs0, cfg.dirac_tol):
             plus = {}
             for g in gamma_list:

@@ -34,6 +34,7 @@ from . import bands, discretize, eigen
 from .errors import ClassificationError, ConfigError, TruncationError
 from .eigen import TWO_PI
 from .potential import Convention, PeriodicPotential, PotentialParts, from_parts
+from .util import is_int
 
 
 # harmonics prop3_scan needs past the top coupling harmonic 2 m_max.  For
@@ -41,6 +42,8 @@ from .potential import Convention, PeriodicPotential, PotentialParts, from_parts
 # reads 0.104 from 24 harmonics, 0.0253/0.0223/0.0210 from 25/26/28 and
 # 0.0207 from 48
 PROP3_MARGIN = 4
+
+COUPLING_TOL = 1e-10        # at most this coupling, predict_splitting is inconclusive
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,16 +169,15 @@ def mw_matrix(dp: DiracPoint, W_parts: PotentialParts) -> np.ndarray:
          [<W phi_+, phi_->, <W phi_-, phi_->]]
     That is 2 pi B^H T_W B with B = [phi_+, phi_-] and T_W the Toeplitz
     matrix of W (built as in discretize.assemble_stack), applied one
-    diagonal per harmonic of W.  Hermitian for real W; anti-diagonal in the
-    parity basis because W is odd and |phi_+-|^2 are even.
+    diagonal per harmonic of W, the sine series of W_parts (U is left out).
+    Hermitian for real W; anti-diagonal in the parity basis because W is odd
+    and |phi_+-|^2 are even.
     """
-    if any(W_parts.cosine_coeffs):
-        raise ConfigError("W must be odd: cosine part not allowed in mw_matrix")
     B = np.column_stack([dp.phi_plus, dp.phi_minus])
     n = len(B)
     M = np.zeros((2, 2), dtype=complex)
-    # from_parts at gamma = 1 gives the coefficients of iW
-    for q, c in from_parts(replace(W_parts, gamma=1.0)).coeffs.items():
+    # from_parts of the sine series alone at gamma = 1 gives the coefficients of iW
+    for q, c in from_parts(replace(W_parts, cosine_coeffs=(), gamma=1.0)).coeffs.items():
         if abs(q) < n:
             # T_W[j, l] = c_q on j - l = q pairs row j of B with row j - q
             rows, cols = (B[q:], B[:n - q]) if q >= 0 else (B[:n + q], B[-q:])
@@ -183,17 +185,16 @@ def mw_matrix(dp: DiracPoint, W_parts: PotentialParts) -> np.ndarray:
     return -1j * TWO_PI * M
 
 
-def predict_splitting(dp: DiracPoint, W_parts: PotentialParts, gamma: float,
-                      coupling_tol: float = 1e-10) -> SplittingPrediction:
+def predict_splitting(dp: DiracPoint, W_parts: PotentialParts, gamma: float) -> SplittingPrediction:
     """Leading-order split pair mu +- i gamma |<W phi_+, phi_->|.
 
-    A vanishing coupling element leaves the prediction inconclusive (the
-    degenerate-perturbation hypothesis fails; higher orders decide).
+    A coupling element at most COUPLING_TOL leaves the prediction inconclusive
+    (the degenerate-perturbation hypothesis fails; higher orders decide).
     """
     if abs(gamma) > 0.5:
         raise ConfigError(f"perturbative prediction restricted to |gamma| <= 0.5, got {gamma}")
     coupling = abs(mw_matrix(dp, W_parts)[1, 0])
-    if coupling <= coupling_tol:
+    if coupling <= COUPLING_TOL:
         return SplittingPrediction(
             k0=dp.k0, mu=dp.mu, gamma=gamma, regime=Regime.INCONCLUSIVE,
             leading_eigenvalues=(complex(dp.mu), complex(dp.mu)), pred_im=0.0,
@@ -259,9 +260,7 @@ def richardson_slope(plus_by_gamma):
     O(gamma^2) and O(gamma^4) terms (the splitting is even in gamma)."""
     s1, s2, s4 = (abs(plus_by_gamma[g].imag) / g
                   for g in _slope_gammas(sorted(plus_by_gamma)[:3]))
-    r1a = (4 * s1 - s2) / 3
-    r1b = (4 * s2 - s4) / 3
-    return (16 * r1a - r1b) / 15
+    return bands._richardson(s4, s2, s1)[0]
 
 
 def _slope_gammas(gammas):
@@ -284,7 +283,7 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
     at k0 = 0 serves every m.  The sequences must run PROP3_MARGIN
     harmonics past 2 max(m_range) (TruncationError otherwise).
     """
-    m_range = sorted(int(m) for m in m_range)
+    m_range = sorted(int(m) if is_int(m) and m >= 1 else 0 for m in m_range)
     if not m_range or m_range[0] < 1:
         raise ConfigError("m_range must contain positive integers")
     mmax = m_range[-1]

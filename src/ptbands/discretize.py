@@ -43,8 +43,6 @@ def assemble_stack(p: PeriodicPotential, ks, J: int) -> np.ndarray:
     for q, c in p.coeffs.items():
         # entry (j, l) gets c_q whenever j - l = q
         lo, hi = max(-J, -J + q), min(J, J + q)
-        if lo > hi:
-            continue
         rows = np.arange(lo, hi + 1) + J
         T[rows, rows - q] += c
     if not T.imag.any():

@@ -120,8 +120,8 @@ def sech_envelope(model: EffectiveModel) -> SechEnvelope:
     if not existence_condition(g, model.curvature, model.Omega):
         raise ExistenceError(
             "no sech bound state: need sign(Gamma) = sign(Omega) = -sign(omega''), "
-            f"got sign(Gamma) = {int(np.sign(g))}, sign(Omega) = {model.Omega}, "
-            f"sign(omega'') = {int(np.sign(model.curvature))}"
+            f"got sign(Gamma) = {np.sign(g):g}, sign(Omega) = {model.Omega}, "
+            f"sign(omega'') = {np.sign(model.curvature):g}"
         )
     return SechEnvelope(
         amplitude=float(np.sqrt(2 * model.Omega / g)),
@@ -173,7 +173,7 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
 
 def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
                             m: int, edge: str, J: int, N_k: int = 32,
-                            n_bands: int = None, tol_real: float = bands.REALITY_TOL):
+                            n_bands: int = None):
     """Band-edge pipeline: assumption check, PT-fixed mode, curvature, Gamma.
 
     Everything at the edge comes from the band sweep's stored edge
@@ -189,13 +189,13 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
     if n_bands <= m:
         raise ConfigError(f"n_bands {n_bands} holds no band above band {m} to check isolation")
     bs = bands.compute_bands(V, J, N_k, n_bands)
-    report = bands.check_assumption(bs, m, tol_real)
+    report = bands.check_assumption(bs, m)
     bands.require_assumption(report)
     be = next(e for e in report.edges if e.which == edge)
 
     spec = bs.edge_spectra[be.k0]
     idx = bs.edge_index(m, be.k0)
-    mode = eigen.fix_pt_phase(eigen.make_mode(spec, idx), tol_real)
+    mode = eigen.fix_pt_phase(eigen.make_mode(spec, idx))
     curvature, _ = bands.edge_curvature(V, spec, idx)
     gamma_nl = gamma_coefficient(mode, sigma)
     Omega = -1 if edge == "a" else +1

@@ -46,6 +46,12 @@ _REAL_ENTRY_TOL = 1e-14
 
 _EPS = np.finfo(float).eps
 
+# omega counts as real when |Im omega| <= REALITY_TOL max(1, |omega|); so does
+# each coefficient of a PT-phase-fixed mode, all of them below 1 in size
+REALITY_TOL = 1e-8
+# an eigenvalue of condition ||l|| ||r|| / |l^H r| above this is near-exceptional
+CONDITION_MAX = 1e8
+
 
 @dataclass(frozen=True, slots=True)
 class Spectrum:
@@ -232,8 +238,8 @@ def make_mode(spec: Spectrum, index: int) -> BlochMode:
 
     p is the right vector at cell norm 1; p* is the left vector of the
     same decomposition rescaled so <p, p*> = 1.  Refuses a degenerate
-    eigenvalue (Spectrum.is_degenerate): there the pairing <p, p*> tends
-    to zero and the normalization is unstable.
+    (Spectrum.is_degenerate) or near-exceptional (condition > CONDITION_MAX)
+    eigenvalue: there <p, p*> tends to zero and the normalization is unstable.
     """
     omega = spec.eigenvalues[index]
     if spec.is_degenerate(index):
@@ -247,34 +253,35 @@ def make_mode(spec: Spectrum, index: int) -> BlochMode:
 
     w = spec.left(index)
     s = inner(v, w)
-    if abs(s) < 1e-8:
+    # v has 2-norm 1/sqrt(2 pi) and w 2-norm 1: the condition is sqrt(2 pi)/|s|
+    if abs(s) * CONDITION_MAX < np.sqrt(TWO_PI):
         raise DegenerateEigenvalueError(
-            f"biorthogonal pairing <p, p*> = {s:.3e} at omega={omega}; "
-            "too close to an exceptional point"
+            f"biorthogonal pairing <p, p*> = {s:.3e} at omega={omega}: condition "
+            f"above {CONDITION_MAX:.0e}, too close to an exceptional point"
         )
     w = w / np.conj(s)
     return BlochMode(k=spec.k, omega=omega, p_coeffs=v, pstar_coeffs=w)
 
 
-def fix_pt_phase(mode: BlochMode, tol_real: float = 1e-8, tol_im: float = 1e-8) -> BlochMode:
-    """Rotate a real-eigenvalue mode onto its PT-symmetric phase.
+def fix_pt_phase(mode: BlochMode) -> BlochMode:
+    """Rotate a real-eigenvalue mode (REALITY_TOL) onto its PT-symmetric phase.
 
     The rotation is gauge(p): the largest-|.| coefficient becomes real
     positive.  After the rotation all
     coefficients of a genuinely PT-symmetric mode are real; a residual
-    imaginary part above tol_im means the eigenvalue is not simple-real
+    imaginary part above REALITY_TOL means the eigenvalue is not simple-real
     and raises.  p* is rotated by the same phase, which preserves
     <p, p*> = 1.
     """
-    if abs(mode.omega.imag) > tol_real * max(1.0, abs(mode.omega)):
+    if abs(mode.omega.imag) > REALITY_TOL * max(1.0, abs(mode.omega)):
         raise ComplexBandError(
             f"cannot PT-fix a mode with Im(omega) = {mode.omega.imag:.3e}"
         )
     phase = gauge(mode.p_coeffs)
     p = mode.p_coeffs * phase
     resid = np.abs(p.imag).max()
-    if resid > tol_im:
+    if resid > REALITY_TOL:
         raise ComplexBandError(
-            f"PT phase fix leaves max|Im pi_j| = {resid:.3e} > {tol_im:.1e}"
+            f"PT phase fix leaves max|Im pi_j| = {resid:.3e} > {REALITY_TOL:.1e}"
         )
     return replace(mode, p_coeffs=p, pstar_coeffs=mode.pstar_coeffs * phase)

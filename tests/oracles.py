@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ptbands import ConfigError, Spectrum
-from ptbands.bands import REALITY_TOL, _band_value_near
+from ptbands.bands import _band_value_near
 from ptbands.discretize import assemble_stack
 from ptbands.eigen import decompose
 
@@ -51,7 +51,7 @@ def g_values(mode, x):
     return np.exp(1j * mode.k * x) * (np.exp(1j * np.outer(x, js)) @ mode.p_coeffs)
 
 
-def curvature_from_fit(p, m, k0, J, half_width=0.05, n_samples=11, tol_real=REALITY_TOL):
+def curvature_from_fit(p, m, k0, J, half_width=0.05, n_samples=11):
     """Independent curvature estimate: even quartic fit of omega_m near k0.
 
     Fits omega = a0 + a2 d^2 + a4 d^4 on |d| <= half_width (d measured into
@@ -65,7 +65,7 @@ def curvature_from_fit(p, m, k0, J, half_width=0.05, n_samples=11, tol_real=REAL
     ref = spec0.right_vectors[:, m - 1]
     s = 1.0 if k0 == 0.0 else -1.0
     ds = np.linspace(half_width / n_samples, half_width, n_samples)
-    oms = [_band_value_near(p, k0 + s * d, J, ref, tol_real) for d in ds]
+    oms = [_band_value_near(p, k0 + s * d, J, ref) for d in ds]
     A = np.vstack([np.ones_like(ds), ds**2, ds**4]).T
     coef, *_ = np.linalg.lstsq(A, np.asarray(oms) - om0.real, rcond=None)
     return float(2 * coef[1])

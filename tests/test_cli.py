@@ -268,7 +268,7 @@ class TestConvergeCommand:
 class TestDiracCommand:
     def test_sin2x_row(self, tmp_path):
         cfg = {"potential": {"sine": [0.0, 1.0], "gamma": 0.2, "convention": "prop2"},
-               "J": 24, "N_k": 32, "n_bands": 6, "gamma_list": [0.2]}
+               "J": 24, "n_bands": 6, "gamma_list": [0.2]}
         code, out = run(tmp_path, "dirac", cfg)
         assert code == 0
         lines = (out / "dirac.csv").read_text().splitlines()
@@ -281,13 +281,27 @@ class TestDiracCommand:
 
     def test_gamma_sweep_slope(self, tmp_path):
         cfg = {"potential": {"sine": [0.0, 1.0], "gamma": 0.0, "convention": "prop2"},
-               "J": 24, "N_k": 32, "n_bands": 6, "gamma_list": [0.01, 0.02, 0.04]}
+               "J": 24, "n_bands": 6, "gamma_list": [0.01, 0.02, 0.04]}
         code, out = run(tmp_path, "dirac", cfg)
         assert code == 0
         summary = json.loads((out / "dirac_summary.json").read_text())
         slopes = {s["mu"]: s for s in summary["slopes"]}
         s1 = slopes[1.0]
         assert abs(s1["richardson_slope"] - s1["coupling"]) / s1["coupling"] <= 0.02
+
+    def test_even_background_lattice(self, tmp_path):
+        # U = 0.5 cos 3x under W = sin x + 0.5 sin 2x + 0.2 sin 3x: the coupling
+        # reads only the sine series, where the whole parts once made mw_matrix
+        # refuse after the sweep (exit 1)
+        cfg = {"potential": {"cosine": [0, 0, 0.5], "sine": [1, 0.5, 0.2], "gamma": 0},
+               "J": 32, "n_bands": 8, "gamma_list": [0.01, 0.02, 0.04]}
+        code, err, out = run_captured(tmp_path, "dirac", cfg)
+        assert code == 0 and err == ""
+        summary = json.loads((out / "dirac_summary.json").read_text())
+        assert len(summary["points"]) == len(summary["slopes"]) == 5
+        with (out / "dirac.csv").open() as fh:
+            gaps = [float(r["rel_gap"]) for r in csv.DictReader(fh)]
+        assert len(gaps) == 15 and max(gaps) <= 1e-3
 
     def test_skipped_slopes_make_one_warning_line(self, tmp_path):
         # the first three sorted gammas are not in ratio 1:2:4: no Richardson slope
@@ -300,7 +314,7 @@ class TestDiracCommand:
 
     def test_determinism(self, tmp_path):
         cfg = {"potential": {"sine": [0.0, 1.0], "gamma": 0.2, "convention": "prop2"},
-               "J": 20, "N_k": 32, "n_bands": 6, "gamma_list": [0.2]}
+               "J": 20, "n_bands": 6, "gamma_list": [0.2]}
         _, out1 = run(tmp_path, "dirac", cfg, name="d1.json")
         _, out2 = run(tmp_path, "dirac", cfg, name="d2.json")
         assert (out1 / "dirac.csv").read_bytes() == (out2 / "dirac.csv").read_bytes()
@@ -441,17 +455,15 @@ def test_config_defaults():
     def defaults(cls):
         return {f.name: f.default for f in fields(cls) if f.name not in ("potential", "sigma")}
 
-    assert defaults(BandsConfig) == {"J": 32, "N_k": 32, "n_bands": 6, "band_index": 1,
-                                     "tol_real": bands.REALITY_TOL}
-    effective = {"J": 32, "N_k": 32, "n_bands": None, "band_index": 1,
-                 "edge": "a", "tol_real": bands.REALITY_TOL}
+    assert defaults(BandsConfig) == {"J": 32, "N_k": 32, "n_bands": 6, "band_index": 1}
+    effective = {"J": 32, "N_k": 32, "n_bands": None, "band_index": 1, "edge": "a"}
     assert defaults(EffectiveConfig) == effective
     assert defaults(AnsatzConfig) == {**effective, "eps": 0.1}
     assert defaults(ConvergeConfig) == {
         "J": 24, "N_k": 32, "band_index": 1, "edge": "a", "eps_list": (0.2, 0.1, 0.05, 0.025),
         "s": 1.0, "newton_max_iter": 25, "newton_tol": 1e-10}
     assert {k: v for k, v in defaults(DiracConfig).items() if k != "gamma_list"} == {
-        "J": 32, "N_k": 32, "n_bands": 8, "dirac_tol": 1e-8}
+        "J": 32, "n_bands": 8, "dirac_tol": 1e-8}
     assert defaults(Prop3Config)["J"] == 32
 
 
@@ -511,6 +523,9 @@ MALFORMED = {                   # case: (command, shipped config, key path, valu
     "J-null": ("bands", BANDS, ("J",), None),
     "n-bands-null": ("bands", BANDS, ("n_bands",), None),
     "tol-real-nan": ("bands", BANDS, ("tol_real",), math.nan),
+    "effective-tol-real": ("effective", EFFECTIVE, ("tol_real",), 1e-8),
+    "ansatz-tol-real": ("ansatz", "ansatz_gentle", ("tol_real",), 1e-8),
+    "dirac-N_k": ("dirac", "dirac_sin2x", ("N_k",), 32),
     "bands-sigma": ("bands", BANDS, ("sigma",), {"exp_coeffs": [[0, -1.0, 0.0]]}),
     "converge-n-bands": ("converge", "converge_gentle", ("n_bands",), 4),
     "converge-tol-real": ("converge", "converge_gentle", ("tol_real",), 1e-8),
@@ -523,7 +538,12 @@ MALFORMED = {                   # case: (command, shipped config, key path, valu
     "not-an-object": ("bands", BANDS, (), [1, 2]),
 }
 # words the one stderr line must hold, where the cause is easy to misstate
-MALFORMED_CAUSE = {"m-range-reversed": "reversed"}
+MALFORMED_CAUSE = {"m-range-reversed": "reversed",
+                   # keys that once were settable: the line names the unknown key
+                   "tol-real-nan": "unknown keys ['tol_real']",
+                   "effective-tol-real": "unknown keys ['tol_real']",
+                   "ansatz-tol-real": "unknown keys ['tol_real']",
+                   "dirac-N_k": "unknown keys ['N_k']"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -121,10 +121,12 @@ class TestMwMatrix:
         e2 = np.sort_complex(np.linalg.eigvals(mw_matrix(rotated, W)))
         assert np.abs(e1 - e2).max() <= 1e-10
 
-    def test_rejects_even_part(self, free_points):
-        dp = point_at(free_points, 1.0)
-        with pytest.raises(ConfigError):
-            mw_matrix(dp, PotentialParts(cosine_coeffs=(1.0,), sine_coeffs=(1.0,)))
+    def test_even_part_changes_nothing(self, free_points):
+        # W is the sine series: the even background U of the parts is left out
+        W = PotentialParts(sine_coeffs=(0.3, 0.7, 0.1), gamma=0.2)
+        for dp in free_points[:4]:
+            with_u = mw_matrix(dp, replace(W, cosine_coeffs=(1.0, 0.0, 0.5)))
+            assert np.array_equal(with_u, mw_matrix(dp, W))
 
 
 class TestPredictSplitting:
@@ -383,6 +385,13 @@ class TestProp3Scan:
         a, b = self.sequences(10)
         with pytest.raises(ConfigError):
             prop3_scan(a, b, 0.5, [8], J=64)
+
+    @pytest.mark.parametrize("m_range", [[6.7, True], [6, 7.0], [True], [0, 6], []])
+    def test_m_range_must_hold_positive_integers(self, m_range):
+        # [6.7, True] once ran as m = 1 and 6
+        a, b = self.sequences(48)
+        with pytest.raises(ConfigError, match="positive integers"):
+            prop3_scan(a, b, 0.5, m_range, J=64)
 
 
 def test_measured_conjugate_symmetry():

@@ -123,6 +123,11 @@ class TestSechEnvelope:
         with pytest.raises(ExistenceError):
             sech_envelope(self.model(+2.0, -1, +1.0))
 
+    @pytest.mark.parametrize("curvature, gamma_re", [(np.nan, -1.0), (2.0, np.nan)])
+    def test_nan_curvature_or_gamma_refused(self, curvature, gamma_re):
+        with pytest.raises(ExistenceError, match="nan"):
+            sech_envelope(self.model(curvature, -1, gamma_re))
+
     def test_residual_vanishes(self):
         X = np.linspace(-20, 20, 4001)
         for curvature, Omega, g in ((-2.0, 1, 1.0), (2.0, -1, -1.0),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ptbands import (ComplexBandError, DegenerateEigenvalueError,
-                     PotentialParts, constant,
+from ptbands import (BlochMode, ComplexBandError, DegenerateEigenvalueError,
+                     PotentialParts, Spectrum, constant, edge_curvature,
                      fix_pt_phase, from_parts, make_mode)
 from ptbands.discretize import assemble_stack
 from ptbands.eigen import TWO_PI, decompose, inner
@@ -306,6 +306,16 @@ class TestMakeMode:
         with pytest.raises(DegenerateEigenvalueError):
             make_mode(spec, 1)
 
+    def test_near_exceptional_bound_shared_with_edge_curvature(self):
+        # omega = 0 has condition 1.5e8: edge_curvature gives NaN and make_mode
+        # refuses, where the pairing test refused only above sqrt(2 pi) 1e8
+        w, right, left = decompose(np.array([[0.0, 1.5e5], [0.0, 1e-3]]), every_column)
+        spec = Spectrum(k=0.0, J=0, eigenvalues=w, right_vectors=right, left_vectors=left)
+        curv, cond = edge_curvature(None, spec, 0)
+        assert np.isnan(curv) and cond == pytest.approx(1.5e8, rel=1e-6)
+        with pytest.raises(DegenerateEigenvalueError, match="exceptional point"):
+            make_mode(spec, 0)
+
     def test_reflection_identity_cross_check(self):
         # p*(x, k) prop p(-x, -k): coefficient reflection j -> -j at k=0,
         # j -> -j-1 at k=1/2 (the e^{ix} frame twist of -1/2 = 1/2 - 1)
@@ -353,6 +363,13 @@ class TestFixPtPhase:
         spec, modes = modes_of(two_harmonic_potential(1.5), 0.0, 20, [0])
         with pytest.raises(ComplexBandError):
             fix_pt_phase(modes[0])
+
+    def test_refuses_complex_coefficients(self):
+        # a real omega whose mode keeps Im pi_j = 0.5 after the rotation
+        mode = BlochMode(k=0.0, omega=1.0 + 0j, p_coeffs=np.array([0.2, 1.0, 0.5j]),
+                         pstar_coeffs=np.array([0.2, 1.0, -0.5j]))
+        with pytest.raises(ComplexBandError, match="Im pi_j"):
+            fix_pt_phase(mode)
 
     def test_real_band_above_broken_pair(self):
         # third band of the gamma=1.5 lattice stays real at k=0 and fixes cleanly
