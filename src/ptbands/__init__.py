@@ -7,16 +7,15 @@ from .dirac import (DiracPoint, SplittingPrediction, find_dirac_points, mw_matri
                     measure_splitting, predict_splitting, prop3_scan, richardson_slope,
                     splitting_slope)
 from .effective import (EffectiveModel, SechEnvelope, build_ansatz,
-                        envelope_residual, extract_effective_model,
-                        gamma_coefficient, sech_envelope)
+                        extract_effective_model, gamma_coefficient, sech_envelope)
 from .eigen import BlochMode, Spectrum, eigenvalues, fix_pt_phase, make_mode
 from .errors import (AssumptionError, ClassificationError, ComplexBandError,
                      ConfigError, DegenerateEigenvalueError, ExistenceError,
                      GridError, NewtonError, PTBandsError, PTSymmetryError,
                      TruncationError)
-from .gpsolve import (BoundState, ConvergenceStudy, convergence_study,
-                      gp_residual, hs_norm, newton_solve)
-from .grid import RealLineGrid, grid_for_envelope
+from .gpsolve import (ConvergenceStudy, convergence_study, gp_residual, hs_norm,
+                      newton_solve)
+from .grid import BoundState, RealLineGrid, grid_for_envelope
 from .potential import (Convention, PeriodicPotential, PotentialParts, constant,
                         from_parts, potential_from_json, validate_pt)
 

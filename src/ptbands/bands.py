@@ -81,6 +81,9 @@ TAIL_MAX = 1e-6
 # temporaries at J' = 22) raised it by 1.8 MB over a fixed benchmark round
 STACK_COLUMNS = 16
 
+# the fewest k points k_grid accepts; an even N_k puts k = 0 and 1/2 on the grid
+MIN_N_K = 16
+
 # second_derivative divides its step by 4 at most this often
 MAX_STEP_RETRIES = 3
 
@@ -172,8 +175,8 @@ def k_grid(N_k: int) -> np.ndarray:
 
     Every point is an integer over N_k, so k and -k are exact negatives.
     """
-    if N_k < 16 or N_k % 2:
-        raise ConfigError("N_k must be even and >= 16 so the grid hits 0 and 1/2")
+    if N_k < MIN_N_K or N_k % 2:
+        raise ConfigError(f"N_k must be even and >= {MIN_N_K} so the grid hits 0 and 1/2")
     return (np.arange(1, N_k + 1) - N_k // 2) / N_k
 
 

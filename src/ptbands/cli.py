@@ -6,7 +6,8 @@ Each command reads one frozen dataclass below (dirac with m_range reads
 Prop3Config); its fields and defaults are the whole config schema.
 Exit codes: 0 success, 1 config or usage error, 2 assumption-check or
 truncation-check failure (J does not resolve the bands, or a coefficient
-list stops too close to the harmonics a scan reads), 3 solver failure;
+list stops too close to the harmonics a scan reads), 3 solver failure or
+out of memory;
 every non-zero exit prints one stderr line, and a successful run that
 raised warnings prints one `warning:` line.
 Output is deterministic: floats are written with 17 significant digits,
@@ -59,11 +60,22 @@ class BandsConfig:
             raise ConfigError(f"band_index {self.band_index} must be below n_bands {self.n_bands}")
 
 
+def _require_pt(sigma):
+    # the bifurcation theorem and its envelope equation hold for a PT-symmetric sigma
+    if not potential.validate_pt(sigma, potential.PT_TOL):
+        raise ConfigError("sigma is not PT-symmetric: its Fourier coefficients must be "
+                          f"real (|Im c_j| <= {potential.PT_TOL:g})")
+
+
 @dataclass(frozen=True, kw_only=True)
 class EffectiveConfig(BandsConfig):
     sigma: PeriodicPotential
     n_bands: int = None
     edge: str = "a"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_pt(self.sigma)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -89,6 +101,9 @@ class ConvergeConfig:
     newton_max_iter: int = 25
     newton_tol: float = 1e-10
 
+    def __post_init__(self):
+        _require_pt(self.sigma)
+
 
 @dataclass(frozen=True, kw_only=True)
 class DiracConfig:
@@ -113,6 +128,9 @@ class Prop3Config:
         if lo > hi:
             raise ConfigError(f"m_range [{lo}, {hi}] is reversed: "
                               "the first entry must not exceed the last")
+        # checked on the largest m alone, before a long range is walked
+        dirac.require_prop3_size(self.potential.cosine_coeffs, self.potential.sine_coeffs,
+                                 self.J, hi)
 
 
 _PARSERS = {PeriodicPotential: potential.potential_from_json,
@@ -282,8 +300,8 @@ def cmd_dirac(cfg, out):
         ]
     else:
         U = potential.from_parts(replace(parts, gamma=0.0))
-        # find_dirac_points reads only k = 0 and 1/2, which the smallest grid, N_k = 16, holds
-        bs0 = bands.compute_bands(U, J, 16, cfg.n_bands)
+        # find_dirac_points reads only k = 0 and 1/2, which the smallest grid holds
+        bs0 = bands.compute_bands(U, J, bands.MIN_N_K, cfg.n_bands)
         for dp in dirac.find_dirac_points(bs0, cfg.dirac_tol):
             plus = {}
             for g in gamma_list:
@@ -326,7 +344,8 @@ COMMANDS = {
 _EXITS = ((TruncationError, 2, "truncation check failed"),
           (ConfigError, 1, "config error"),
           ((AssumptionError, ExistenceError), 2, "assumption check failed"),
-          (PTBandsError, 3, "solver failure"))
+          (PTBandsError, 3, "solver failure"),
+          (MemoryError, 3, "out of memory"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -352,7 +371,7 @@ def main(argv=None):
             cfg = read_config(args.command, _load_config(args.config))
             out = _out_dir(args.out)
             COMMANDS[args.command][1](cfg, out)
-    except PTBandsError as exc:
+    except (PTBandsError, MemoryError) as exc:
         code, what = next(e[1:] for e in _EXITS if isinstance(exc, e[0]))
         if getattr(exc, "eps", None) is not None:
             what += f" at eps = {exc.eps}"

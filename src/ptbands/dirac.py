@@ -271,6 +271,19 @@ def _slope_gammas(gammas):
     return gammas
 
 
+def require_prop3_size(a_seq, b_seq, J: int, mmax: int):
+    """prop3_scan's sizes for m up to mmax: ConfigError when J < 2 mmax + 16,
+    TruncationError when a_seq or b_seq holds under 2 mmax + PROP3_MARGIN harmonics."""
+    if J < 2 * mmax + 16:
+        raise ConfigError(f"J = {J} too small for m up to {mmax}; need J >= {2 * mmax + 16}")
+    n_harm = min(len(a_seq), len(b_seq))
+    if n_harm < 2 * mmax + PROP3_MARGIN:
+        raise TruncationError(
+            f"coefficient sequences hold {n_harm} harmonics; m up to {mmax} needs "
+            f"{2 * mmax + PROP3_MARGIN} (coupling harmonic {2 * mmax} plus {PROP3_MARGIN})"
+        )
+
+
 def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
     """Splitting of the high Dirac ladder for U + i gamma W in the doubled
     Fourier convention (U = 2 sum a_j cos jx, W = 2 sum b_j sin jx).
@@ -280,23 +293,15 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
     the potential coefficients at harmonic q = 2m, so the leading
     eigenvalues are mu +- sqrt(a_q^2 - gamma^2 b_q^2) and the splitting
     magnitude is |gamma b_q| once b dominates.  One eigenvalue-only solve
-    at k0 = 0 serves every m.  The sequences must run PROP3_MARGIN
-    harmonics past 2 max(m_range) (TruncationError otherwise).
+    at k0 = 0 serves every m.  J and the sequences must be large enough
+    for max(m_range) (require_prop3_size).
     """
     m_range = sorted(int(m) if is_int(m) and m >= 1 else 0 for m in m_range)
     if not m_range or m_range[0] < 1:
         raise ConfigError("m_range must contain positive integers")
-    mmax = m_range[-1]
-    if J < 2 * mmax + 16:
-        raise ConfigError(f"J = {J} too small for m up to {mmax}; need J >= {2 * mmax + 16}")
+    require_prop3_size(a_seq, b_seq, J, m_range[-1])
     a_seq = np.asarray(a_seq, dtype=float)
     b_seq = np.asarray(b_seq, dtype=float)
-    n_harm = min(len(a_seq), len(b_seq))
-    if n_harm < 2 * mmax + PROP3_MARGIN:
-        raise TruncationError(
-            f"coefficient sequences hold {n_harm} harmonics; m up to {mmax} needs "
-            f"{2 * mmax + PROP3_MARGIN} (coupling harmonic {2 * mmax} plus {PROP3_MARGIN})"
-        )
     parts = PotentialParts(tuple(a_seq), tuple(b_seq), gamma, Convention.PROP3_DOUBLED)
     V = from_parts(parts)
     w = eigen.eigenvalues(discretize.assemble_stack(V, [0.0], J)[0])

@@ -25,7 +25,7 @@ import numpy as np
 from . import bands, eigen
 from .eigen import TWO_PI, BlochMode
 from .errors import ConfigError, ExistenceError, GridError, PTSymmetryError
-from .grid import RealLineGrid
+from .grid import BoundState, RealLineGrid
 from .potential import PeriodicPotential
 
 EPS_MAX = 0.5      # largest eps of an envelope ansatz
@@ -64,11 +64,6 @@ class SechEnvelope:
 
     def __call__(self, X):
         return self.amplitude / np.cosh(np.asarray(X, dtype=float) / self.width)
-
-    def second_derivative(self, X):
-        # exact: (sech)'' = sech - 2 sech^3 in the scaled variable
-        s = 1.0 / np.cosh(np.asarray(X, dtype=float) / self.width)
-        return self.amplitude * (s - 2 * s**3) / self.width**2
 
 
 def existence_condition(gamma_re: float, curvature: float, Omega: int) -> bool:
@@ -130,13 +125,6 @@ def sech_envelope(model: EffectiveModel) -> SechEnvelope:
     )
 
 
-def envelope_residual(env: SechEnvelope, model: EffectiveModel, X) -> np.ndarray:
-    """Pointwise residual of A in the envelope equation (analytic derivatives)."""
-    A = env(X)
-    return (-0.5 * model.curvature * env.second_derivative(X)
-            + model.gamma_nl.real * A**3 - model.Omega * A)
-
-
 def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineGrid):
     """Slowly-varying-envelope ansatz u_form(x) = eps A(eps x) g(x) on a grid.
 
@@ -147,8 +135,6 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
     per cell, x_n = -L + 2 pi n / P and L a multiple of 2 pi, so p(x_n) is
     the cell sample n mod P: p is sampled once on one cell and tiled.
     """
-    from .gpsolve import BoundState  # local import: gpsolve builds on this module
-
     if not 0.0 < eps <= EPS_MAX:
         raise ConfigError(f"eps = {eps} outside (0, {EPS_MAX}]")
     # sech tail at the seam: ~2 e^{-eps L / width} < 1e-6  <=>  eps L >= 15 width

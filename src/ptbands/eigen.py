@@ -40,10 +40,6 @@ from .errors import ComplexBandError, DegenerateEigenvalueError, PTBandsError
 
 TWO_PI = 2.0 * np.pi
 
-# entries with |Im| below this are treated as exactly real so the real
-# (dgeev) path is taken and conjugate pairs come out exact
-_REAL_ENTRY_TOL = 1e-14
-
 _EPS = np.finfo(float).eps
 
 # omega counts as real when |Im omega| <= REALITY_TOL max(1, |omega|); so does
@@ -117,19 +113,6 @@ def inner(u_coeffs, v_coeffs):
     return TWO_PI * np.sum(u_coeffs * np.conj(v_coeffs))
 
 
-def _lapack_entries(A):
-    """Entries as LAPACK should see them: real-entried matrices (every
-    PT-symmetric potential) take the real path, which returns exactly
-    conjugate complex pairs.  A stack (..., n, n) is real when every matrix
-    in it is."""
-    if A.dtype != complex or not A.imag.any():
-        return A.real
-    if (np.abs(A.imag).max(axis=(-2, -1))
-            <= _REAL_ENTRY_TOL * np.maximum(1.0, np.abs(A.real).max(axis=(-2, -1)))).all():
-        return A.real
-    return A
-
-
 def decompose(A, pick=None):
     """Eigendecompositions of a matrix A (n, n), or of every matrix of a
     stack A (m, n, n) at once.
@@ -138,10 +121,10 @@ def decompose(A, pick=None):
     (ties by imaginary part), the unit right vectors (..., n, n), and the
     unit left vectors (..., n, n) in the columns pick(eigenvalues) selects in
     every row (an index array or slice), NaN in the others, or None without
-    pick.  An exactly Hermitian stack takes eigh, whose left vectors are the
-    right ones.  A LAPACK failure raises LinAlgError.
+    pick.  A real A (assemble_stack's for a PT potential) takes LAPACK's real
+    path, with exact conjugate pairs.  An exactly Hermitian stack takes eigh,
+    whose left vectors are the right ones.  A LAPACK failure raises LinAlgError.
     """
-    A = _lapack_entries(A)
     n = A.shape[-1]
     first = A.reshape(-1, n, n)[0]
     # exactly Hermitian: the first row and column settle most non-Hermitian stacks
@@ -227,7 +210,7 @@ def _matmul(A, x):
 def eigenvalues(A) -> np.ndarray:
     """Eigenvalues of one matrix A (n, n) in decompose()'s order, no vectors."""
     try:
-        w = np.linalg.eigvals(_lapack_entries(A)).astype(complex)
+        w = np.linalg.eigvals(A).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise PTBandsError(f"eigensolver failed at J={len(A) // 2}: {exc}") from exc
     return w[np.lexsort((w.imag, w.real))]

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import effective as effective_mod
 from .errors import ConfigError, NewtonError, PTSymmetryError
-from .grid import RealLineGrid, grid_for_envelope
-from .potential import PeriodicPotential, validate_pt
+from .grid import BoundState, RealLineGrid, grid_for_envelope
+from .potential import PT_TOL, PeriodicPotential, validate_pt
 from .util import is_real
 
 # Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
@@ -49,30 +49,6 @@ FORCING_MAX = 1e-4
 # a preconditioner block with 1-norm condition above this (omega on or next to a
 # band value of the grid) loses more than FORCING_MAX to roundoff when applied
 BLOCK_COND_MAX = 1e12
-
-
-@dataclass(frozen=True)
-class BoundState:
-    """A complex field on a RealLineGrid with solve diagnostics.
-
-    residual_norm is the L2 norm of the GP residual (None for a bare
-    ansatz that has not been solved); residual_history holds the Newton
-    residuals including the final one, and matvecs the Jacobian actions of
-    each Newton step's GMRES solve.
-    """
-
-    values: np.ndarray
-    eps: float
-    omega: float
-    grid: RealLineGrid
-    residual_norm: float = None
-    newton_iters: int = None
-    residual_history: tuple = ()
-    matvecs: tuple = ()
-
-    def pt_defect(self):
-        """max |conj(u(-x)) - u(x)| over the grid (RealLineGrid.pt_defect)."""
-        return self.grid.pt_defect(self.values)
 
 
 @dataclass(frozen=True)
@@ -272,7 +248,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
                  on_iterate=None) -> BoundState:
     """Inexact Newton-Krylov solve of the stationary GP equation in the PT subspace.
 
-    u0 must be PT-symmetric to 1e-6, V and sigma to 1e-12 (PTSymmetryError
+    u0 must be PT-symmetric to 1e-6, V and sigma to PT_TOL (PTSymmetryError
     otherwise) and omega real (ConfigError).  Converges when the L2 residual
     falls below tol (an already-converged u0 returns in zero iterations).
     on_iterate(k, u, residual), when given, observes every iterate.
@@ -288,7 +264,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     defect = grid.pt_defect(u0)
     if defect > 1e-6:
         raise PTSymmetryError(f"initial guess not PT-symmetric (defect {defect:.3e})")
-    if not (validate_pt(V, 1e-12) and validate_pt(sigma, 1e-12)):
+    if not (validate_pt(V, PT_TOL) and validate_pt(sigma, PT_TOL)):
         raise PTSymmetryError("V and sigma must be PT-symmetric (real Fourier coefficients)")
     if not is_real(omega):
         raise ConfigError(f"omega must be a real number, got {omega!r}")

@@ -1,4 +1,4 @@
-"""Periodic truncation of the real line, commensurate with the 2pi lattice."""
+"""Periodic truncation of the real line, commensurate with the 2pi lattice, and fields on it."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,6 +73,30 @@ class RealLineGrid:
 
     def second_derivative(self, f):
         return np.fft.ifft(-self.frequencies**2 * np.fft.fft(f))
+
+
+@dataclass(frozen=True)
+class BoundState:
+    """A complex field on a RealLineGrid with solve diagnostics.
+
+    residual_norm is the L2 norm of the GP residual (None for a bare
+    ansatz that has not been solved); residual_history holds the Newton
+    residuals including the final one, and matvecs the Jacobian actions of
+    each Newton step's GMRES solve.
+    """
+
+    values: np.ndarray
+    eps: float
+    omega: float
+    grid: RealLineGrid
+    residual_norm: float = None
+    newton_iters: int = None
+    residual_history: tuple = ()
+    matvecs: tuple = ()
+
+    def pt_defect(self):
+        """max |conj(u(-x)) - u(x)| over the grid (RealLineGrid.pt_defect)."""
+        return self.grid.pt_defect(self.values)
 
 
 def grid_for_envelope(eps: float, width: float) -> RealLineGrid:

@@ -13,6 +13,10 @@ import numpy as np
 from .errors import ConfigError
 from .util import is_int, is_real
 
+# |Im c_j| up to this counts as real where PT symmetry is required: the V and
+# sigma of gpsolve.newton_solve, and sigma in every CLI config
+PT_TOL = 1e-12
+
 
 class Convention(Enum):
     """Normalization of the (U, W) Fourier series.

@@ -5,6 +5,8 @@ built on the package's one assembly (discretize.assemble_stack) and one
 decomposition (eigen.decompose) as stacks of one.  g_values evaluates a
 Bloch wave at points; curvature_from_fit is a second finite-difference
 estimator of a band-edge curvature, beside bands.second_derivative.
+envelope_residual checks a sech envelope against its amplitude equation
+with the exact second derivative of the sech.
 """
 
 from dataclasses import dataclass
@@ -69,3 +71,18 @@ def curvature_from_fit(p, m, k0, J, half_width=0.05, n_samples=11):
     A = np.vstack([np.ones_like(ds), ds**2, ds**4]).T
     coef, *_ = np.linalg.lstsq(A, np.asarray(oms) - om0.real, rcond=None)
     return float(2 * coef[1])
+
+
+def envelope_second_derivative(env, X):
+    """A''(X) of a SechEnvelope A, exact: (sech)'' = sech - 2 sech^3 in the
+    scaled variable."""
+    s = 1.0 / np.cosh(np.asarray(X, dtype=float) / env.width)
+    return env.amplitude * (s - 2 * s**3) / env.width**2
+
+
+def envelope_residual(env, model, X):
+    """Pointwise residual of A in the envelope equation of an EffectiveModel
+    (analytic derivatives)."""
+    A = env(X)
+    return (-0.5 * model.curvature * envelope_second_derivative(env, X)
+            + model.gamma_nl.real * A**3 - model.Omega * A)

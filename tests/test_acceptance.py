@@ -11,13 +11,13 @@ import pytest
 
 from ptbands import (PotentialParts, build_ansatz,
                      compute_bands, constant, check_assumption, convergence_study,
-                     envelope_residual, fix_pt_phase, from_parts, gamma_coefficient,
+                     fix_pt_phase, from_parts, gamma_coefficient,
                      grid_for_envelope, make_mode, measure_splitting, mw_matrix,
                      newton_solve, prop3_scan, sech_envelope, splitting_slope,
                      EffectiveModel, extract_effective_model, find_dirac_points)
 from ptbands.effective import existence_condition
 from conftest import every_column, gentle_parts, two_harmonic_potential
-from oracles import assemble, solve
+from oracles import assemble, envelope_residual, solve
 
 FREE = constant(0.0)
 

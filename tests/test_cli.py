@@ -17,13 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptbands import PotentialParts, bands, eigen, from_parts, gpsolve
+from ptbands import PotentialParts, bands, eigen, from_parts, gpsolve, potential_from_json
+from ptbands.discretize import assemble_stack
 from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
                          EffectiveConfig, Prop3Config, main)
 from oracles import assemble, solve
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
+# the environment of a child Python process that imports ptbands from this tree
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
 def run(tmp_path, command, cfg, name="cfg.json"):
@@ -146,6 +150,20 @@ class TestBandsCommand:
         code, err, out = run_captured(tmp_path, command, cfg)
         assert code == 1 and err.startswith("config error: band_index 2 ")
         assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_tiny_imaginary_coefficients_take_the_complex_path(self, tmp_path):
+        # discretize.assemble_stack alone decides whether a stack is real: an
+        # imaginary part of 1e-17 on every coefficient makes it complex, and
+        # LAPACK's complex path gives the bands of the real part
+        real = from_parts(PotentialParts((2.0, 1.0), (0.0, 1.0), 1.0))
+        rows = [[j, c.real, 1e-17] for j, c in sorted(real.coeffs.items())]
+        tiny = potential_from_json({"exp_coeffs": rows})
+        assert assemble_stack(tiny, [0.0], 8).dtype == complex
+        got, want = (bands.compute_bands(p, 24, 32, 5).omega for p in (tiny, real))
+        assert np.abs(got - want).max() <= 1e-12
+        cfg = {**two_harmonic_cfg(1.0, 1), "potential": {"exp_coeffs": rows}}
+        code, err, _ = run_captured(tmp_path, "bands", cfg)
+        assert code == 0 and err == ""
 
     def test_edge_condition_reported(self, tmp_path):
         code, out = run(tmp_path, "bands", two_harmonic_cfg(1.5, 3))
@@ -339,6 +357,20 @@ class TestDiracCommand:
         summary = json.loads((out / "dirac_summary.json").read_text())
         assert [p["relative_gap"] for p in summary["points"]] == [None] * 7
 
+    def test_huge_m_range_refused_at_once(self, tmp_path):
+        # the J guard needs only the largest m: walking the 1e11 m of this
+        # range first did not end within 60 s.  A child process, so that a
+        # hang fails the test instead of stalling the suite
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(shipped("dirac_prop3", ("m_range",), [1, 10**11])))
+        proc = subprocess.run([sys.executable, "-m", "ptbands.cli", "dirac", "--config",
+                               str(path), "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=SRC_ENV, timeout=30)
+        assert proc.returncode == 1 and len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            "config error: J = 64 too small for m up to 100000000000; need J >= 200000000016")
+        assert not (tmp_path / "out").exists()
+
     def test_prop3_short_sequences_exit2_one_line(self, tmp_path):
         # 24 harmonics stop at the coupling harmonic of m = 12, whose gap then
         # read 0.104 instead of 0.0207; 28 are needed
@@ -421,10 +453,8 @@ def test_cli_loads_no_scipy(tmp_path):
         loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         print(json.dumps([loaded, code]))
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", probe, str(CONFIGS), str(tmp_path)],
-                         capture_output=True, text=True, env=env, check=True)
+                         capture_output=True, text=True, env=SRC_ENV, check=True)
     loaded, code = json.loads(out.stdout.splitlines()[-1])
     assert loaded == [[], [], []]
     assert {p.stem.split("_")[0] for p in CONFIGS.glob("*.json")} == {
@@ -506,6 +536,7 @@ def shipped(name, path, value):
 
 
 BANDS, EFFECTIVE = "bands_two_harmonic_gamma1", "effective_gentle"
+NOT_PT = {"exp_coeffs": [[0, -1.0, 0.5]]}
 MALFORMED = {                   # case: (command, shipped config, key path, value)
     "cosine-str": ("bands", BANDS, ("potential", "cosine"), ["x"]),
     "cosine-int": ("bands", BANDS, ("potential", "cosine"), 5),
@@ -528,6 +559,11 @@ MALFORMED = {                   # case: (command, shipped config, key path, valu
     "dirac-N_k": ("dirac", "dirac_sin2x", ("N_k",), 32),
     "bands-sigma": ("bands", BANDS, ("sigma",), {"exp_coeffs": [[0, -1.0, 0.0]]}),
     "converge-n-bands": ("converge", "converge_gentle", ("n_bands",), 4),
+    # sigma = -1 + 0.5i is not PT-symmetric: effective and ansatz exited 0 with
+    # an envelope the theorem does not cover, converge 3 after the band sweep
+    "effective-sigma-not-pt": ("effective", EFFECTIVE, ("sigma",), NOT_PT),
+    "ansatz-sigma-not-pt": ("ansatz", "ansatz_gentle", ("sigma",), NOT_PT),
+    "converge-sigma-not-pt": ("converge", "converge_gentle", ("sigma",), NOT_PT),
     "converge-tol-real": ("converge", "converge_gentle", ("tol_real",), 1e-8),
     "prop3-N_k": ("dirac", "dirac_prop3", ("N_k",), 32),
     "prop3-n-bands": ("dirac", "dirac_prop3", ("n_bands",), 8),
@@ -543,7 +579,10 @@ MALFORMED_CAUSE = {"m-range-reversed": "reversed",
                    "tol-real-nan": "unknown keys ['tol_real']",
                    "effective-tol-real": "unknown keys ['tol_real']",
                    "ansatz-tol-real": "unknown keys ['tol_real']",
-                   "dirac-N_k": "unknown keys ['N_k']"}
+                   "dirac-N_k": "unknown keys ['N_k']",
+                   "effective-sigma-not-pt": "sigma is not PT-symmetric",
+                   "ansatz-sigma-not-pt": "sigma is not PT-symmetric",
+                   "converge-sigma-not-pt": "sigma is not PT-symmetric"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -554,6 +593,17 @@ def test_malformed_config_exit1(tmp_path, case):
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert MALFORMED_CAUSE.get(case, "") in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# requests far above the 128 TiB of a 64-bit user address space, which fail at
+# once under any overcommit setting: a 1.73 PiB ansatz field, a 7.11 PiB k grid
+@pytest.mark.parametrize("command, name, key, value", [
+    ("ansatz", "ansatz_gentle", "eps", 1e-12),
+    ("bands", BANDS, "N_k", 10**15)])
+def test_out_of_memory_exit3_one_line(tmp_path, command, name, key, value):
+    code, err, _ = run_captured(tmp_path, command, shipped(name, (key,), value))
+    assert code == 3 and len(err.splitlines()) == 1
+    assert err.startswith("out of memory: ")
 
 
 def test_null_allowed_where_default_is_none(tmp_path):

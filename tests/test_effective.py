@@ -4,12 +4,11 @@ from dataclasses import replace
 
 from ptbands import (AssumptionError, ConfigError, EffectiveModel, ExistenceError,
                      GridError, PotentialParts, RealLineGrid, SechEnvelope,
-                     bands, build_ansatz, constant, envelope_residual,
-                     extract_effective_model, fix_pt_phase, from_parts,
-                     gamma_coefficient, grid_for_envelope, hs_norm, make_mode,
-                     sech_envelope)
+                     bands, build_ansatz, constant, extract_effective_model,
+                     fix_pt_phase, from_parts, gamma_coefficient, grid_for_envelope,
+                     hs_norm, make_mode, sech_envelope)
 from conftest import every_column, gentle_parts, two_harmonic_potential
-from oracles import assemble, g_values, solve
+from oracles import assemble, envelope_residual, g_values, solve
 
 FREE = constant(0.0)
 TWO_PI = 2 * np.pi
