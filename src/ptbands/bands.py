@@ -28,7 +28,8 @@ Jiang, SIAM J. Numer. Anal. 19, 1982).  A tail above TAIL_MAX at J' = J
 means J itself does not resolve the bands (TruncationError).  The ladder
 and that refusal take the columns to certify, so dirac.measure_splitting
 certifies its pair near mu the same way, through stacks of one on the
-doubling ladder from BLOCK_J0 (_leading_block).  Bands are tracked across
+doubling ladder from BLOCK_J0 (_leading_block), each rung read from
+dirac's memo of decomposed blocks.  Bands are tracked across
 the grid by maximal eigenvector overlap (value proximity fails at avoided
 crossings); the tracking is a permutation of the lowest-n eigenvalues at
 each k by construction, and its vectors are zero-padded to J once, as they
@@ -60,10 +61,13 @@ ISOLATION_CHUNK = 2 ** 16
 # a block ladder stops once the certified columns (the lowest n_bands, or the
 # pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
 # their right and left unit vectors.  dirac.measure_splitting's ladder starts
-# at BLOCK_J0 and doubles for cost: 279 decompositions per spectra round, 711 on the
-# sweep's ladder; either puts the mu = 225 pair within kappa r of a 40-digit solve.  The
-# sweep's starts at SWEEP_J0 and grows by about 5/4 (_sweep_rung): its blocks
-# are met at J' = 18, 22 and 12 on the gamma = 1, gamma = 1.5 two-harmonic
+# at BLOCK_J0 and doubles for cost: a spectra round climbs 270 rungs, all
+# J' = 16, which dirac's memo serves from 36 to 54 decompositions (seeds 1, 2,
+# 3 and 7; its 9 Dirac tasks share 4 lattices); an earlier count, one
+# decomposition per rung, put the sweep's ladder at 711 against 279 for
+# doubling.  Either ladder puts the mu = 225 pair within kappa r of a 40-digit
+# solve.  The sweep's starts at SWEEP_J0 and grows by about 5/4 (_sweep_rung):
+# its blocks are met at J' = 18, 22 and 12 on the gamma = 1, gamma = 1.5 two-harmonic
 # and the gentle lattices, where doubling from 16 solved at 32, 32 and 16
 BLOCK_J0 = 16
 SWEEP_J0 = 8
@@ -248,7 +252,8 @@ def _sweep_rung(J):
 class _Blocks(NamedTuple):
     """A stack of blocks M_J(k), decomposed by _stacked_blocks."""
 
-    E: np.ndarray           # M_{J''}(k) per block, with M_J(k) at its centre
+    E: np.ndarray           # M_{J''}(k) per block, with M_J(k) at its centre;
+                            # None from dirac's memo
     w: np.ndarray           # eigenvalues, right and left vectors of M_J(k)
     right: np.ndarray
     left: np.ndarray
@@ -280,19 +285,22 @@ def _stacked_blocks(p, ks, J_max, J, pick):
     return _Blocks(E, w, right, left, cols, _tail(p, right, left, cols))
 
 
-def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J: 2 * J):
+def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J: 2 * J,
+                   stack=_stacked_blocks):
     """The first J' of J_start, rung(J_start), ... (capped at J_max) whose
     right and left unit vectors in the columns pick(eigenvalues) weigh at
     most tol in the slots J' - max_harmonic < |j| <= J', or J' = J_max.
 
     Those are the slots M_{J_max} couples out of the block, so a small tail
     means a small residual of the zero-padded pairs.  J_start defaults to
-    max(BLOCK_J0, max_harmonic) and rung to doubling.  Returns the
-    _stacked_blocks of k alone at J'.
+    max(BLOCK_J0, max_harmonic) and rung to doubling.  Each rung is
+    stack(p, [k], J_max, J', pick), _stacked_blocks unless the caller passes
+    a function of the same arguments (dirac's memo of decomposed blocks);
+    returns the rung at J'.
     """
     Jb = min(J_max, max(BLOCK_J0, p.max_harmonic) if J_start is None else J_start)
     while True:
-        blocks = _stacked_blocks(p, [k], J_max, Jb, lambda w: pick(w[0]))
+        blocks = stack(p, [k], J_max, Jb, lambda w: pick(w[0]))
         if blocks.tail[0] <= tol or Jb >= J_max:
             return blocks
         Jb = min(rung(Jb), J_max)

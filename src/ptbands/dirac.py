@@ -21,9 +21,18 @@ doubling ladder from BLOCK_J0 (bands._leading_block, each rung a stack of
 one through bands._stacked_blocks), cheaper here than the sweep's finer
 ladder and, like it, within kappa r of an exact solve at mu = 225: its cost
 is set by the lattice and mu, not by J; an unresolving J raises TruncationError.
+Each rung's decomposition, with every column's left vector, is memoised by
+its content: the key is (sorted exponential coefficients of V, float(k0), J'),
+so the pairs of every point and gamma that share a matrix, and a
+splitting_slope after measurements of the same gammas, decompose it once.
+The memo keeps the eigenvalues, right and left vectors (read-only, not the
+assembled matrix) of the MEMO_BLOCKS blocks used last: at most
+MEMO_BLOCKS * 32 (2 J' + 1)^2 bytes, 0.28 MB at J' = 16 and 17 MB if every
+block reached J' = 128.
 prop3_scan keeps one eigenvalue-only solve of the full matrix for all m.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -44,6 +53,11 @@ from .util import is_int
 PROP3_MARGIN = 4
 
 COUPLING_TOL = 1e-10        # at most this coupling, predict_splitting is inconclusive
+
+# decomposed blocks measure_splitting keeps.  A Dirac task of the spectra
+# benchmark meets 6 (3 gammas at k0 = 0 and 1/2, all J' = 16), about 0.2 MB;
+# the band sweep's blocks do not pass through the memo
+MEMO_BLOCKS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,14 +240,18 @@ def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
     way the band sweep's blocks are, at the first J' where their right and
     left unit vectors weigh at most TAIL_TOL in the slots
     J' - max harmonic < |j| <= J', the ones M_J couples out of the block;
-    the block size is set by the lattice and mu, not by J.  Raises ClassificationError when fewer than two
+    the block size is set by the lattice and mu, not by J.  Every rung is
+    read from the memo of the last MEMO_BLOCKS decomposed blocks, keyed by
+    (sorted coefficients of p, float(k0), J') (module docstring), so a call
+    on a block an earlier call decomposed makes no eigensolve and returns
+    the same pair.  Raises ClassificationError when fewer than two
     eigenvalues lie within 1 of mu, and then TruncationError when the pair
     still weighs more than TAIL_MAX there at J' = J.
     """
     def near_mu(w):
         return _nearest(w, mu)
 
-    blocks = bands._leading_block(p, k0, J, near_mu)
+    blocks = bands._leading_block(p, k0, J, near_mu, stack=_memo_blocks)
     pair = _plus_first(blocks.w[0, blocks.cols])
     if max(abs(z - mu) for z in pair) >= 1.0:
         raise ClassificationError(
@@ -241,6 +259,26 @@ def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
         )
     bands._require_resolved(p, k0, J, near_mu, blocks.tail[0], f"the pair near mu = {mu:g}")
     return pair
+
+
+def _memo_blocks(p, ks, J_max, J, pick):
+    """bands._stacked_blocks of the one k in ks, from _decomposed_block's
+    memo, without the assembled matrix (E is None)."""
+    (k,) = ks
+    w, right, left = _decomposed_block(tuple(sorted(p.coeffs.items())), float(k), J)
+    cols = pick(w)
+    return bands._Blocks(None, w, right, left, cols, bands._tail(p, right, left, cols))
+
+
+@functools.lru_cache(maxsize=MEMO_BLOCKS)
+def _decomposed_block(coeffs, k, J):
+    """Eigenvalues, right and every left vector, read-only, of the stack of
+    one M_J(k) of the potential with exponential coefficients coeffs (a
+    sorted tuple of (j, c_j))."""
+    blocks = bands._stacked_blocks(PeriodicPotential(dict(coeffs)), [k], J, J, lambda w: slice(None))
+    for a in (blocks.w, blocks.right, blocks.left):
+        a.flags.writeable = False
+    return blocks.w, blocks.right, blocks.left
 
 
 def splitting_slope(U_parts: PotentialParts, dp: DiracPoint, J: int,
@@ -294,8 +332,11 @@ def prop3_scan(a_seq, b_seq, gamma: float, m_range, J: int):
     eigenvalues are mu +- sqrt(a_q^2 - gamma^2 b_q^2) and the splitting
     magnitude is |gamma b_q| once b dominates.  One eigenvalue-only solve
     at k0 = 0 serves every m.  J and the sequences must be large enough
-    for max(m_range) (require_prop3_size).
+    for max(m_range) (require_prop3_size), which a range of positive m is
+    checked for before any m is read.
     """
+    if isinstance(m_range, range) and m_range and min(m_range[0], m_range[-1]) >= 1:
+        require_prop3_size(a_seq, b_seq, J, max(m_range[0], m_range[-1]))
     m_range = sorted(int(m) if is_int(m) and m >= 1 else 0 for m in m_range)
     if not m_range or m_range[0] < 1:
         raise ConfigError("m_range must contain positive integers")

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from ptbands import (ClassificationError, ConfigError, PotentialParts, bands,
                      compute_bands, constant, eigen, find_dirac_points, from_parts,
                      measure_splitting, mw_matrix, predict_splitting, prop3_scan,
                      richardson_slope, splitting_slope, TruncationError)
-from ptbands.dirac import Regime, _nearest
+from ptbands.dirac import MEMO_BLOCKS, Regime, _decomposed_block, _nearest
 from ptbands.eigen import TWO_PI
 from conftest import two_harmonic_potential
 from oracles import assemble, solve
@@ -199,9 +204,13 @@ class TestMeasureSplitting:
         # all that M_J couples out of the block: at J = 7 the lowest two weigh
         # 4.3e-7 at |j| = 6, 7, the pair near 4 (even j only) 1.8e-5 at |j| = 6
         # and nothing at |j| = 7
+        # The second call reads its blocks from the memo the first one filled
         V = from_parts(SIN2X)
-        with pytest.raises(TruncationError, match=f"J = {J} .* pair near mu = {mu:g}: .* weigh {weight} "):
-            measure_splitting(V, k0, mu, J)
+        _decomposed_block.cache_clear()
+        for memo in ("cold", "warm"):
+            with pytest.raises(TruncationError, match=f"J = {J} .* pair near mu = {mu:g}: .* weigh {weight} "):
+                measure_splitting(V, k0, mu, J)
+        assert _decomposed_block.cache_info().hits == 1
         measure_splitting(V, k0, mu, 16)
 
     @pytest.mark.parametrize("k0, mu, J", [(0.5, 0.25, 64), (0.5, 0.25, 128),
@@ -249,6 +258,7 @@ class TestMeasureSplitting:
     def test_pair_decomposed_as_a_stack(self, monkeypatch):
         # the pair at 225 climbs the doubling ladder (J' = 16, then 32) through
         # stacks of one, not as single matrices
+        _decomposed_block.cache_clear()
         full_decompose = eigen.decompose
         monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: full_decompose(A, pick)
                             if A.ndim == 3 else pytest.fail("single matrix decomposed"))
@@ -266,12 +276,60 @@ class TestMeasureSplitting:
         V = from_parts(SIN2X)
         largest = []
         for J in (32, 128):
+            # the J = 128 pass meets the J = 32 pass's blocks: from a warm memo it
+            # would decompose none
+            _decomposed_block.cache_clear()
             sizes.clear()
             for dp in free_points[:4]:
                 measure_splitting(V, dp.k0, dp.mu, J)
                 splitting_slope(PotentialParts(sine_coeffs=(0.0, 1.0)), dp, J)
             largest.append(max(sizes))
         assert largest[0] == largest[1] == 16
+
+    def test_one_decomposition_per_distinct_block(self, monkeypatch, free_points):
+        # the loop of cmd_dirac and the spectra benchmark's Dirac task: each
+        # point measured at three gammas, then splitting_slope at the same
+        # gammas.  The 36 ladder rungs of the 6 points (all J' = 16) meet 6
+        # distinct blocks, 3 gammas at k0 = 0 and 1/2: 6 decompositions of
+        # Sigma n^3 = 6 * 33^3, not one per rung
+        sizes = []
+        full_decompose = eigen.decompose
+        monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: sizes.append(
+            A.shape[-1]) or full_decompose(A, pick))
+        _decomposed_block.cache_clear()
+        assert len(free_points) == 6
+        for dp in free_points:
+            for g in (0.01, 0.02, 0.04):
+                measure_splitting(from_parts(replace(SIN2X, gamma=g)), dp.k0, dp.mu, 32)
+            splitting_slope(SIN2X, dp, 32)
+        assert (len(sizes), sum(n**3 for n in sizes)) == (6, 215622)
+
+    @pytest.mark.parametrize("mu, J, rungs", [(1.0, 24, 1), (225.0, 64, 2)])
+    def test_warm_memo_returns_the_cold_pair(self, monkeypatch, mu, J, rungs):
+        # the pair at 225 climbs J' = 16 -> 32.  The warm call gets a potential
+        # built afresh with the same coefficients, as every caller builds one
+        _decomposed_block.cache_clear()
+        cold = np.array(measure_splitting(from_parts(SIN2X), 0.0, mu, J))
+        assert _decomposed_block.cache_info().currsize == rungs
+        monkeypatch.setattr(eigen, "decompose", lambda A, pick=None: pytest.fail("decomposed"))
+        warm = np.array(measure_splitting(from_parts(SIN2X), 0.0, mu, J))
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_memo_capped(self, free_points):
+        dp = point_at(free_points, 1.0)
+        _decomposed_block.cache_clear()
+        for g in np.linspace(0.01, 0.1, MEMO_BLOCKS + 3):
+            measure_splitting(from_parts(replace(SIN2X, gamma=g)), dp.k0, dp.mu, 24)
+            assert _decomposed_block.cache_info().currsize <= MEMO_BLOCKS
+        assert _decomposed_block.cache_info().currsize == MEMO_BLOCKS
+
+    def test_memo_arrays_read_only(self):
+        V = from_parts(SIN2X)
+        measure_splitting(V, 0.0, 1.0, 24)
+        for a in _decomposed_block(tuple(sorted(V.coeffs.items())), 0.0, 16):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[..., 0] = 0.0
 
 
 def test_linear_response_slope(free_points):
@@ -386,7 +444,30 @@ class TestProp3Scan:
         with pytest.raises(ConfigError):
             prop3_scan(a, b, 0.5, [8], J=64)
 
-    @pytest.mark.parametrize("m_range", [[6.7, True], [6, 7.0], [True], [0, 6], []])
+    def test_huge_range_refused_before_any_m_is_read(self):
+        # the top m of a range is checked first: range(1, 10**11 + 1) was once
+        # sorted and validated m by m, a list the size of the machine
+        child = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            import numpy as np
+            from ptbands import ConfigError, prop3_scan
+            a = np.arange(1, 49, dtype=float) ** -2.5
+            try:
+                prop3_scan(a, a, 0.5, range(1, 10**11 + 1), 64)
+            except ConfigError as exc:
+                print(exc)
+        """)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
+                                              os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert (proc.returncode, proc.stdout) == (
+            0, "J = 64 too small for m up to 100000000000; need J >= 200000000016\n"), proc.stderr
+
+    @pytest.mark.parametrize("m_range", [[6.7, True], [6, 7.0], [True], [0, 6], [], range(0, 6),
+                                         range(3, 1)])
     def test_m_range_must_hold_positive_integers(self, m_range):
         # [6.7, True] once ran as m = 1 and 6
         a, b = self.sequences(48)
