@@ -11,10 +11,8 @@ of the last, capped at J): the first J' where the lowest n_bands right and
 left vectors weigh at most TAIL_TOL in the slots J' - h < |j| <= J', h the
 highest harmonic of the potential: the slots through which M_J couples a
 block vector to the harmonics past J'.  Every block is assembled,
-decomposed and certified by _stacked_blocks: a stack of blocks at one J',
-assembled from one Toeplitz matrix, through one eigen.decompose (one
-batched eigensolve and one batched left-vector solve), with the tails of
-the whole stack taken at once.  k = 0 climbs the ladder as a stack of one,
+decomposed and certified by _stacked_blocks, a stack at one J' at a time,
+with one batched eigensolve.  k = 0 climbs the ladder as a stack of one,
 one decomposition per rung; the columns k > 0 then run at its J' in stacks
 of up to STACK_COLUMNS.  J' carries from column to column: the first
 column of a stack whose tail exceeds TAIL_TOL climbs on its own, again as
@@ -25,17 +23,15 @@ lowest n_bands eigenvalues, right and left vectors, and the residual of
 those pairs, zero-padded, against M_J, taken for the kept columns of a
 stack at once: their backward error as eigenpairs of M_J (Kahan, Parlett &
 Jiang, SIAM J. Numer. Anal. 19, 1982).  A tail above TAIL_MAX at J' = J
-means J itself does not resolve the bands (TruncationError).  The ladder
-and that refusal take the columns to certify, so dirac.measure_splitting
-certifies its pair near mu the same way, through stacks of one on the
-doubling ladder from BLOCK_J0 (_leading_block), each rung read from
-dirac's memo of decomposed blocks.  Bands are tracked across
-the grid by maximal eigenvector overlap (value proximity fails at avoided
-crossings); the tracking is a permutation of the lowest-n eigenvalues at
-each k by construction, and its vectors are zero-padded to J once, as they
-are tracked.  The whole block spectra at the edges k = 0 and 1/2 are kept:
-they give the edge modes and, through one bordered reduced-resolvent solve
-each, the edge curvatures.
+means J itself does not resolve the bands (TruncationError).
+dirac.measure_splitting certifies its pair near mu by the same rule and
+refusal (_leading_block).  Bands are tracked across the grid by maximal
+eigenvector overlap (value proximity fails at avoided crossings), a
+permutation of the lowest-n eigenvalues at each k by construction.  Past
+the band values a sweep keeps only the whole block spectra at the edges
+k = 0 and 1/2, the one home of the edge modes and, through one bordered
+solve each, of the edge curvatures: J is a cap, and no array of a sweep
+grows with it.
 second_derivative is the independent finite-difference estimator; its
 matrices, like edge_curvature's, are stacks of one.  Band indices m are
 1-based in the public API.
@@ -51,6 +47,7 @@ from . import discretize, eigen
 from .eigen import CONDITION_MAX, REALITY_TOL
 from .errors import AssumptionError, ComplexBandError, ConfigError, PTBandsError, TruncationError
 from .potential import PeriodicPotential
+from .util import require_indexable
 
 # a band is isolated when its complex-plane distance to every other
 # computed eigenvalue over the k grid exceeds this
@@ -94,15 +91,15 @@ MAX_STEP_RETRIES = 3
 
 @dataclass(frozen=True, slots=True)
 class BandStructure:
-    """Tracked eigenvalue curves omega_m(k) with their eigenvectors.
+    """Tracked eigenvalue curves omega_m(k) and the edge block spectra.
 
-    omega has shape (n_bands, N_k); vectors (n_bands, N_k, 2J+1) holds the
-    unit coefficient vectors; tracking_quality (n_bands, N_k) records the
-    |<v(k_i), v(k_{i+1})>| overlap used to continue each band into column i
-    (1.0 in the first column).  Values well below 1 mark ambiguous
-    continuations near crossings; they are recorded, not fatal.
-    edge_spectra maps k0 in {0.0, 0.5} to the eigen.Spectrum of the solved
-    block there.  Per column, block_J is the block truncation J' solved,
+    omega has shape (n_bands, N_k); tracking_quality (n_bands, N_k) records
+    the |<v(k_i), v(k_{i+1})>| overlap of the unit right vectors used to
+    continue each band into column i (1.0 in the first column).  Values
+    well below 1 mark ambiguous continuations near crossings; they are
+    recorded, not fatal.  edge_spectra maps k0 in {0.0, 0.5} to the
+    eigen.Spectrum of the solved block there, the only eigenvectors kept.
+    J caps the sweep.  Per column, block_J is the block truncation J' solved,
     tail_weight the largest |coefficient| at J' - max_harmonic < |j| <= J'
     of the lowest n_bands right and left unit vectors, and residual the
     largest 2-norm residual of those pairs, zero-padded, against M_J.
@@ -110,7 +107,6 @@ class BandStructure:
 
     k_grid: np.ndarray
     omega: np.ndarray
-    vectors: np.ndarray
     tracking_quality: np.ndarray
     J: int
     edge_spectra: dict
@@ -181,6 +177,7 @@ def k_grid(N_k: int) -> np.ndarray:
     """
     if N_k < MIN_N_K or N_k % 2:
         raise ConfigError(f"N_k must be even and >= {MIN_N_K} so the grid hits 0 and 1/2")
+    require_indexable(N_k, 8, f"a grid of N_k = {N_k} points")
     return (np.arange(1, N_k + 1) - N_k // 2) / N_k
 
 
@@ -235,12 +232,9 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
         return seq[zero:0:-1] + seq
 
     # M(-k) = R M(k)^T R (R: j -> -j): the right vectors at -k are R conj(l)
-    omega, vectors, quality = _track(
-        mirror(values), [l[::-1].conj() for l in lefts[zero:0:-1]] + rights, J)
-    return BandStructure(k_grid=ks, omega=omega, vectors=vectors,
-                         tracking_quality=quality, J=J, edge_spectra=edges,
-                         block_J=np.array(mirror(block_J)),
-                         tail_weight=np.array(mirror(tails)),
+    omega, quality = _track(mirror(values), [l[::-1].conj() for l in lefts[zero:0:-1]] + rights)
+    return BandStructure(k_grid=ks, omega=omega, tracking_quality=quality, J=J, edge_spectra=edges,
+                         block_J=np.array(mirror(block_J)), tail_weight=np.array(mirror(tails)),
                          residual=np.array(mirror(residuals)))
 
 
@@ -350,17 +344,16 @@ def _padded_residuals(M, w, r, l):
     return np.maximum(*res)
 
 
-def _track(values, vectors, J):
-    """Continue bands across consecutive columns by overlap.
+def _track(values, vectors):
+    """(omega, quality) of bands continued across consecutive columns by overlap.
 
     Column i holds the eigenvalues values[i] and their right vectors
-    vectors[i] (2J' + 1, n_bands); the blocks may differ in J' <= J, and
-    each column's vectors are written zero-padded to |j| <= J as they are
-    tracked, so no column is padded on its own.
+    vectors[i] (2J' + 1, n_bands); the blocks may differ in J'.  Only the
+    previous column's tracked vectors are kept, zero-padded to the largest J'.
     """
     n_bands, n_k = len(values[0]), len(values)
+    J = max(len(vr) for vr in vectors) // 2
     omega = np.zeros((n_bands, n_k), dtype=complex)
-    tracked = np.zeros((n_bands, n_k, 2 * J + 1), dtype=complex)
     quality = np.ones((n_bands, n_k))
 
     perm = np.arange(n_bands)
@@ -369,12 +362,13 @@ def _track(values, vectors, J):
         inner = slice(J - Jb, J + Jb + 1)
         if i:
             # overlap[a, b] = |<v_a(k_{i-1}), v_b(k_i)>|; v_b is zero outside inner
-            overlap = np.abs(tracked[:, i - 1, inner].conj() @ vr)
+            overlap = np.abs(prev[:, inner].conj() @ vr)
             perm = _best_match(overlap)
             quality[:, i] = overlap[np.arange(n_bands), perm]
         omega[:, i] = w[perm]
-        tracked[:, i, inner] = vr[:, perm].T
-    return omega, tracked, quality
+        prev = np.zeros((n_bands, 2 * J + 1), dtype=complex)
+        prev[:, inner] = vr[:, perm].T
+    return omega, quality
 
 
 def _best_match(overlap):

@@ -17,10 +17,8 @@ Fourier coefficients of (U, W) at the coupling harmonic of the point
 
 measure_splitting takes the measured pair from the smallest leading block
 M_{J'}(k0) that certifies it, by the band sweep's certificate on the
-doubling ladder from BLOCK_J0 (bands._leading_block, each rung a stack of
-one through bands._stacked_blocks), cheaper here than the sweep's finer
-ladder and, like it, within kappa r of an exact solve at mu = 225: its cost
-is set by the lattice and mu, not by J; an unresolving J raises TruncationError.
+doubling ladder from BLOCK_J0 (bands._leading_block), within kappa r of an
+exact solve at mu = 225: the lattice and mu set its cost, and J caps it.
 Each rung's decomposition, with every column's left vector, is memoised by
 its content: the key is (sorted exponential coefficients of V, float(k0), J'),
 so the pairs of every point and gamma that share a matrix, and a
@@ -62,7 +60,7 @@ MEMO_BLOCKS = 8
 
 @dataclass(frozen=True, slots=True)
 class DiracPoint:
-    """Double eigenvalue mu at k0 with its parity-split eigenbasis."""
+    """Double eigenvalue mu at k0; its parity-split eigenbasis has the edge block's length 2J' + 1."""
 
     k0: float
     mu: float
@@ -110,19 +108,19 @@ class SplittingPrediction:
 
 
 def find_dirac_points(bs_gamma0: bands.BandStructure, tol: float = 1e-8):
-    """All double eigenvalues at k in {0, 1/2} among the tracked bands.
+    """All double eigenvalues among the lowest n_bands of bs_gamma0.edge_spectra.
 
     The band structure must come from the gamma = 0 potential (real and
     even); the two eigenvectors of each crossing are orthonormalized and
     the parity operator is diagonalized on the span to produce the
-    even/odd parity basis.  Crossings whose eigenspace is not two-dimensional in
-    the tracked window are skipped.
+    even/odd parity basis, of the edge block's length 2 J' + 1.  Crossings
+    whose eigenspace is not two-dimensional in the window are skipped.
     """
     points = []
     for k0 in (0.0, 0.5):
         shift = int(round(2 * k0))      # parity: j -> -j - shift
-        col = bs_gamma0.column(k0)
-        vals = bs_gamma0.omega[:, col]
+        spec = bs_gamma0.edge_spectra[k0]
+        vals = spec.eigenvalues[:bs_gamma0.n_bands]
         used = set()
         for i in range(len(vals)):
             if i in used:
@@ -142,10 +140,9 @@ def find_dirac_points(bs_gamma0: bands.BandStructure, tol: float = 1e-8):
             j = close[0]
             used.update({i, j})
             mu = float(np.mean([vals[i].real, vals[j].real]))
-            S, _ = np.linalg.qr(np.column_stack([bs_gamma0.vectors[i, col],
-                                                 bs_gamma0.vectors[j, col]]))
+            S, _ = np.linalg.qr(spec.right_vectors[:, [i, j]])
             # parity reverses the basis vectors; at k0 = 1/2 the image of
-            # j = J leaves the range and that row stays zero
+            # j = J' leaves the range and that row stays zero
             PS = np.zeros_like(S)
             PS[:len(S) - shift] = S[::-1][shift:]
             Psub = S.conj().T @ PS
@@ -234,17 +231,13 @@ def _plus_first(pair):
 def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
     """The two eigenvalues of L(k0) nearest mu, plus-Im first.
 
-    They come from the leading block M_{J'}(k0) on the ladder of
+    They come from the first block M_{J'}(k0) on the ladder of
     bands._leading_block, J' = max(BLOCK_J0, max harmonic), 2 J', ...
-    (capped at J), each rung assembled and decomposed as a stack of one the
-    way the band sweep's blocks are, at the first J' where their right and
-    left unit vectors weigh at most TAIL_TOL in the slots
-    J' - max harmonic < |j| <= J', the ones M_J couples out of the block;
-    the block size is set by the lattice and mu, not by J.  Every rung is
-    read from the memo of the last MEMO_BLOCKS decomposed blocks, keyed by
-    (sorted coefficients of p, float(k0), J') (module docstring), so a call
-    on a block an earlier call decomposed makes no eigensolve and returns
-    the same pair.  Raises ClassificationError when fewer than two
+    (capped at J), whose right and left unit vectors weigh at most TAIL_TOL
+    in the slots J' - max harmonic < |j| <= J'.  Every rung is read from
+    the memo of decomposed blocks (module docstring), so a call on a block
+    an earlier call decomposed makes no eigensolve and returns the same
+    pair.  Raises ClassificationError when fewer than two
     eigenvalues lie within 1 of mu, and then TruncationError when the pair
     still weighs more than TAIL_MAX there at J' = J.
     """

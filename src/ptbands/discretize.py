@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .potential import PeriodicPotential
+from .util import require_indexable
 
 
 def assemble_stack(p: PeriodicPotential, ks, J: int) -> np.ndarray:
@@ -39,6 +40,7 @@ def assemble_stack(p: PeriodicPotential, ks, J: int) -> np.ndarray:
             f"{p.max_harmonic})"
         )
     n = 2 * J + 1
+    require_indexable(len(ks) * n * n, 16, f"the Galerkin matrices at J = {J}")
     T = np.zeros((n, n), dtype=complex)
     for q, c in p.coeffs.items():
         # entry (j, l) gets c_q whenever j - l = q

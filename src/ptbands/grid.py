@@ -6,6 +6,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError
+from .util import require_indexable
 
 TWO_PI = 2.0 * np.pi
 POINTS_PER_CELL = 32     # RealLineGrid's coarsest resolution, and grid_for_envelope's
@@ -108,5 +109,7 @@ def grid_for_envelope(eps: float, width: float) -> RealLineGrid:
     """
     if eps <= 0:
         raise GridError("eps must be positive")
-    M = max(1, int(np.ceil(TAIL_DECAY * width / (TWO_PI * eps))))
+    half_cells = TAIL_DECAY * width / (TWO_PI * eps)     # inf for the smallest eps
+    require_indexable(2 * half_cells * POINTS_PER_CELL, 16, f"a field on the grid for eps = {eps}")
+    M = max(1, int(np.ceil(half_cells)))
     return RealLineGrid(half_length=TWO_PI * M, n_points=2 * M * POINTS_PER_CELL)

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 def is_int(x):
@@ -17,3 +18,10 @@ def is_real(x):
         return math.isfinite(x)
     except OverflowError:           # an integer beyond the float range
         return False
+
+
+def require_indexable(count, itemsize, what):
+    """MemoryError, not numpy's ValueError or OverflowError, for count (maybe
+    inf) entries of itemsize bytes past numpy's index range; what names them."""
+    if not count * itemsize <= sys.maxsize:         # numpy's intp
+        raise MemoryError(f"{what} would pass numpy's index range of {sys.maxsize} bytes")

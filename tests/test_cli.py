@@ -596,14 +596,33 @@ def test_malformed_config_exit1(tmp_path, case):
 
 
 # requests far above the 128 TiB of a 64-bit user address space, which fail at
-# once under any overcommit setting: a 1.73 PiB ansatz field, a 7.11 PiB k grid
+# once under any overcommit setting: a 1.73 PiB ansatz field, a 7.11 PiB k grid;
+# then sizes past numpy's index range, which numpy itself would meet with
+# ValueError or OverflowError
 @pytest.mark.parametrize("command, name, key, value", [
     ("ansatz", "ansatz_gentle", "eps", 1e-12),
-    ("bands", BANDS, "N_k", 10**15)])
+    ("bands", BANDS, "N_k", 10**15),
+    ("dirac", "dirac_prop3", "J", 10**20),
+    ("bands", BANDS, "N_k", 10**20),
+    ("converge", "converge_gentle", "N_k", 10**20),
+    ("ansatz", "ansatz_gentle", "eps", 1e-300),
+    ("ansatz", "ansatz_gentle", "eps", 5e-324),
+    ("converge", "converge_gentle", "eps_list", [1e-300])])
 def test_out_of_memory_exit3_one_line(tmp_path, command, name, key, value):
     code, err, _ = run_captured(tmp_path, command, shipped(name, (key,), value))
     assert code == 3 and len(err.splitlines()) == 1
     assert err.startswith("out of memory: ")
+
+
+def test_J_is_a_cap(tmp_path):
+    # the sweep's blocks are set by the lattice, so J = 10^20 writes the bands
+    # of the shipped J; J = 10^20 would not even fit numpy's index range
+    code, err, out = run_captured(tmp_path, "bands", shipped(BANDS, ("J",), 10**20))
+    assert code == 0 and err == ""
+    code, err, ref = run_captured(tmp_path, "bands", json.loads((CONFIGS / f"{BANDS}.json").read_text()),
+                                  "ref.json")
+    assert code == 0
+    assert (out / "bands.csv").read_bytes() == (ref / "bands.csv").read_bytes()
 
 
 def test_null_allowed_where_default_is_none(tmp_path):

@@ -73,6 +73,17 @@ class TestFindDiracPoints:
             assert abs(TWO_PI * np.vdot(dp.phi_plus, dp.phi_plus) - 1) <= 1e-12
             assert abs(TWO_PI * np.vdot(dp.phi_minus, dp.phi_minus) - 1) <= 1e-12
 
+    def test_points_independent_of_J(self):
+        # the pairs come from the edge blocks, whose J' the lattice sets: J is a cap
+        U = from_parts(replace(SIN2X, gamma=0.0))
+        small, big = (find_dirac_points(compute_bands(U, J, bands.MIN_N_K, 6))
+                      for J in (32, 10**12))
+        assert len(small) == len(big) > 0
+        for a, b in zip(small, big):
+            assert (a.k0, a.mu, a.band_pair) == (b.k0, b.mu, b.band_pair)
+            assert np.array_equal(a.phi_plus, b.phi_plus)
+            assert np.array_equal(a.phi_minus, b.phi_minus)
+
     def test_gapped_lattice_has_no_crossings(self):
         p = from_parts(PotentialParts(cosine_coeffs=(2.0,)))
         bs = compute_bands(p, 16, 32, 4)
