@@ -12,6 +12,8 @@ every non-zero exit prints one stderr line, and a successful run that
 raised warnings prints one `warning:` line.
 Output is deterministic: floats are written with 17 significant digits,
 so identical configs give byte-identical files.
+The output directory is made at the first write, so a run that fails
+before it has a result leaves none.
 """
 
 import argparse
@@ -37,14 +39,24 @@ def _fmt(x):
     return FLOAT_FMT % x if isinstance(x, (float, np.floating)) else str(x)
 
 
+def _write(path, text):
+    """text to path, creating its directory at the first write of a run."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path.parent}: {exc.strerror}") from None
+    path.write_text(text)
+
+
 def write_csv(path, header, rows):
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -56,26 +68,27 @@ class BandsConfig:
     band_index: int = 1
 
     def __post_init__(self):
-        if self.n_bands is not None and self.band_index >= self.n_bands:
+        if self.band_index >= self.n_bands:
             raise ConfigError(f"band_index {self.band_index} must be below n_bands {self.n_bands}")
 
 
-def _require_pt(sigma):
-    # the bifurcation theorem and its envelope equation hold for a PT-symmetric sigma
-    if not potential.validate_pt(sigma, potential.PT_TOL):
-        raise ConfigError("sigma is not PT-symmetric: its Fourier coefficients must be "
-                          f"real (|Im c_j| <= {potential.PT_TOL:g})")
-
-
 @dataclass(frozen=True, kw_only=True)
-class EffectiveConfig(BandsConfig):
+class EffectiveConfig:
+    """The band edge of effective, ansatz and converge; the sweep computes the
+    min(band_index + 3, 2J + 1) lowest bands."""
+
+    potential: PeriodicPotential
     sigma: PeriodicPotential
-    n_bands: int = None
+    J: int = 32
+    N_k: int = 32
+    band_index: int = 1
     edge: str = "a"
 
     def __post_init__(self):
-        super().__post_init__()
-        _require_pt(self.sigma)
+        # the bifurcation theorem and its envelope equation hold for a PT-symmetric sigma
+        if not potential.validate_pt(self.sigma):
+            raise ConfigError("sigma is not PT-symmetric: its Fourier coefficients must be "
+                              f"real (|Im c_j| <= {potential.PT_TOL:g})")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -84,25 +97,14 @@ class AnsatzConfig(EffectiveConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.eps > effective.EPS_MAX:
+        if not 0 < self.eps <= effective.EPS_MAX:
             raise ConfigError(f"eps = {self.eps} outside (0, {effective.EPS_MAX}]")
 
 
 @dataclass(frozen=True, kw_only=True)
-class ConvergeConfig:
-    potential: PeriodicPotential
-    sigma: PeriodicPotential
-    J: int = 24
-    N_k: int = 32
-    band_index: int = 1
-    edge: str = "a"
+class ConvergeConfig(EffectiveConfig):
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
     s: float = 1.0
-    newton_max_iter: int = 25
-    newton_tol: float = 1e-10
-
-    def __post_init__(self):
-        _require_pt(self.sigma)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -111,7 +113,6 @@ class DiracConfig:
     gamma_list: tuple[float, ...]
     J: int = 32
     n_bands: int = 8
-    dirac_tol: float = 1e-8
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -139,12 +140,10 @@ _SCALARS = {int: ("an integer", is_int), float: ("a finite number", is_real),
             str: ("a string", lambda v: isinstance(v, str))}
 
 
-def _value(val, kind, default=MISSING, positive=True):
-    """val checked against the field annotation kind: null only where the default
-    is None, lists non-empty with typed items (tuple[X, ...] any length,
-    tuple[X, X] exactly two), scalar numbers positive."""
-    if val is None and default is None:
-        return None
+def _value(val, kind):
+    """val checked against the field annotation kind: lists non-empty with typed
+    items (tuple[X, ...] any length, tuple[X, X] exactly two), integers
+    positive; a float field's range is its config's or the library's rule."""
     if kind in _PARSERS:
         return _PARSERS[kind](val)
     if get_origin(kind) is tuple:
@@ -152,11 +151,11 @@ def _value(val, kind, default=MISSING, positive=True):
         n = None if rest == [Ellipsis] else 1 + len(rest)
         if not isinstance(val, list) or not val or n not in (None, len(val)):
             raise ConfigError(f"expected a list of {n or 'one or more'} items")
-        return tuple(_value(v, item, positive=False) for v in val)
+        return tuple(_value(v, item) for v in val)
     name, ok = _SCALARS[kind]
     if not ok(val):
         raise ConfigError(f"expected {name}")
-    if positive and kind is not str and val <= 0:
+    if kind is int and val <= 0:
         raise ConfigError("must be positive")
     return float(val) if kind is float else val
 
@@ -175,7 +174,7 @@ def from_json(cls, obj, where):
     values = {}
     for key, val in obj.items():
         try:
-            values[key] = _value(val, spec[key].type, spec[key].default)
+            values[key] = _value(val, spec[key].type)
         except ConfigError as exc:
             raise ConfigError(f"{where}.{key}: {exc}") from None
     return cls(**values)
@@ -196,15 +195,6 @@ def _load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from None
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-
-
-def _out_dir(path):
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
-    return out
 
 
 def cmd_bands(cfg, out):
@@ -244,8 +234,7 @@ def cmd_bands(cfg, out):
 def cmd_effective(cfg, out):
     """Band-edge model written to effective.json; returns (model, mode) for ansatz."""
     model, mode = effective.extract_effective_model(
-        cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.J, cfg.N_k,
-        n_bands=cfg.n_bands)
+        cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.J, cfg.N_k)
     write_json(out / "effective.json", model.to_json_dict())
     return model, mode
 
@@ -266,7 +255,7 @@ def cmd_ansatz(cfg, out):
 def cmd_converge(cfg, out):
     study = gpsolve.convergence_study(
         cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.eps_list, s=cfg.s,
-        J=cfg.J, N_k=cfg.N_k, max_iter=cfg.newton_max_iter, tol=cfg.newton_tol)
+        J=cfg.J, N_k=cfg.N_k)
     write_csv(out / "converge.csv",
               ["eps", "L", "n_points", "newton_iters", "residual",
                "hs_error", "hs_error_rel"],
@@ -302,7 +291,7 @@ def cmd_dirac(cfg, out):
         U = potential.from_parts(replace(parts, gamma=0.0))
         # find_dirac_points reads only k = 0 and 1/2, which the smallest grid holds
         bs0 = bands.compute_bands(U, J, bands.MIN_N_K, cfg.n_bands)
-        for dp in dirac.find_dirac_points(bs0, cfg.dirac_tol):
+        for dp in dirac.find_dirac_points(bs0):
             plus = {}
             for g in gamma_list:
                 V = potential.from_parts(replace(parts, gamma=g))
@@ -369,8 +358,7 @@ def main(argv=None):
             warnings.simplefilter("always")
             args = parser.parse_args(argv)
             cfg = read_config(args.command, _load_config(args.config))
-            out = _out_dir(args.out)
-            COMMANDS[args.command][1](cfg, out)
+            COMMANDS[args.command][1](cfg, Path(args.out))
     except (PTBandsError, MemoryError) as exc:
         code, what = next(e[1:] for e in _EXITS if isinstance(exc, e[0]))
         if getattr(exc, "eps", None) is not None:
@@ -381,7 +369,7 @@ def main(argv=None):
         more = f" (+{len(caught) - 1} more)" if len(caught) > 1 else ""
         print(f"warning: {caught[0].message}{more}", file=sys.stderr)
     if args.verbose:
-        print(f"wrote results to {out}")
+        print(f"wrote results to {Path(args.out)}")
     return 0
 
 

@@ -51,6 +51,8 @@ from .util import is_int
 PROP3_MARGIN = 4
 
 COUPLING_TOL = 1e-10        # at most this coupling, predict_splitting is inconclusive
+# two edge eigenvalues within DEGENERACY_TOL max(1, |omega|) form a Dirac point
+DEGENERACY_TOL = 1e-8
 
 # decomposed blocks measure_splitting keeps.  A Dirac task of the spectra
 # benchmark meets 6 (3 gammas at k0 = 0 and 1/2, all J' = 16), about 0.2 MB;
@@ -107,8 +109,9 @@ class SplittingPrediction:
         return replace(self, measured=tuple(pair), relative_gap=gap)
 
 
-def find_dirac_points(bs_gamma0: bands.BandStructure, tol: float = 1e-8):
-    """All double eigenvalues among the lowest n_bands of bs_gamma0.edge_spectra.
+def find_dirac_points(bs_gamma0: bands.BandStructure):
+    """All double eigenvalues, to DEGENERACY_TOL, among the lowest n_bands of
+    bs_gamma0.edge_spectra.
 
     The band structure must come from the gamma = 0 potential (real and
     even); the two eigenvectors of each crossing are orthonormalized and
@@ -126,7 +129,7 @@ def find_dirac_points(bs_gamma0: bands.BandStructure, tol: float = 1e-8):
             if i in used:
                 continue
             close = [j for j in range(len(vals)) if j != i
-                     and abs(vals[j] - vals[i]) <= tol * max(1.0, abs(vals[i]))]
+                     and abs(vals[j] - vals[i]) <= DEGENERACY_TOL * max(1.0, abs(vals[i]))]
             if not close:
                 continue
             if len(close) != 1:
@@ -162,7 +165,7 @@ def find_dirac_points(bs_gamma0: bands.BandStructure, tol: float = 1e-8):
             norm = np.sqrt(TWO_PI)
             # band_pair follows the real-part ordering at this k (the two
             # crossing band functions are adjacent in that ordering)
-            rank = int(np.sum(vals.real < mu - tol * max(1.0, abs(mu))))
+            rank = int(np.sum(vals.real < mu - DEGENERACY_TOL * max(1.0, abs(mu))))
             points.append(DiracPoint(
                 k0=k0, mu=mu, band_pair=(rank + 1, rank + 2),
                 phi_plus=phi_plus / (norm * np.linalg.norm(phi_plus)),

@@ -158,22 +158,21 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
 
 
 def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
-                            m: int, edge: str, J: int, N_k: int = 32,
-                            n_bands: int = None):
+                            m: int, edge: str, J: int, N_k: int = 32):
     """Band-edge pipeline: assumption check, PT-fixed mode, curvature, Gamma.
 
     Everything at the edge comes from the band sweep's stored edge
     spectrum: the mode with p* from its left vector, and omega'' from
-    bands.edge_curvature.  Returns (EffectiveModel, BlochMode).  Raises
-    ConfigError when n_bands (default min(m + 3, 2J + 1)) is at most m, and
-    AssumptionError when the reality/isolation/simplicity check fails.
+    bands.edge_curvature.  The sweep computes the min(m + 3, 2J + 1) lowest
+    bands.  Returns (EffectiveModel, BlochMode).  Raises ConfigError when
+    that holds no band above m (2J + 1 <= m), and AssumptionError when the
+    reality/isolation/simplicity check fails.
     """
     if edge not in ("a", "b"):
         raise ConfigError("edge must be 'a' or 'b'")
-    if n_bands is None:
-        n_bands = min(m + 3, 2 * J + 1)
+    n_bands = min(m + 3, 2 * J + 1)
     if n_bands <= m:
-        raise ConfigError(f"n_bands {n_bands} holds no band above band {m} to check isolation")
+        raise ConfigError(f"J = {J} holds no band above band {m} to check isolation")
     bs = bands.compute_bands(V, J, N_k, n_bands)
     report = bands.check_assumption(bs, m)
     bands.require_assumption(report)

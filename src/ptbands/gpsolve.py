@@ -35,7 +35,7 @@ import numpy as np
 from . import effective as effective_mod
 from .errors import ConfigError, NewtonError, PTSymmetryError
 from .grid import BoundState, RealLineGrid, grid_for_envelope
-from .potential import PT_TOL, PeriodicPotential, validate_pt
+from .potential import PeriodicPotential, validate_pt
 from .util import is_real
 
 # Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
@@ -49,6 +49,10 @@ FORCING_MAX = 1e-4
 # a preconditioner block with 1-norm condition above this (omega on or next to a
 # band value of the grid) loses more than FORCING_MAX to roundoff when applied
 BLOCK_COND_MAX = 1e12
+# a Newton solve converges once its L2 residual is at most NEWTON_TOL, and
+# fails after NEWTON_MAX_ITER steps
+NEWTON_MAX_ITER = 25
+NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -244,13 +248,13 @@ def _gmres(matvec, b, rtol: float, restart: int, maxiter: int, psolve):
 
 
 def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
-                 grid: RealLineGrid, max_iter: int = 25, tol: float = 1e-10,
-                 on_iterate=None) -> BoundState:
+                 grid: RealLineGrid, on_iterate=None) -> BoundState:
     """Inexact Newton-Krylov solve of the stationary GP equation in the PT subspace.
 
-    u0 must be PT-symmetric to 1e-6, V and sigma to PT_TOL (PTSymmetryError
+    u0 must be PT-symmetric to 1e-6, V and sigma to potential.PT_TOL (PTSymmetryError
     otherwise) and omega real (ConfigError).  Converges when the L2 residual
-    falls below tol (an already-converged u0 returns in zero iterations).
+    falls to NEWTON_TOL within NEWTON_MAX_ITER steps (an already-converged u0
+    returns in zero iterations).
     on_iterate(k, u, residual), when given, observes every iterate.
     Raises NewtonError on divergence, a GMRES breakdown or miss of the forcing
     tolerance, a non-finite step (typically eps too large or a violated band
@@ -264,7 +268,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     defect = grid.pt_defect(u0)
     if defect > 1e-6:
         raise PTSymmetryError(f"initial guess not PT-symmetric (defect {defect:.3e})")
-    if not (validate_pt(V, PT_TOL) and validate_pt(sigma, PT_TOL)):
+    if not (validate_pt(V) and validate_pt(sigma)):
         raise PTSymmetryError("V and sigma must be PT-symmetric (real Fourier coefficients)")
     if not is_real(omega):
         raise ConfigError(f"omega must be a real number, got {omega!r}")
@@ -275,17 +279,17 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     history = []
     matvecs = []
     iters = 0
-    for _ in range(max_iter + 1):
+    for _ in range(NEWTON_MAX_ITER + 1):
         G = _residual(u, omega, Vx, sx, grid)
         rnorm = grid.l2_norm(G)
         history.append(rnorm)
         if on_iterate is not None:
             on_iterate(iters, u, rnorm)
-        if rnorm <= tol:
+        if rnorm <= NEWTON_TOL:
             return BoundState(values=u, eps=np.nan, omega=omega, grid=grid,
                               residual_norm=rnorm, newton_iters=iters,
                               residual_history=tuple(history), matvecs=tuple(matvecs))
-        if iters >= max_iter:
+        if iters >= NEWTON_MAX_ITER:
             break
         if precond is None:     # a converged u0 needs none, even with omega on a band
             precond = _bloch_inverse(Vx, omega, grid)
@@ -300,15 +304,14 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
         u = _pt_project(u - np.fft.ifft(z), grid)
         iters += 1
     raise NewtonError(
-        f"no convergence in {max_iter} iterations (last residual {history[-1]:.3e})",
+        f"no convergence in {NEWTON_MAX_ITER} iterations (last residual {history[-1]:.3e})",
         last_residual=history[-1],
     )
 
 
 def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
                       edge: str, eps_list, s: float = 1.0, J: int = 24,
-                      N_k: int = 32, max_iter: int = 25,
-                      tol: float = 1e-10) -> ConvergenceStudy:
+                      N_k: int = 32) -> ConvergenceStudy:
     """Error scaling of the envelope ansatz against Newton-refined states.
 
     For each eps: build u_form from the band-edge model, solve the GP
@@ -334,8 +337,7 @@ def convergence_study(V: PeriodicPotential, sigma: PeriodicPotential, m: int,
         grid = grid_for_envelope(eps, env.width)
         ansatz = effective_mod.build_ansatz(env, mode, eps, grid)
         try:
-            state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid,
-                                 max_iter=max_iter, tol=tol)
+            state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid)
         except NewtonError as exc:
             exc.eps = eps
             raise

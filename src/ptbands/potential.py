@@ -104,11 +104,11 @@ def from_parts(parts: PotentialParts) -> PeriodicPotential:
     return PeriodicPotential(coeffs)
 
 
-def validate_pt(p: PeriodicPotential, tol: float) -> bool:
-    """True iff max_j |Im c_j| <= tol, i.e. V(-x) = conj(V(x)) up to tol."""
+def validate_pt(p: PeriodicPotential) -> bool:
+    """True iff max_j |Im c_j| <= PT_TOL, i.e. V(-x) = conj(V(x)) up to PT_TOL."""
     if not p.coeffs:
         return True
-    return max(abs(c.imag) for c in p.coeffs.values()) <= tol
+    return max(abs(c.imag) for c in p.coeffs.values()) <= PT_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptbands import PotentialParts, bands, eigen, from_parts, gpsolve, potential_from_json
+from ptbands import PotentialParts, bands, dirac, eigen, from_parts, gpsolve, potential_from_json
 from ptbands.discretize import assemble_stack
 from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
                          EffectiveConfig, Prop3Config, main)
@@ -139,16 +139,19 @@ class TestBandsCommand:
             assert code == 1 and "band_index" in err
             assert len(err.splitlines()) == 1 and not out.exists()
 
-    @pytest.mark.parametrize("command", ["bands", "effective"])
-    def test_top_computed_band_refused(self, tmp_path, command):
+    @pytest.mark.parametrize("command, extra, code, prefix", [
+        ("bands", {"n_bands": 2}, 1, "config error: band_index 2 "),
+        ("effective", {"sigma": {"exp_coeffs": [[0, -1.0, 0.0]]}, "edge": "a"}, 2,
+         "assumption check failed: band 2: band not isolated (gap = 2.000e-04)")],
+        ids=["bands", "effective"])
+    def test_top_computed_band_refused(self, tmp_path, command, extra, code, prefix):
         # band 3 sits 2.0e-4 above band 2 at k = 0; with n_bands = 2 it was
         # never computed, and both commands exited 0 with an isolation gap
-        # of 0.020 (exit 2 with n_bands = 3)
-        cfg = {"potential": {"cosine": [0.02]}, "J": 16, "n_bands": 2, "band_index": 2}
-        if command == "effective":
-            cfg.update(sigma={"exp_coeffs": [[0, -1.0, 0.0]]}, edge="a")
-        code, err, out = run_captured(tmp_path, command, cfg)
-        assert code == 1 and err.startswith("config error: band_index 2 ")
+        # of 0.020.  bands refuses that n_bands; effective has no n_bands and
+        # always computes band 3, so it finds band 2 not isolated
+        cfg = {"potential": {"cosine": [0.02]}, "J": 16, "band_index": 2, **extra}
+        got, err, out = run_captured(tmp_path, command, cfg)
+        assert got == code and err.startswith(prefix)
         assert len(err.splitlines()) == 1 and not out.exists()
 
     def test_tiny_imaginary_coefficients_take_the_complex_path(self, tmp_path):
@@ -199,6 +202,7 @@ class TestEffectiveCommand:
 
     def test_gamma15_band3_exists_flag_matches_signs(self, tmp_path):
         cfg = two_harmonic_cfg(1.5, 3)
+        del cfg["n_bands"]
         cfg.update({"sigma": {"exp_coeffs": [[0, -1.0, 0.0]]}, "edge": "a"})
         code, out = run(tmp_path, "effective", cfg)
         assert code == 0
@@ -252,9 +256,9 @@ class TestConvergeCommand:
         assert summary["slope"] is None
         assert summary["local_slopes"] == []
 
-    def test_newton_divergence_exit3(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "converge",
-                      gentle_cfg(eps_list=[0.2], newton_max_iter=1))
+    def test_newton_divergence_exit3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gpsolve, "NEWTON_MAX_ITER", 1)
+        code, _ = run(tmp_path, "converge", gentle_cfg(eps_list=[0.2]))
         assert code == 3
         assert "eps = 0.2" in capsys.readouterr().err
 
@@ -275,12 +279,20 @@ class TestConvergeCommand:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not (out / "converge.csv").exists()
 
-    @pytest.mark.parametrize("s", [3, 2.5, -1.0, 0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("s", [3, 2.5, -1.0, float("nan"), float("inf"), True])
     def test_s_outside_0_2_exit1(self, tmp_path, s):
         code, err, out = run_captured(tmp_path, "converge", gentle_cfg(eps_list=[0.2], s=s))
         assert code == 1
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert not (out / "converge.csv").exists()
+        assert not out.exists()
+
+    def test_s_0_is_the_l2_study(self, tmp_path):
+        # s lies in [0, 2]: the CLI once refused the L2 study with "must be positive"
+        code, err, out = run_captured(tmp_path, "converge", gentle_cfg(eps_list=[0.2, 0.1], s=0))
+        assert code == 0 and err == ""
+        summary = json.loads((out / "converge_summary.json").read_text())
+        # the library's L2 slope of the gentle lattice over eps = 0.2, 0.1
+        assert summary["s"] == 0.0 and summary["slope"] == pytest.approx(2.13, abs=0.01)
 
 
 class TestDiracCommand:
@@ -418,12 +430,13 @@ class TestDiracCommand:
 
     @pytest.mark.parametrize("tol, gamma, code, prefix", [(2.5, 0.2, 0, "warning: "),
                                                           (1.0, 0.8, 1, "config error: ")])
-    def test_skipped_crossings_make_one_stderr_line(self, tmp_path, tol, gamma, code, prefix):
-        # a wide dirac_tol merges the free ladder into eigenspaces of dimension
+    def test_skipped_crossings_make_one_stderr_line(self, tmp_path, monkeypatch, tol, gamma,
+                                                    code, prefix):
+        # a wide DEGENERACY_TOL merges the free ladder into eigenspaces of dimension
         # > 2, each skipped with a warning (tol 1.0 keeps mu = 1/4, where
         # |gamma| > 1/2 then fails); a failing run prints only its error line
-        cfg = shipped("dirac_sin2x", ("dirac_tol",), tol)
-        cfg["gamma_list"] = [gamma]
+        monkeypatch.setattr(dirac, "DEGENERACY_TOL", tol)
+        cfg = shipped("dirac_sin2x", ("gamma_list",), [gamma])
         got, err, _ = run_captured(tmp_path, "dirac", cfg)
         assert got == code
         assert len(err.splitlines()) == 1 and err.startswith(prefix)
@@ -486,20 +499,19 @@ def test_config_defaults():
         return {f.name: f.default for f in fields(cls) if f.name not in ("potential", "sigma")}
 
     assert defaults(BandsConfig) == {"J": 32, "N_k": 32, "n_bands": 6, "band_index": 1}
-    effective = {"J": 32, "N_k": 32, "n_bands": None, "band_index": 1, "edge": "a"}
+    effective = {"J": 32, "N_k": 32, "band_index": 1, "edge": "a"}
     assert defaults(EffectiveConfig) == effective
     assert defaults(AnsatzConfig) == {**effective, "eps": 0.1}
     assert defaults(ConvergeConfig) == {
-        "J": 24, "N_k": 32, "band_index": 1, "edge": "a", "eps_list": (0.2, 0.1, 0.05, 0.025),
-        "s": 1.0, "newton_max_iter": 25, "newton_tol": 1e-10}
+        **effective, "eps_list": (0.2, 0.1, 0.05, 0.025), "s": 1.0}
     assert {k: v for k, v in defaults(DiracConfig).items() if k != "gamma_list"} == {
-        "J": 32, "n_bands": 8, "dirac_tol": 1e-8}
+        "J": 32, "n_bands": 8}
     assert defaults(Prop3Config)["J"] == 32
 
 
 def test_readme_config_table_matches_schema():
     # README's key table against the dataclasses: which command accepts each
-    # key ("" = rejected) and its default ("required", "null ..." or a JSON value)
+    # key ("" = rejected) and its default ("required" or a JSON value)
     columns = [BandsConfig, EffectiveConfig, AnsatzConfig, ConvergeConfig, DiracConfig,
                Prop3Config]
     rows = [line.strip("|").split("|") for line in README.read_text().splitlines()
@@ -514,8 +526,6 @@ def test_readme_config_table_matches_schema():
         for key, cell in documented.items():
             if cell.startswith("required"):
                 want = MISSING
-            elif cell.startswith("null"):
-                want = None
             else:
                 want = json.loads(cell.strip("`"))
             default = schema[key]
@@ -568,6 +578,13 @@ MALFORMED = {                   # case: (command, shipped config, key path, valu
     "prop3-N_k": ("dirac", "dirac_prop3", ("N_k",), 32),
     "prop3-n-bands": ("dirac", "dirac_prop3", ("n_bands",), 8),
     "prop3-dirac-tol": ("dirac", "dirac_prop3", ("dirac_tol",), 1e-8),
+    # keys that are fixed rules: the bands window min(band_index + 3, 2J + 1),
+    # dirac.DEGENERACY_TOL, gpsolve.NEWTON_MAX_ITER and gpsolve.NEWTON_TOL
+    "effective-n-bands": ("effective", EFFECTIVE, ("n_bands",), 4),
+    "ansatz-n-bands": ("ansatz", "ansatz_gentle", ("n_bands",), 4),
+    "dirac-tol": ("dirac", "dirac_sin2x", ("dirac_tol",), 1e-8),
+    "newton-max-iter": ("converge", "converge_gentle", ("newton_max_iter",), 25),
+    "newton-tol": ("converge", "converge_gentle", ("newton_tol",), 1e-10),
     "band-index-above": ("bands", BANDS, ("band_index",), 6),
     "s-3": ("converge", "converge_gentle", ("s",), 3),
     "s-nan": ("converge", "converge_gentle", ("s",), math.nan),
@@ -580,6 +597,11 @@ MALFORMED_CAUSE = {"m-range-reversed": "reversed",
                    "effective-tol-real": "unknown keys ['tol_real']",
                    "ansatz-tol-real": "unknown keys ['tol_real']",
                    "dirac-N_k": "unknown keys ['N_k']",
+                   "effective-n-bands": "unknown keys ['n_bands']",
+                   "ansatz-n-bands": "unknown keys ['n_bands']",
+                   "dirac-tol": "unknown keys ['dirac_tol']",
+                   "newton-max-iter": "unknown keys ['newton_max_iter']",
+                   "newton-tol": "unknown keys ['newton_tol']",
                    "effective-sigma-not-pt": "sigma is not PT-symmetric",
                    "ansatz-sigma-not-pt": "sigma is not PT-symmetric",
                    "converge-sigma-not-pt": "sigma is not PT-symmetric"}
@@ -592,7 +614,7 @@ def test_malformed_config_exit1(tmp_path, case):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert MALFORMED_CAUSE.get(case, "") in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 # requests far above the 128 TiB of a 64-bit user address space, which fail at
@@ -625,12 +647,6 @@ def test_J_is_a_cap(tmp_path):
     assert (out / "bands.csv").read_bytes() == (ref / "bands.csv").read_bytes()
 
 
-def test_null_allowed_where_default_is_none(tmp_path):
-    cfg = gentle_cfg(n_bands=None)
-    code, out = run(tmp_path, "effective", cfg)
-    assert code == 0 and (out / "effective.json").exists()
-
-
 class TestIoAndUsage:
     def test_config_is_directory(self, tmp_path):
         code, err = call(["bands", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
@@ -660,6 +676,23 @@ class TestIoAndUsage:
         code, err = call(["bands", "--config", str(cfg), "--out", str(tmp_path / out)])
         assert code == 1 and len(err.splitlines()) == 1
         assert "output directory" in err
+
+    @pytest.mark.parametrize("command, name, changes", [
+        ("effective", EFFECTIVE, {"edge": "c"}),
+        ("effective", EFFECTIVE, {"N_k": 15}),
+        ("converge", "converge_gentle", {"edge": "c"}),
+        ("converge", "converge_gentle", {"N_k": 14}),
+        ("bands", BANDS, {"n_bands": 100, "J": 8}),
+        ("dirac", "dirac_sin2x", {"n_bands": 100, "J": 8}),
+        ("dirac", "dirac_sin2x", {"gamma_list": [0.6]}),
+        ("effective", EFFECTIVE, {"J": 1, "band_index": 3})])
+    def test_run_failing_before_a_result_creates_no_output_dir(self, tmp_path, command, name,
+                                                               changes):
+        # the directory is made at the first write; these runs once left it empty
+        cfg = {**json.loads((CONFIGS / f"{name}.json").read_text()), **changes}
+        code, err, out = run_captured(tmp_path, command, cfg)
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("config error: ")
+        assert not out.exists()
 
     def test_missing_config_creates_no_output_dir(self, tmp_path):
         code, err = call(["bands", "--config", str(tmp_path / "nope.json"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ptbands import (ClassificationError, ConfigError, PotentialParts, bands,
+from ptbands import (ClassificationError, ConfigError, PotentialParts, bands, dirac,
                      compute_bands, constant, eigen, find_dirac_points, from_parts,
                      measure_splitting, mw_matrix, predict_splitting, prop3_scan,
                      richardson_slope, splitting_slope, TruncationError)
@@ -89,10 +89,11 @@ class TestFindDiracPoints:
         bs = compute_bands(p, 16, 32, 4)
         assert find_dirac_points(bs) == []
 
-    def test_overwide_tolerance_reports_and_skips(self):
+    def test_overwide_tolerance_reports_and_skips(self, monkeypatch):
+        monkeypatch.setattr(dirac, "DEGENERACY_TOL", 2.0)
         bs = compute_bands(FREE, 16, 32, 6)
         with pytest.warns(UserWarning, match="dimension"):
-            pts = find_dirac_points(bs, tol=2.0)
+            pts = find_dirac_points(bs)
         assert all(len(p.band_pair) == 2 for p in pts)
 
 

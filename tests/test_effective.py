@@ -252,13 +252,12 @@ class TestExtractEffectiveModel:
         with pytest.raises(ExistenceError):
             sech_envelope(model)
 
-    @pytest.mark.parametrize("m, J, n_bands", [(2, 16, 2), (3, 1, None)])
-    def test_no_band_above_refused_before_solving(self, monkeypatch, m, J, n_bands):
-        # isolation is checked against band m + 1, which n_bands, or its
-        # default min(m + 3, 2J + 1), must include
+    def test_no_band_above_refused_before_solving(self, monkeypatch):
+        # isolation is checked against band m + 1, which the sweep's
+        # min(m + 3, 2J + 1) bands must include: at J = 1 there are 3
         monkeypatch.setattr(bands, "compute_bands", lambda *args: pytest.fail("solved"))
-        with pytest.raises(ConfigError, match=f"no band above band {m}"):
-            extract_effective_model(FREE, constant(-1.0), m, "a", J=J, n_bands=n_bands)
+        with pytest.raises(ConfigError, match="no band above band 3"):
+            extract_effective_model(FREE, constant(-1.0), 3, "a", J=1)
 
     def test_assumption_gate(self):
         with pytest.raises(AssumptionError):

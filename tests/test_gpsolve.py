@@ -212,15 +212,15 @@ class TestGmres:
 
 
 class TestNewtonSolve:
-    def test_exact_linear_eigenfunction_converges_immediately(self):
+    def test_exact_linear_eigenfunction_converges_immediately(self, monkeypatch):
         p = from_parts(gentle_parts())
         J = 20
         spec = solve(assemble(p, 0.0, J), every_column)
         mode = fix_pt_phase(make_mode(spec, 0))
         g = soliton_grid(2)
         u0 = g_values(mode, g.x)
-        state = newton_solve(u0, float(mode.omega.real), p, constant(0.0), g,
-                             tol=1e-9)
+        monkeypatch.setattr(gpsolve, "NEWTON_TOL", 1e-9)
+        state = newton_solve(u0, float(mode.omega.real), p, constant(0.0), g)
         assert state.newton_iters <= 1
         assert np.abs(state.values - u0).max() <= 1e-10
 
@@ -246,14 +246,15 @@ class TestNewtonSolve:
         e = hs_norm(state.values - ansatz.values, 1.0, grid)
         assert e < hs_norm(ansatz.values, 1.0, grid)
 
-    def test_quadratic_convergence_ratio(self):
+    def test_quadratic_convergence_ratio(self, monkeypatch):
         V = from_parts(gentle_parts())
         sigma = constant(-1.0)
         model, mode = extract_effective_model(V, sigma, 1, "a", J=16)
         env = sech_envelope(model)
         grid = grid_for_envelope(0.2, env.width)
         ansatz = build_ansatz(env, mode, 0.2, grid)
-        state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid, tol=1e-12)
+        monkeypatch.setattr(gpsolve, "NEWTON_TOL", 1e-12)
+        state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid)
         hist = state.residual_history
         assert len(hist) >= 3
         # contraction is quadratic (r_{k+1} <= C r_k^2) for the last step whose
@@ -305,11 +306,12 @@ class TestNewtonSolve:
         with pytest.raises(ConfigError, match="omega must be a real number"):
             newton_solve(1.1 * exact, omega, FREE, constant(-1.0), g)
 
-    def test_divergence_reported(self):
+    def test_divergence_reported(self, monkeypatch):
+        monkeypatch.setattr(gpsolve, "NEWTON_MAX_ITER", 2)
         g = soliton_grid(8)
         exact = np.sqrt(2) / np.cosh(g.x) + 0j
         with pytest.raises(NewtonError) as err:
-            newton_solve(3.0 * exact, -1.0, FREE, constant(-1.0), g, max_iter=2)
+            newton_solve(3.0 * exact, -1.0, FREE, constant(-1.0), g)
         assert err.value.last_residual is not None
 
 
@@ -401,9 +403,9 @@ class TestConvergenceStudy:
             convergence_study(from_parts(gentle_parts()), constant(-1.0), 1, "a",
                               eps_list=(0.1,), s=s)
 
-    def test_newton_failure_carries_eps(self):
+    def test_newton_failure_carries_eps(self, monkeypatch):
+        monkeypatch.setattr(gpsolve, "NEWTON_MAX_ITER", 1)
         V = from_parts(gentle_parts())
         with pytest.raises(NewtonError) as err:
-            convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.2,),
-                              J=16, max_iter=1)
+            convergence_study(V, constant(-1.0), 1, "a", eps_list=(0.2,), J=16)
         assert err.value.eps == 0.2

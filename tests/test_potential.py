@@ -56,14 +56,18 @@ class TestEval:
 
 class TestValidatePT:
     def test_real_coefficients(self):
-        assert validate_pt(PeriodicPotential({1: 1.0, -2: 0.3}), 1e-14)
+        assert validate_pt(PeriodicPotential({1: 1.0, -2: 0.3}))
 
     def test_imaginary_coefficient_fails(self):
-        assert not validate_pt(PeriodicPotential({1: 1j}), 1e-14)
+        assert not validate_pt(PeriodicPotential({1: 1j}))
+
+    def test_tolerance_is_pt_tol(self):
+        assert validate_pt(PeriodicPotential({1: 1 + 1e-12j}))
+        assert not validate_pt(PeriodicPotential({1: 1 + 2e-12j}))
 
     def test_two_harmonic_any_gamma(self):
         for gamma in (0.0, 0.5, 1.0, 1.5, 3.0):
-            assert validate_pt(two_harmonic_potential(gamma), 1e-14)
+            assert validate_pt(two_harmonic_potential(gamma))
 
 
 @given(
@@ -73,7 +77,7 @@ class TestValidatePT:
 )
 @settings(max_examples=60, deadline=None)
 def test_from_parts_is_always_pt(cos, sin, gamma):
-    assert validate_pt(from_parts(PotentialParts(tuple(cos), tuple(sin), gamma)), 1e-14)
+    assert validate_pt(from_parts(PotentialParts(tuple(cos), tuple(sin), gamma)))
 
 
 def test_pt_symmetry_of_values(rng):
