@@ -46,7 +46,10 @@ def _write(path, text):
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path.parent}: {exc.strerror}") from None
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_csv(path, header, rows):

@@ -9,7 +9,10 @@ bound state.  A grid field is PT exactly when its DFT is real, and
 fft(P w) = Re fft(w), so with PT V and sigma and real omega each step is an
 inexact GMRES solve for the real DFT coefficients c of the correction, with
 c -> xi^2 c + Re fft((V + 2 sigma |u|^2 - omega) d + sigma u^2 conj(d)),
-d = ifft(c), O(N log N) per matvec.
+d = ifft(c), O(N log N) per matvec.  A PT field is fixed by its half
+u[:N/2 + 1] (u[N - n] = conj u[n]), so Newton keeps iterate, residual and
+update as halves, a matvec is two real FFTs of length N on half-length
+arrays, and the full field is built only for on_iterate and the result.
 
 The preconditioner is the exact inverse of the linear operator
 -d^2 + V - omega.  On a grid of C cells with P points each, the 2pi-periodic
@@ -19,8 +22,10 @@ Floquet Theory for PDEs, 1993).  Unlike a shifted-Laplacian symbol, their
 inverse sees the band edge that omega = omega_0 + eps^2 Omega sits next to,
 so the Krylov count per Newton step stays bounded as eps -> 0 (the
 preconditioned Newton iteration of J. Yang, J. Comput. Phys. 228, 2009).
-Set-up inverts the C real dense blocks once per solve (8 P N bytes); each
-application is a batched P x P product on c, O(P N), with no FFT.
+Block C - r is R B_r^T R, R the reversal of q, so set-up inverts the C/2 + 1
+real dense blocks r = 0 ... C/2 once per solve and mirrors the rest (8 P N
+bytes in all); each application is a batched P x P product on c, O(P N), with
+no FFT.
 
 The Krylov solver is an in-package restarted GMRES (Saad & Schultz, SIAM
 J. Sci. Stat. Comput. 7, 1986) on numpy alone, left-preconditioned by the
@@ -103,12 +108,16 @@ def hs_norm(u, s: float, grid: RealLineGrid) -> float:
 def gp_residual(u, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
                 grid: RealLineGrid):
     """Pointwise residual -u'' + V u + sigma |u|^2 u - omega u."""
-    return _residual(u, omega, V.eval(grid.x), sigma.eval(grid.x), grid)
+    Vx, sx = V.eval(grid.x), sigma.eval(grid.x)
+    return -grid.second_derivative(u) + Vx * u + sx * np.abs(u) ** 2 * u - omega * u
 
 
 def _residual(u, omega: float, Vx, sx, grid: RealLineGrid):
-    """gp_residual with V and sigma already sampled on the grid (Vx, sx)."""
-    return -grid.second_derivative(u) + Vx * u + sx * np.abs(u) ** 2 * u - omega * u
+    """gp_residual on the half u = u[:N/2 + 1] of a PT field, with V and sigma
+    sampled there (Vx, sx); hfft(u, N) is the real DFT of the full field."""
+    N = grid.n_points
+    return (np.fft.ihfft(grid.frequencies**2 * np.fft.hfft(u, N))
+            + Vx * u + sx * np.abs(u) ** 2 * u - omega * u)
 
 
 def _pt_project(u, grid: RealLineGrid):
@@ -118,14 +127,17 @@ def _pt_project(u, grid: RealLineGrid):
 
 def _jacobian_action(u, omega: float, Vx, sx, grid: RealLineGrid):
     """c -> fft(P J(u) ifft(c)) on the real DFT coefficients c of PT fields, J
-    the R-linear derivative of gp_residual at u; taking Re is the projection P."""
+    the R-linear derivative of gp_residual at u; taking Re is the projection P.
+    Reads the halves [:N/2 + 1] of u, Vx and sx, where ifft(c) = conj(rfft(c))/N."""
+    N = grid.n_points
+    u, Vx, sx = u[:N // 2 + 1], Vx[:N // 2 + 1], sx[:N // 2 + 1]
     xi2 = grid.frequencies**2
-    diag = Vx + 2 * sx * np.abs(u) ** 2 - omega
-    off = sx * u**2
+    diag = np.conj(Vx + 2 * sx * np.abs(u) ** 2 - omega)
+    off = np.conj(sx * u**2)
 
     def act(c):
-        d = np.fft.ifft(c)
-        return xi2 * c + np.fft.fft(diag * d + off * np.conj(d)).real
+        f = np.fft.rfft(c)
+        return xi2 * c + np.fft.irfft(diag * f + off * np.conj(f), N)
     return act
 
 
@@ -134,28 +146,33 @@ def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
 
     With c reshaped to (P, C), column r holds the indices n = qC + r;
     block r has entries vhat[(q - q') mod P] + (xi_{qC+r}^2 - omega) delta_{qq'}
-    with vhat the DFT of V on one cell, real as V is PT.  All blocks are inverted
-    in one batched call.  Raises NewtonError when a block is singular or its
-    1-norm condition exceeds BLOCK_COND_MAX.
+    with vhat the DFT of V on one cell, real as V is PT.  As xi_{N-n} = -xi_n,
+    block C - r is R B_r^T R (R reverses q): blocks 0 ... C/2 are inverted in one
+    batched call and mirrored.  Raises NewtonError when a block is singular or
+    its 1-norm condition exceeds BLOCK_COND_MAX.
     """
     C = grid.cells
     N = grid.n_points
     P = N // C
     q = np.arange(P)
     vhat = np.fft.fft(Vx[:P]).real / P
-    blocks = np.empty((C, P, P))
+    blocks = np.empty((C // 2 + 1, P, P))
     blocks[:] = vhat[(q[:, None] - q) % P]
-    blocks[:, q, q] += (grid.frequencies**2 - omega).reshape(P, C).T
+    blocks[:, q, q] += (grid.frequencies**2 - omega).reshape(P, C).T[:C // 2 + 1]
     try:
         inv = np.linalg.inv(blocks)
-        cond = np.abs(blocks).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+        cond = [np.abs(blocks).sum(axis=a).max(axis=1) * np.abs(inv).sum(axis=a).max(axis=1)
+                for a in (1, 2)]
     except np.linalg.LinAlgError:     # an exactly singular block: its condition is inf
-        cond = np.linalg.cond(blocks, 1)
+        cond = [np.linalg.cond(blocks, p) for p in (1, np.inf)]
+    # the 1-norm condition of R B^T R is the inf-norm condition of B
+    cond = np.concatenate((cond[0], cond[1][C // 2 - 1:0:-1]))
     bad = np.flatnonzero(~(cond <= BLOCK_COND_MAX))
     if bad.size:
         raise NewtonError(f"preconditioner block {bad[0]} of {C} is singular or "
                           f"ill-conditioned at omega = {omega:.6g} "
                           "(omega on a band of the grid)")
+    inv = np.concatenate((inv, inv[C // 2 - 1:0:-1].transpose(0, 2, 1)[:, ::-1, ::-1]))
     return lambda c: np.matmul(inv, c.reshape(P, C).T[:, :, None])[:, :, 0].T.reshape(N)
 
 
@@ -273,20 +290,24 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     if not is_real(omega):
         raise ConfigError(f"omega must be a real number, got {omega!r}")
 
-    Vx, sx = V.eval(grid.x), sigma.eval(grid.x)
+    # u, the residual and the update are halves [:N/2 + 1] of PT fields
+    half = grid.x[:N // 2 + 1]
+    Vx, sx = V.eval(half), sigma.eval(half)
+    weights = np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0]     # x = -L and 0 are their own mirrors
     precond = None
-    u = _pt_project(u0, grid)
+    u = _pt_project(u0, grid)[:N // 2 + 1]
+    full = lambda h: np.concatenate((h, np.conj(h[-2:0:-1])))
     history = []
     matvecs = []
     iters = 0
     for _ in range(NEWTON_MAX_ITER + 1):
         G = _residual(u, omega, Vx, sx, grid)
-        rnorm = grid.l2_norm(G)
+        rnorm = float(np.sqrt(grid.spacing * np.dot(weights, np.abs(G) ** 2)))
         history.append(rnorm)
         if on_iterate is not None:
-            on_iterate(iters, u, rnorm)
+            on_iterate(iters, full(u), rnorm)
         if rnorm <= NEWTON_TOL:
-            return BoundState(values=u, eps=np.nan, omega=omega, grid=grid,
+            return BoundState(values=full(u), eps=np.nan, omega=omega, grid=grid,
                               residual_norm=rnorm, newton_iters=iters,
                               residual_history=tuple(history), matvecs=tuple(matvecs))
         if iters >= NEWTON_MAX_ITER:
@@ -295,13 +316,13 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
             precond = _bloch_inverse(Vx, omega, grid)
         # z holds the real DFT coefficients of the PT correction
         z, info, n_matvec = _gmres(_jacobian_action(u, omega, Vx, sx, grid),
-                                   np.fft.fft(G).real, min(FORCING_MAX, rnorm),
+                                   np.fft.hfft(G, N), min(FORCING_MAX, rnorm),
                                    GMRES_RESTART, GMRES_MAX_CYCLES, precond)
         matvecs.append(n_matvec)
         if info != 0 or not np.all(np.isfinite(z)):
             raise NewtonError(f"GMRES failed at iteration {iters} (info {info})",
                               last_residual=rnorm)
-        u = _pt_project(u - np.fft.ifft(z), grid)
+        u = u - np.fft.ihfft(z)
         iters += 1
     raise NewtonError(
         f"no convergence in {NEWTON_MAX_ITER} iterations (last residual {history[-1]:.3e})",

@@ -677,6 +677,15 @@ class TestIoAndUsage:
         assert code == 1 and len(err.splitlines()) == 1
         assert "output directory" in err
 
+    def test_result_path_is_a_directory(self, tmp_path):
+        # a result file that cannot be written is one stderr line, not a traceback
+        target = tmp_path / "o" / "effective.json"
+        target.mkdir(parents=True)
+        code, err = call(["effective", "--config", str(CONFIGS / f"{EFFECTIVE}.json"),
+                          "--out", str(tmp_path / "o")])
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err.startswith(f"config error: cannot write {target}: ")
+
     @pytest.mark.parametrize("command, name, changes", [
         ("effective", EFFECTIVE, {"edge": "c"}),
         ("effective", EFFECTIVE, {"N_k": 15}),

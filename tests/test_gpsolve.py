@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from ptbands import (ConfigError, GridError, NewtonError, PTSymmetryError, Perio
                      RealLineGrid, build_ansatz, constant,
                      convergence_study, extract_effective_model, fix_pt_phase,
                      from_parts, gp_residual, grid_for_envelope, hs_norm,
-                     make_mode, newton_solve, sech_envelope)
+                     make_mode, newton_solve, potential_from_json, sech_envelope)
 from ptbands import gpsolve
 from ptbands.gpsolve import _bloch_inverse, _gmres, _jacobian_action, _pt_project
 from conftest import every_column, gentle_parts, two_harmonic_parts
@@ -143,6 +146,32 @@ class TestNewtonKrylov:
         assert inverse(Ac).dtype == np.float64
         assert np.linalg.norm(inverse(Ac) - c) <= 1e-11 * np.linalg.norm(c)
 
+    def test_bloch_inverse_matches_every_block_inverse(self, monkeypatch):
+        # gamma = 1 makes vhat[k] != vhat[-k], so the blocks are not symmetric
+        # and the mirrored ones (r > C/2) are R inv(B_{C-r})^T R, not copies;
+        # the dense operator on the real DFT coefficients is the oracle
+        V = from_parts(two_harmonic_parts(1.0))
+        g = soliton_grid(4)
+        N, C, omega = g.n_points, g.cells, 2.0
+        Vx = V.eval(g.x)
+        eye = np.eye(N)
+        A = np.array([g.frequencies**2 * e + np.fft.fft((Vx - omega) * np.fft.ifft(e)).real
+                      for e in eye]).T
+        inverse = _bloch_inverse(Vx, omega, g)
+        Ainv = np.array([inverse(e) for e in eye]).T
+        blocks = [A[r::C, r::C] for r in range(C)]
+        assert not np.allclose(blocks[1], blocks[1].T)
+        for r, B in enumerate(blocks):
+            ref = np.linalg.inv(B)
+            assert np.linalg.norm(Ainv[r::C, r::C] - ref) <= 1e-12 * np.linalg.norm(ref)
+        # each block's own 1-norm condition is checked: block 5 of 8 is the
+        # worst, and a cap below it but above blocks 0 ... 4 refuses block 5
+        cond = [np.linalg.cond(B, 1) for B in blocks]
+        assert np.argmax(cond) == 5 and max(cond[:5]) < 0.9 * cond[5]
+        monkeypatch.setattr(gpsolve, "BLOCK_COND_MAX", 0.95 * cond[5])
+        with pytest.raises(NewtonError, match="preconditioner block 5 of 8"):
+            _bloch_inverse(Vx, omega, g)
+
     def test_grid_without_whole_cells_rejected(self):
         # the Floquet-Bloch blocks split the grid into whole cells, and no
         # grid without them can be built
@@ -156,6 +185,15 @@ class TestNewtonKrylov:
         g = soliton_grid(8)
         exact = np.sqrt(2) / np.cosh(g.x) + 0j
         with pytest.raises(NewtonError, match="preconditioner block 0 of 16"):
+            newton_solve(1.1 * exact, omega, FREE, constant(-1.0), g)
+
+    @pytest.mark.parametrize("omega", [(3 / 16) ** 2, (3 / 16) ** 2 + 1e-14])
+    def test_singular_block_off_mirror_axis_reported(self, omega):
+        # omega = (r/C)^2 = xi_r^2 with r = 3, C = 16 on the free lattice:
+        # blocks 3 and its mirror 13 are singular, or nearly, and 3 is named
+        g = soliton_grid(8)
+        exact = np.sqrt(2) / np.cosh(g.x) + 0j
+        with pytest.raises(NewtonError, match="preconditioner block 3 of 16"):
             newton_solve(1.1 * exact, omega, FREE, constant(-1.0), g)
 
     def test_gentle_study_reproduces_dense_newton(self):
@@ -265,20 +303,29 @@ class TestNewtonSolve:
         r_prev, r_next = pairs[-1]
         assert r_next <= 1e5 * r_prev**2
 
-    def test_deep_lattice_band_edge_state(self):
+    def test_deep_lattice_band_edge_state(self, monkeypatch):
         # full two-harmonic PT lattice: refined state stays within the
         # ansatz's own size at eps = 0.1
-        from conftest import two_harmonic_parts
         V = from_parts(two_harmonic_parts(1.0))
         sigma = constant(-1.0)
         model, mode = extract_effective_model(V, sigma, 1, "a", J=24)
         env = sech_envelope(model)
         grid = grid_for_envelope(0.1, env.width)
         ansatz = build_ansatz(env, mode, 0.1, grid)
-        state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid)
+        seen = []
+        state = newton_solve(ansatz.values, ansatz.omega, V, sigma, grid,
+                             on_iterate=lambda k, u, r: seen.append(u))
         e = hs_norm(state.values - ansatz.values, 1.0, grid)
         assert state.residual_norm <= 1e-9
         assert e < hs_norm(ansatz.values, 1.0, grid)
+        # the solve keeps half of each PT field; what it hands out is whole
+        assert state.pt_defect() == 0.0
+        assert len(seen) == state.newton_iters + 1 and np.array_equal(seen[-1], state.values)
+        assert all(len(u) == grid.n_points and grid.pt_defect(u) == 0.0 for u in seen)
+        # a converged guess returns at once, without building the preconditioner
+        monkeypatch.setattr(gpsolve, "_bloch_inverse", lambda *args: pytest.fail("built"))
+        again = newton_solve(state.values, ansatz.omega, V, sigma, grid)
+        assert again.newton_iters == 0 and np.array_equal(again.values, state.values)
 
     def test_rejects_non_pt_guess(self):
         g = soliton_grid(2)
@@ -388,6 +435,24 @@ class TestConvergenceStudy:
         assert all(r.residual <= 1e-9 for r in study.rows)
         (local,) = study.local_slopes
         assert local == pytest.approx(1.5, abs=0.015)
+
+    def test_shipped_converge_study_pinned(self):
+        # configs/converge_gentle.json: Newton steps and matvecs per step are
+        # exact, and the H^1 errors are those of the full-grid complex-FFT
+        # solve with all C block inversions that the half-grid one replaced
+        path = Path(__file__).resolve().parents[1] / "configs" / "converge_gentle.json"
+        cfg = json.loads(path.read_text())
+        study = convergence_study(potential_from_json(cfg["potential"]),
+                                  potential_from_json(cfg["sigma"]), cfg["band_index"],
+                                  cfg["edge"], cfg["eps_list"], s=cfg["s"], J=cfg["J"],
+                                  N_k=cfg["N_k"])
+        assert [r.newton_iters for r in study.rows] == [7, 3, 3, 2]
+        assert [r.matvecs for r in study.rows] == [(6, 10, 9, 9, 9, 9, 8), (7, 10, 7),
+                                                   (6, 12, 11), (6, 10)]
+        full_grid = [0.1881290481393131, 0.044186317235719544, 0.015806304611906304,
+                     0.004999150276365977]
+        for row, ref in zip(study.rows, full_grid):
+            assert row.hs_error == pytest.approx(ref, rel=1e-10)
 
     def test_single_eps_gives_no_slope(self):
         V = from_parts(gentle_parts())
