@@ -14,9 +14,12 @@ Output is deterministic: floats are written with 17 significant digits,
 so identical configs give byte-identical files.
 The output directory is made at the first write, so a run that fails
 before it has a result leaves none.
+A run loads only the numerical modules its command needs (COMMANDS), and
+loads them before its config is read.
 """
 
 import argparse
+import importlib
 import json
 import sys
 import warnings
@@ -26,7 +29,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import bands, dirac, effective, gpsolve, potential
+from . import potential
 from .errors import (AssumptionError, ConfigError, ExistenceError, PTBandsError,
                      TruncationError)
 from .potential import PeriodicPotential, PotentialParts
@@ -100,6 +103,7 @@ class AnsatzConfig(EffectiveConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        from . import effective
         if not 0 < self.eps <= effective.EPS_MAX:
             raise ConfigError(f"eps = {self.eps} outside (0, {effective.EPS_MAX}]")
 
@@ -128,6 +132,7 @@ class Prop3Config:
     J: int = 32
 
     def __post_init__(self):
+        from . import dirac
         lo, hi = self.m_range
         if lo > hi:
             raise ConfigError(f"m_range [{lo}, {hi}] is reversed: "
@@ -201,6 +206,7 @@ def _load_config(path):
 
 
 def cmd_bands(cfg, out):
+    from . import bands
     V, n_bands, m = cfg.potential, cfg.n_bands, cfg.band_index
     bs = bands.compute_bands(V, cfg.J, cfg.N_k, n_bands)
     rows = [(k, mi, w.real, w.imag, q) for mi in range(1, n_bands + 1)
@@ -236,6 +242,7 @@ def cmd_bands(cfg, out):
 
 def cmd_effective(cfg, out):
     """Band-edge model written to effective.json; returns (model, mode) for ansatz."""
+    from . import effective
     model, mode = effective.extract_effective_model(
         cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.J, cfg.N_k)
     write_json(out / "effective.json", model.to_json_dict())
@@ -243,9 +250,11 @@ def cmd_effective(cfg, out):
 
 
 def cmd_ansatz(cfg, out):
+    from . import effective
+    from .grid import grid_for_envelope
     model, mode = cmd_effective(cfg, out)
     env = effective.sech_envelope(model)
-    grid = gpsolve.grid_for_envelope(cfg.eps, env.width)
+    grid = grid_for_envelope(cfg.eps, env.width)
     state = effective.build_ansatz(env, mode, cfg.eps, grid)
     rows = [(x, u.real, u.imag) for x, u in zip(grid.x, state.values)]
     write_csv(out / "ansatz.csv", ["x", "re_u", "im_u"], rows)
@@ -256,6 +265,7 @@ def cmd_ansatz(cfg, out):
 
 
 def cmd_converge(cfg, out):
+    from . import gpsolve
     study = gpsolve.convergence_study(
         cfg.potential, cfg.sigma, cfg.band_index, cfg.edge, cfg.eps_list, s=cfg.s,
         J=cfg.J, N_k=cfg.N_k)
@@ -276,6 +286,7 @@ def cmd_converge(cfg, out):
 
 
 def cmd_dirac(cfg, out):
+    from . import bands, dirac
     parts, J, gamma_list = cfg.potential, cfg.J, cfg.gamma_list
     records = []
     summary = {"points": [], "slopes": []}
@@ -323,12 +334,13 @@ def cmd_dirac(cfg, out):
     write_json(out / "dirac_summary.json", summary)
 
 
+# each command's config, its run, and the modules these two use
 COMMANDS = {
-    "bands": (BandsConfig, cmd_bands),
-    "effective": (EffectiveConfig, cmd_effective),
-    "ansatz": (AnsatzConfig, cmd_ansatz),
-    "converge": (ConvergeConfig, cmd_converge),
-    "dirac": (DiracConfig, cmd_dirac),
+    "bands": (BandsConfig, cmd_bands, ("bands",)),
+    "effective": (EffectiveConfig, cmd_effective, ("effective",)),
+    "ansatz": (AnsatzConfig, cmd_ansatz, ("effective",)),
+    "converge": (ConvergeConfig, cmd_converge, ("gpsolve",)),
+    "dirac": (DiracConfig, cmd_dirac, ("bands", "dirac")),
 }
 
 
@@ -357,11 +369,16 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
     try:
+        args = parser.parse_args(argv)
+        _, run, modules = COMMANDS[args.command]
+        # loaded before the config is read, and where a warning raised at import
+        # is not one of the run's
+        for name in modules:
+            importlib.import_module(f"{__package__}.{name}")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            args = parser.parse_args(argv)
             cfg = read_config(args.command, _load_config(args.config))
-            COMMANDS[args.command][1](cfg, Path(args.out))
+            run(cfg, Path(args.out))
     except (PTBandsError, MemoryError) as exc:
         code, what = next(e[1:] for e in _EXITS if isinstance(exc, e[0]))
         if getattr(exc, "eps", None) is not None:

@@ -105,16 +105,10 @@ def hs_norm(u, s: float, grid: RealLineGrid) -> float:
     return float(np.sqrt(np.sum(weight * np.abs(c) ** 2) * 2 * grid.half_length))
 
 
-def gp_residual(u, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
-                grid: RealLineGrid):
-    """Pointwise residual -u'' + V u + sigma |u|^2 u - omega u."""
-    Vx, sx = V.eval(grid.x), sigma.eval(grid.x)
-    return -grid.second_derivative(u) + Vx * u + sx * np.abs(u) ** 2 * u - omega * u
-
-
 def _residual(u, omega: float, Vx, sx, grid: RealLineGrid):
-    """gp_residual on the half u = u[:N/2 + 1] of a PT field, with V and sigma
-    sampled there (Vx, sx); hfft(u, N) is the real DFT of the full field."""
+    """Residual -u'' + V u + sigma |u|^2 u - omega u on the half u = u[:N/2 + 1]
+    of a PT field, with V and sigma sampled there (Vx, sx); hfft(u, N) is the
+    real DFT of the full field."""
     N = grid.n_points
     return (np.fft.ihfft(grid.frequencies**2 * np.fft.hfft(u, N))
             + Vx * u + sx * np.abs(u) ** 2 * u - omega * u)
@@ -127,7 +121,7 @@ def _pt_project(u, grid: RealLineGrid):
 
 def _jacobian_action(u, omega: float, Vx, sx, grid: RealLineGrid):
     """c -> fft(P J(u) ifft(c)) on the real DFT coefficients c of PT fields, J
-    the R-linear derivative of gp_residual at u; taking Re is the projection P.
+    the R-linear derivative of the residual at u; taking Re is the projection P.
     Reads the halves [:N/2 + 1] of u, Vx and sx, where ifft(c) = conj(rfft(c))/N."""
     N = grid.n_points
     u, Vx, sx = u[:N // 2 + 1], Vx[:N // 2 + 1], sx[:N // 2 + 1]

@@ -68,13 +68,6 @@ class RealLineGrid:
         """PT defect max |conj(u(-x)) - u(x)| of a grid field u."""
         return float(np.abs(np.conj(u[self.mirror]) - u).max())
 
-    def l2_norm(self, f):
-        """Discrete L2(R) norm (trapezoid = Riemann sum on a periodic grid)."""
-        return float(np.sqrt(self.spacing * np.sum(np.abs(f) ** 2)))
-
-    def second_derivative(self, f):
-        return np.fft.ifft(-self.frequencies**2 * np.fft.fft(f))
-
 
 @dataclass(frozen=True)
 class BoundState:

@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from ptbands import PotentialParts, from_parts
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# the environment of a child Python process that imports ptbands from this tree
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
 
 # the same examples on every run: property tests are part of tier-1
 settings.register_profile("ptbands", derandomize=True, deadline=None)

@@ -6,7 +6,9 @@ decomposition (eigen.decompose) as stacks of one.  g_values evaluates a
 Bloch wave at points; curvature_from_fit is a second finite-difference
 estimator of a band-edge curvature, beside bands.second_derivative.
 envelope_residual checks a sech envelope against its amplitude equation
-with the exact second derivative of the sech.
+with the exact second derivative of the sech.  l2_norm, fourier_second_derivative
+and gp_residual are the full-grid references of the half-grid Newton solve in
+gpsolve.
 """
 
 from dataclasses import dataclass
@@ -71,6 +73,23 @@ def curvature_from_fit(p, m, k0, J, half_width=0.05, n_samples=11):
     A = np.vstack([np.ones_like(ds), ds**2, ds**4]).T
     coef, *_ = np.linalg.lstsq(A, np.asarray(oms) - om0.real, rcond=None)
     return float(2 * coef[1])
+
+
+def l2_norm(grid, f):
+    """Discrete L2(R) norm of a field on a RealLineGrid (trapezoid = Riemann
+    sum on a periodic grid)."""
+    return float(np.sqrt(grid.spacing * np.sum(np.abs(f) ** 2)))
+
+
+def fourier_second_derivative(grid, f):
+    """f'' of a field on a RealLineGrid by FFT differentiation."""
+    return np.fft.ifft(-grid.frequencies**2 * np.fft.fft(f))
+
+
+def gp_residual(u, omega, V, sigma, grid):
+    """Pointwise residual -u'' + V u + sigma |u|^2 u - omega u of a full field."""
+    Vx, sx = V.eval(grid.x), sigma.eval(grid.x)
+    return -fourier_second_derivative(grid, u) + Vx * u + sx * np.abs(u) ** 2 * u - omega * u
 
 
 def envelope_second_derivative(env, X):

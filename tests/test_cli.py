@@ -1,10 +1,10 @@
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -21,13 +21,10 @@ from ptbands import PotentialParts, bands, dirac, eigen, from_parts, gpsolve, po
 from ptbands.discretize import assemble_stack
 from ptbands.cli import (AnsatzConfig, BandsConfig, ConvergeConfig, DiracConfig,
                          EffectiveConfig, Prop3Config, main)
+from conftest import CONFIGS, SRC_ENV
 from oracles import assemble, solve
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
-# the environment of a child Python process that imports ptbands from this tree
-SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
 def run(tmp_path, command, cfg, name="cfg.json"):
@@ -444,48 +441,88 @@ class TestDiracCommand:
             assert "dimension" in err and err.rstrip().endswith("more)")
 
 
+# the ptbands modules a process has loaded after `import ptbands.cli`, and
+# after running each command
+CLI_MODULES = {"cli", "errors", "potential", "util"}
+BANDS_MODULES = CLI_MODULES | {"bands", "discretize", "eigen"}
+EFFECTIVE_MODULES = BANDS_MODULES | {"effective", "grid"}
+COMMAND_MODULES = {"bands": BANDS_MODULES, "dirac": BANDS_MODULES | {"dirac"},
+                   "effective": EFFECTIVE_MODULES, "ansatz": EFFECTIVE_MODULES,
+                   "converge": EFFECTIVE_MODULES | {"gpsolve"}}
+
+
 def test_cli_loads_no_scipy(tmp_path):
-    # ptbands runs on numpy alone: importing the CLI, running every shipped
-    # non-converge config and then a converge study load no scipy module
+    # ptbands runs on numpy alone, and a process loads only what its command
+    # runs: one fresh process per command imports ptbands, then the CLI, then
+    # runs the command's shipped configs (converge at eps = 0.2 alone), and
+    # records the scipy and ptbands modules loaded after each step
     probe = textwrap.dedent("""
         import json, pathlib, sys
+
+        def loaded():
+            return [sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                    sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ptbands."))]
+
+        command, configs, out = sys.argv[1], pathlib.Path(sys.argv[2]), pathlib.Path(sys.argv[3])
+        import ptbands
+        steps = [loaded()]
         import ptbands.cli
-        from ptbands.cli import main
-        configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
-        loaded = [sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
-        for path in sorted(configs.glob("*.json")):
-            command = path.stem.split("_")[0]
-            if command != "converge":
-                assert main([command, "--config", str(path), "--out", str(out / path.stem)]) == 0
-        loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-        cfg = json.loads((configs / "converge_gentle.json").read_text())
-        cfg["eps_list"] = [0.2]
-        (out / "converge.json").write_text(json.dumps(cfg))
-        code = main(["converge", "--config", str(out / "converge.json"),
-                     "--out", str(out / "converge")])
-        loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-        print(json.dumps([loaded, code]))
+        steps.append(loaded())
+        codes = []
+        for path in sorted(configs.glob(command + "_*.json")):
+            cfg = json.loads(path.read_text())
+            if command == "converge":
+                cfg["eps_list"] = [0.2]
+            (out / path.name).write_text(json.dumps(cfg))
+            codes.append(ptbands.cli.main([command, "--config", str(out / path.name),
+                                           "--out", str(out / path.stem)]))
+        steps.append(loaded())
+        print(json.dumps([steps, codes]))
     """)
-    out = subprocess.run([sys.executable, "-c", probe, str(CONFIGS), str(tmp_path)],
-                         capture_output=True, text=True, env=SRC_ENV, check=True)
-    loaded, code = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == [[], [], []]
-    assert {p.stem.split("_")[0] for p in CONFIGS.glob("*.json")} == {
-        "ansatz", "bands", "converge", "dirac", "effective"}
-    assert code == 0
+    assert {p.stem.split("_")[0] for p in CONFIGS.glob("*.json")} == set(COMMAND_MODULES)
+    procs = {}
+    for command in COMMAND_MODULES:
+        (tmp_path / command).mkdir()
+        procs[command] = subprocess.Popen(
+            [sys.executable, "-c", probe, command, str(CONFIGS), str(tmp_path / command)],
+            stdout=subprocess.PIPE, text=True, env=SRC_ENV)
+    for command, proc in procs.items():
+        stdout, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        steps, codes = json.loads(stdout.splitlines()[-1])
+        assert steps == [[[], []], [[], sorted(CLI_MODULES)],
+                         [[], sorted(COMMAND_MODULES[command])]], command
+        assert codes and set(codes) == {0}
 
 
-def test_sample_configs_parse(tmp_path):
-    # every shipped config runs through its command without a config error
-    commands = {"bands_two_harmonic_gamma1.json": "bands",
-                "bands_two_harmonic_gamma15.json": "bands",
-                "effective_gentle.json": "effective",
-                "ansatz_gentle.json": "ansatz",
-                "dirac_sin2x.json": "dirac"}
-    for name, command in commands.items():
-        out = tmp_path / name.replace(".json", "")
-        code = main([command, "--config", str(CONFIGS / name), "--out", str(out)])
-        assert code == 0, name
+# the names of the ptbands namespace
+NAMESPACE = """
+    AssumptionError BandEdge BandEdgeReport BandStructure BlochMode BoundState
+    ClassificationError ComplexBandError ConfigError Convention ConvergenceStudy
+    DegenerateEigenvalueError DiracPoint EffectiveModel ExistenceError GridError
+    NewtonError PTBandsError PTSymmetryError PeriodicPotential PotentialParts
+    RealLineGrid SechEnvelope Spectrum SplittingPrediction TruncationError
+    build_ansatz check_assumption compute_bands constant convergence_study
+    edge_curvature eigenvalues extract_effective_model find_dirac_points
+    fix_pt_phase from_parts gamma_coefficient grid_for_envelope hs_norm make_mode
+    measure_splitting mw_matrix newton_solve potential_from_json predict_splitting
+    prop3_scan richardson_slope sech_envelope second_derivative splitting_slope
+    validate_pt
+""".split()
+
+
+def test_namespace_names_resolve_to_their_home_module():
+    import ptbands
+    assert ptbands.__all__ == sorted(NAMESPACE)
+    for name in NAMESPACE:
+        obj = getattr(ptbands, name)
+        assert obj.__module__.startswith("ptbands.")
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+    assert ptbands.compute_bands is bands.compute_bands
+    assert ptbands.bands is bands
+    for name in ("gp_residual", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ptbands, name)
 
 
 def test_missing_config_file(tmp_path):
