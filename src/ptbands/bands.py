@@ -25,7 +25,16 @@ stack at once: their backward error as eigenpairs of M_J (Kahan, Parlett &
 Jiang, SIAM J. Numer. Anal. 19, 1982).  A tail above TAIL_MAX at J' = J
 means J itself does not resolve the bands (TruncationError).
 dirac.measure_splitting certifies its pair near mu by the same rule and
-refusal (_leading_block).  Bands are tracked across the grid by maximal
+refusal, on the doubling ladder of _leading_block from BLOCK_J0.  Each rung
+of that ladder, with every column's left vector, is memoised by its
+content, (sorted exponential coefficients of the potential, float(k), J'):
+the pairs of every point and gamma that share a matrix, a splitting_slope
+after measurements of the same gammas and the climb of a refusal's message
+(_require_resolved) decompose it once.  The memo keeps the eigenvalues,
+right and left vectors (read-only, not the assembled matrix) of the
+MEMO_BLOCKS blocks used last: at most MEMO_BLOCKS * 32 (2 J' + 1)^2 bytes,
+0.28 MB at J' = 16 and 17 MB if every block reached J' = 128.  The sweep's
+stacks do not pass through it.  Bands are tracked across the grid by maximal
 eigenvector overlap (value proximity fails at avoided crossings), a
 permutation of the lowest-n eigenvalues at each k by construction.  Past
 the band values a sweep keeps only the whole block spectra at the edges
@@ -37,6 +46,7 @@ matrices, like edge_curvature's, are stacks of one.  Band indices m are
 1-based in the public API.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,7 +69,7 @@ ISOLATION_CHUNK = 2 ** 16
 # pair near mu) carry at most TAIL_TOL at J' - max_harmonic < |j| <= J' in
 # their right and left unit vectors.  dirac.measure_splitting's ladder starts
 # at BLOCK_J0 and doubles for cost: a spectra round climbs 270 rungs, all
-# J' = 16, which dirac's memo serves from 36 to 54 decompositions (seeds 1, 2,
+# J' = 16, which the memo serves from 36 to 54 decompositions (seeds 1, 2,
 # 3 and 7; its 9 Dirac tasks share 4 lattices); an earlier count, one
 # decomposition per rung, put the sweep's ladder at 711 against 279 for
 # doubling.  Either ladder puts the mu = 225 pair within kappa r of a 40-digit
@@ -81,6 +91,10 @@ TAIL_MAX = 1e-6
 # with one decomposition per column; stacks of 32 (about 3.5 MB of
 # temporaries at J' = 22) raised it by 1.8 MB over a fixed benchmark round
 STACK_COLUMNS = 16
+
+# decomposed blocks the memo of _leading_block keeps.  A Dirac task of the
+# spectra benchmark meets 6 (3 gammas at k0 = 0 and 1/2, all J' = 16), about 0.2 MB
+MEMO_BLOCKS = 8
 
 # the fewest k points k_grid accepts; an even N_k puts k = 0 and 1/2 on the grid
 MIN_N_K = 16
@@ -247,7 +261,7 @@ class _Blocks(NamedTuple):
     """A stack of blocks M_J(k), decomposed by _stacked_blocks."""
 
     E: np.ndarray           # M_{J''}(k) per block, with M_J(k) at its centre;
-                            # None from dirac's memo
+                            # None from the memo
     w: np.ndarray           # eigenvalues, right and left vectors of M_J(k)
     right: np.ndarray
     left: np.ndarray
@@ -279,25 +293,37 @@ def _stacked_blocks(p, ks, J_max, J, pick):
     return _Blocks(E, w, right, left, cols, _tail(p, right, left, cols))
 
 
-def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL, rung=lambda J: 2 * J,
-                   stack=_stacked_blocks):
-    """The first J' of J_start, rung(J_start), ... (capped at J_max) whose
-    right and left unit vectors in the columns pick(eigenvalues) weigh at
-    most tol in the slots J' - max_harmonic < |j| <= J', or J' = J_max.
+def _leading_block(p, k, J_max, pick, J_start=None, tol=TAIL_TOL):
+    """The first J' of J_start, 2 J_start, ... (capped at J_max) whose right
+    and left unit vectors in the columns pick(eigenvalues) weigh at most tol
+    in the slots J' - max_harmonic < |j| <= J', or J' = J_max.
 
     Those are the slots M_{J_max} couples out of the block, so a small tail
     means a small residual of the zero-padded pairs.  J_start defaults to
-    max(BLOCK_J0, max_harmonic) and rung to doubling.  Each rung is
-    stack(p, [k], J_max, J', pick), _stacked_blocks unless the caller passes
-    a function of the same arguments (dirac's memo of decomposed blocks);
-    returns the rung at J'.
+    max(BLOCK_J0, max_harmonic).  Each rung is read from the memo of
+    decomposed blocks (_decomposed_block), so its E is None; returns the
+    rung at J'.
     """
     Jb = min(J_max, max(BLOCK_J0, p.max_harmonic) if J_start is None else J_start)
+    coeffs = tuple(sorted(p.coeffs.items()))
     while True:
-        blocks = stack(p, [k], J_max, Jb, lambda w: pick(w[0]))
-        if blocks.tail[0] <= tol or Jb >= J_max:
-            return blocks
-        Jb = min(rung(Jb), J_max)
+        w, right, left = _decomposed_block(coeffs, float(k), Jb)
+        cols = pick(w[0])
+        tail = _tail(p, right, left, cols)
+        if tail[0] <= tol or Jb >= J_max:
+            return _Blocks(None, w, right, left, cols, tail)
+        Jb = min(2 * Jb, J_max)
+
+
+@functools.lru_cache(maxsize=MEMO_BLOCKS)
+def _decomposed_block(coeffs, k, J):
+    """Eigenvalues, right and every left vector, read-only, of the stack of
+    one M_J(k) of the potential with exponential coefficients coeffs (a
+    sorted tuple of (j, c_j))."""
+    blocks = _stacked_blocks(PeriodicPotential(dict(coeffs)), [k], J, J, lambda w: slice(None))
+    for a in (blocks.w, blocks.right, blocks.left):
+        a.flags.writeable = False
+    return blocks.w, blocks.right, blocks.left
 
 
 def _tail(p, right, left, cols):

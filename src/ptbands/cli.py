@@ -132,14 +132,10 @@ class Prop3Config:
     J: int = 32
 
     def __post_init__(self):
-        from . import dirac
         lo, hi = self.m_range
         if lo > hi:
             raise ConfigError(f"m_range [{lo}, {hi}] is reversed: "
                               "the first entry must not exceed the last")
-        # checked on the largest m alone, before a long range is walked
-        dirac.require_prop3_size(self.potential.cosine_coeffs, self.potential.sine_coeffs,
-                                 self.J, hi)
 
 
 _PARSERS = {PeriodicPotential: potential.potential_from_json,

@@ -17,20 +17,12 @@ Fourier coefficients of (U, W) at the coupling harmonic of the point
 
 measure_splitting takes the measured pair from the smallest leading block
 M_{J'}(k0) that certifies it, by the band sweep's certificate on the
-doubling ladder from BLOCK_J0 (bands._leading_block), within kappa r of an
-exact solve at mu = 225: the lattice and mu set its cost, and J caps it.
-Each rung's decomposition, with every column's left vector, is memoised by
-its content: the key is (sorted exponential coefficients of V, float(k0), J'),
-so the pairs of every point and gamma that share a matrix, and a
-splitting_slope after measurements of the same gammas, decompose it once.
-The memo keeps the eigenvalues, right and left vectors (read-only, not the
-assembled matrix) of the MEMO_BLOCKS blocks used last: at most
-MEMO_BLOCKS * 32 (2 J' + 1)^2 bytes, 0.28 MB at J' = 16 and 17 MB if every
-block reached J' = 128.
+doubling ladder from BLOCK_J0 (bands._leading_block, whose memo serves
+every rung), within kappa r of an exact solve at mu = 225: the lattice and
+mu set its cost, and J caps it.
 prop3_scan keeps one eigenvalue-only solve of the full matrix for all m.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -53,11 +45,6 @@ PROP3_MARGIN = 4
 COUPLING_TOL = 1e-10        # at most this coupling, predict_splitting is inconclusive
 # two edge eigenvalues within DEGENERACY_TOL max(1, |omega|) form a Dirac point
 DEGENERACY_TOL = 1e-8
-
-# decomposed blocks measure_splitting keeps.  A Dirac task of the spectra
-# benchmark meets 6 (3 gammas at k0 = 0 and 1/2, all J' = 16), about 0.2 MB;
-# the band sweep's blocks do not pass through the memo
-MEMO_BLOCKS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,16 +225,16 @@ def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
     bands._leading_block, J' = max(BLOCK_J0, max harmonic), 2 J', ...
     (capped at J), whose right and left unit vectors weigh at most TAIL_TOL
     in the slots J' - max harmonic < |j| <= J'.  Every rung is read from
-    the memo of decomposed blocks (module docstring), so a call on a block
-    an earlier call decomposed makes no eigensolve and returns the same
-    pair.  Raises ClassificationError when fewer than two
+    the memo of decomposed blocks (bands module docstring), so a call on a
+    block an earlier call decomposed makes no eigensolve and returns the
+    same pair.  Raises ClassificationError when fewer than two
     eigenvalues lie within 1 of mu, and then TruncationError when the pair
     still weighs more than TAIL_MAX there at J' = J.
     """
     def near_mu(w):
         return _nearest(w, mu)
 
-    blocks = bands._leading_block(p, k0, J, near_mu, stack=_memo_blocks)
+    blocks = bands._leading_block(p, k0, J, near_mu)
     pair = _plus_first(blocks.w[0, blocks.cols])
     if max(abs(z - mu) for z in pair) >= 1.0:
         raise ClassificationError(
@@ -255,26 +242,6 @@ def measure_splitting(p: PeriodicPotential, k0: float, mu: float, J: int):
         )
     bands._require_resolved(p, k0, J, near_mu, blocks.tail[0], f"the pair near mu = {mu:g}")
     return pair
-
-
-def _memo_blocks(p, ks, J_max, J, pick):
-    """bands._stacked_blocks of the one k in ks, from _decomposed_block's
-    memo, without the assembled matrix (E is None)."""
-    (k,) = ks
-    w, right, left = _decomposed_block(tuple(sorted(p.coeffs.items())), float(k), J)
-    cols = pick(w)
-    return bands._Blocks(None, w, right, left, cols, bands._tail(p, right, left, cols))
-
-
-@functools.lru_cache(maxsize=MEMO_BLOCKS)
-def _decomposed_block(coeffs, k, J):
-    """Eigenvalues, right and every left vector, read-only, of the stack of
-    one M_J(k) of the potential with exponential coefficients coeffs (a
-    sorted tuple of (j, c_j))."""
-    blocks = bands._stacked_blocks(PeriodicPotential(dict(coeffs)), [k], J, J, lambda w: slice(None))
-    for a in (blocks.w, blocks.right, blocks.left):
-        a.flags.writeable = False
-    return blocks.w, blocks.right, blocks.left
 
 
 def splitting_slope(U_parts: PotentialParts, dp: DiracPoint, J: int,

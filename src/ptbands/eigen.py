@@ -15,8 +15,8 @@ Conventions used throughout:
 * every phase is fixed by gauge(v, angle), which turns the largest-|.|
   coefficient onto the angle.
 
-decompose() is the one decomposition: of one matrix, or of a stack of them
-at once, every right vector and, for the columns a caller picks, the left
+decompose() is the one decomposition: of a stack of matrices at once,
+every right vector and, for the columns a caller picks, the left
 vector too.  The right vectors come from one call of
 numpy's LAPACK eigensolver for the whole stack (eigh when the stack is
 exactly Hermitian, which makes left = right).  Each picked left vector is
@@ -114,19 +114,18 @@ def inner(u_coeffs, v_coeffs):
 
 
 def decompose(A, pick=None):
-    """Eigendecompositions of a matrix A (n, n), or of every matrix of a
-    stack A (m, n, n) at once.
+    """Eigendecompositions of every matrix of a stack A (m, n, n) at once
+    (a stack of one for a single matrix).
 
-    Returns the eigenvalues (..., n), each row sorted ascending by real part
-    (ties by imaginary part), the unit right vectors (..., n, n), and the
-    unit left vectors (..., n, n) in the columns pick(eigenvalues) selects in
+    Returns the eigenvalues (m, n), each row sorted ascending by real part
+    (ties by imaginary part), the unit right vectors (m, n, n), and the
+    unit left vectors (m, n, n) in the columns pick(eigenvalues) selects in
     every row (an index array or slice), NaN in the others, or None without
     pick.  A real A (assemble_stack's for a PT potential) takes LAPACK's real
     path, with exact conjugate pairs.  An exactly Hermitian stack takes eigh,
     whose left vectors are the right ones.  A LAPACK failure raises LinAlgError.
     """
-    n = A.shape[-1]
-    first = A.reshape(-1, n, n)[0]
+    first = A[0]
     # exactly Hermitian: the first row and column settle most non-Hermitian stacks
     if (first[:, 0] == first[0].conj()).all() and np.array_equal(A, A.conj().swapaxes(-1, -2)):
         w, right = np.linalg.eigh(A)        # ascending, left = right
@@ -134,7 +133,7 @@ def decompose(A, pick=None):
     else:
         w, right = np.linalg.eig(A)
         order = np.argsort(w, axis=-1, kind="stable")     # by real part, ties by imaginary
-        at = (*np.indices(order.shape, sparse=True)[:-1], order)
+        at = (np.arange(len(A))[:, None], order)
         # each block's right vectors come out column-major, as from one eig
         w, right = w[at], right.swapaxes(-1, -2)[at].swapaxes(-1, -2)
         left = None if pick is None else _left_vectors(A, w, right, pick(w))
@@ -142,8 +141,8 @@ def decompose(A, pick=None):
 
 
 def _left_vectors(A, w, right, cols):
-    """Unit left vectors in columns cols, NaN in the others, of a matrix
-    A (n, n) or of every matrix of a stack A (m, n, n) at once.
+    """Unit left vectors in columns cols, NaN in the others, of every matrix
+    of a stack A (m, n, n) at once.
 
     Column i is the conjugate of row i of R^{-1} (R the right vectors): the left
     vector biorthogonal to every other right vector, however close its
@@ -178,11 +177,8 @@ def _left_vectors(A, w, right, cols):
     err = np.abs(res)
     tol = np.sqrt(n) * d * size.min(axis=-1)
     if err.max() > tol.min():
-        # the matrices one at a time, as (m, ...) views of the stack
-        m, lead = d.size, w.ndim - 1
-        A, w, right, res, d, size, om = (a.reshape(m, *a.shape[lead:])
-                                         for a in (A, w, right, res, d, size, om))
-        for i in np.nonzero(err.reshape(m, -1).max(axis=1) > tol.reshape(m))[0]:
+        # the matrices one at a time
+        for i in np.nonzero(err.max(axis=(1, 2)) > tol)[0]:
             far = np.nonzero(np.linalg.norm(res[i], axis=0) > n * d[i] * size[i])[0]
             gap = np.partition(np.abs(w[i][:, None] - w[i][cols][far]), 1, axis=0)[1]
             far = far[gap > d[i] / np.sqrt(_EPS)]
@@ -192,7 +188,7 @@ def _left_vectors(A, w, right, cols):
                 S.reshape(far.size, n * n)[:, ::n + 1] -= (om[i][far] + d[i])[:, None]
                 y = np.linalg.solve(S, right[i][:, cols][:, far].T[:, :, None])[:, :, 0].T
                 x = x.astype(np.result_type(x, y), copy=False)
-                x.reshape(m, n, -1)[i][:, far] = y / np.linalg.norm(y, axis=0)
+                x[i][:, far] = y / np.linalg.norm(y, axis=0)
     left = np.full(x.shape[:-1] + (n,), np.nan, dtype=complex)
     left[..., cols] = x
     return left

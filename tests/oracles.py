@@ -40,11 +40,13 @@ def assemble(p, k, J):
 
 
 def solve(M, pick=None):
-    """eigen.decompose of one matrix as a Spectrum: every right vector, and
-    the left vectors in the columns pick(eigenvalues) selects (none without
-    pick)."""
-    w, right, left = decompose(M.entries, pick)
-    return Spectrum(k=M.k, J=M.J, eigenvalues=w, right_vectors=right, left_vectors=left)
+    """eigen.decompose of one matrix, a stack of one, as a Spectrum: every
+    right vector, and the left vectors in the columns pick(eigenvalues)
+    selects (none without pick)."""
+    row = None if pick is None else (lambda w: pick(w[0]))
+    w, right, left = decompose(M.entries[None], row)
+    return Spectrum(k=M.k, J=M.J, eigenvalues=w[0], right_vectors=right[0],
+                    left_vectors=None if left is None else left[0])
 
 
 def g_values(mode, x):

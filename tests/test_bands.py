@@ -148,8 +148,12 @@ class TestComputeBands:
         assert len({shape[-1] for shape in stacks if shape[0] > 1}) == 2
         Jb, walk = min(J, max(bands.SWEEP_J0, n_bands, p.max_harmonic)), []
         for i, k in enumerate(ks):
-            blocks = _leading_block(p, k, J, lambda w: slice(n_bands), Jb, rung=bands._sweep_rung)
-            Jb = blocks.J
+            # each column climbs from the last one's J' until its tail is certified
+            while True:
+                blocks = bands._stacked_blocks(p, [k], J, Jb, lambda w: slice(n_bands))
+                if blocks.tail[0] <= TAIL_TOL or Jb >= J:
+                    break
+                Jb = min(bands._sweep_rung(Jb), J)
             walk.append(Jb)
             assert np.array_equal(np.sort_complex(bs.omega[:, 15 + i]),
                                   np.sort_complex(blocks.w[0, :n_bands]))
@@ -175,9 +179,10 @@ class TestComputeBands:
         # a J' = 16 block of the gamma = 1.5 lattice leaves weight 2.5e-12 at
         # |j| = 16; the residual of its padded pairs against M_32 (6e-12 and
         # 1.5e-11, against 1e-13 inside the block) comes from the rows past 16,
-        # which the ladder assembles once with the block at its centre
+        # which _stacked_blocks assembles once with the block at its centre
         p = two_harmonic_potential(1.5)
-        E, w, right, left, cols, _ = blocks = _leading_block(p, k, 32, lambda w: slice(5), 16, 1.0)
+        _, w, right, left, cols, _ = blocks = _leading_block(p, k, 32, lambda w: slice(5), 16, 1.0)
+        E = bands._stacked_blocks(p, [k], 32, blocks.J, lambda w: slice(5)).E
         assert (blocks.J, E.shape[-1]) == (16, 2 * 18 + 1)
         assert np.array_equal(w[0], solve(assemble(p, k, 16)).eigenvalues)
         w, right, left = w[:, cols], right[:, :, cols], left[:, :, cols]

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from ptbands import dirac
+from ptbands import bands
 from ptbands.cli import main
 from conftest import CONFIGS, SRC_ENV
 
@@ -52,7 +52,7 @@ def first_run(tmp_path_factory):
 
     def get(path):
         if path not in files:
-            dirac._decomposed_block.cache_clear()
+            bands._decomposed_block.cache_clear()
             files[path] = run(path, out / path.stem)
             assert files[path]
         return files[path]
@@ -93,7 +93,7 @@ def test_J_is_a_cap(tmp_path, first_run, path):
 def test_memo_keeps_blocks_of_another_J_apart(tmp_path, first_run, path):
     # the J = 12 run memoises its blocks at J' = 12, where the shipped run reads J' = 16
     expected = first_run(path)
-    dirac._decomposed_block.cache_clear()
+    bands._decomposed_block.cache_clear()
     run(with_J(path, LOW_J, tmp_path), tmp_path / "low")
     assert run(path, tmp_path / "shipped") == expected
 

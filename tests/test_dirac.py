@@ -13,7 +13,8 @@ from ptbands import (ClassificationError, ConfigError, PotentialParts, bands, di
                      compute_bands, constant, eigen, find_dirac_points, from_parts,
                      measure_splitting, mw_matrix, predict_splitting, prop3_scan,
                      richardson_slope, splitting_slope, TruncationError)
-from ptbands.dirac import MEMO_BLOCKS, Regime, _decomposed_block, _nearest
+from ptbands.bands import MEMO_BLOCKS, _decomposed_block
+from ptbands.dirac import Regime, _nearest
 from ptbands.eigen import TWO_PI
 from conftest import two_harmonic_potential
 from oracles import assemble, solve
@@ -211,18 +212,22 @@ class TestMeasureSplitting:
     @pytest.mark.parametrize("k0, mu, J, weight", [(0.5, 0.25, 3, "5.0e-02"),
                                                    (0.5, 0.25, 5, "4.2e-04"),
                                                    (0.0, 4.0, 7, "1.8e-05")])
-    def test_unresolved_pair_refused(self, k0, mu, J, weight):
+    def test_unresolved_pair_refused(self, monkeypatch, k0, mu, J, weight):
         # the certified columns are the pair near mu, and the certified slots
         # all that M_J couples out of the block: at J = 7 the lowest two weigh
         # 4.3e-7 at |j| = 6, 7, the pair near 4 (even j only) 1.8e-5 at |j| = 6
         # and nothing at |j| = 7
-        # The second call reads its blocks from the memo the first one filled
+        # The second call reads its blocks, and those of the larger J its
+        # message climbs to, from the memo the first one filled
         V = from_parts(SIN2X)
         _decomposed_block.cache_clear()
-        for memo in ("cold", "warm"):
-            with pytest.raises(TruncationError, match=f"J = {J} .* pair near mu = {mu:g}: .* weigh {weight} "):
+        refused = f"J = {J} .* pair near mu = {mu:g}: .* weigh {weight} "
+        with pytest.raises(TruncationError, match=refused):
+            measure_splitting(V, k0, mu, J)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen, "decompose", lambda A, pick=None: pytest.fail("decomposed"))
+            with pytest.raises(TruncationError, match=refused):
                 measure_splitting(V, k0, mu, J)
-        assert _decomposed_block.cache_info().hits == 1
         measure_splitting(V, k0, mu, 16)
 
     @pytest.mark.parametrize("k0, mu, J", [(0.5, 0.25, 64), (0.5, 0.25, 128),
@@ -261,10 +266,11 @@ class TestMeasureSplitting:
         exact = np.sort_complex(w[_nearest(w, mu)])
         pair = np.sort_complex(np.array(measure_splitting(V, 0.0, mu, J)))
         blocks = bands._leading_block(V, 0.0, J, lambda w: _nearest(w, mu))
+        E = bands._stacked_blocks(V, [0.0], J, blocks.J, lambda w: _nearest(w[0], mu)).E
         R, L = blocks.right[0][:, blocks.cols], blocks.left[0][:, blocks.cols]
-        r = bands._padded_residuals(blocks.E[0], blocks.w[0, blocks.cols], R, L)
+        r = bands._padded_residuals(E[0], blocks.w[0, blocks.cols], R, L)
         kappa = np.linalg.norm(R @ np.linalg.solve(L.conj().T @ R, L.conj().T), 2)
-        assert blocks.E.shape[-1] == 2 * J + 1          # the residual is against M_32
+        assert E.shape[-1] == 2 * J + 1          # the residual is against M_32
         assert np.abs(pair - exact).max() <= kappa * r
 
     def test_pair_decomposed_as_a_stack(self, monkeypatch):

@@ -155,7 +155,7 @@ class TestPickedLeftVectors:
         A = np.diag([1.0, 2.0, 3.0])
         right = np.eye(3)
         right[0, 1] = 1e-6
-        left = _left_vectors(A, np.array([1.0, 2.0, 3.0]), right, [0])
+        left = _left_vectors(A[None], np.array([[1.0, 2.0, 3.0]]), right[None], [0])[0]
         assert abs(abs(left[0, 0]) - 1) <= 1e-15
         assert np.abs(left[1:, 0]).max() <= 1e-15
         assert np.isnan(left[:, 1:]).all()
@@ -309,8 +309,8 @@ class TestMakeMode:
     def test_near_exceptional_bound_shared_with_edge_curvature(self):
         # omega = 0 has condition 1.5e8: edge_curvature gives NaN and make_mode
         # refuses, where the pairing test refused only above sqrt(2 pi) 1e8
-        w, right, left = decompose(np.array([[0.0, 1.5e5], [0.0, 1e-3]]), every_column)
-        spec = Spectrum(k=0.0, J=0, eigenvalues=w, right_vectors=right, left_vectors=left)
+        w, right, left = decompose(np.array([[[0.0, 1.5e5], [0.0, 1e-3]]]), every_column)
+        spec = Spectrum(k=0.0, J=0, eigenvalues=w[0], right_vectors=right[0], left_vectors=left[0])
         curv, cond = edge_curvature(None, spec, 0)
         assert np.isnan(curv) and cond == pytest.approx(1.5e8, rel=1e-6)
         with pytest.raises(DegenerateEigenvalueError, match="exceptional point"):
