@@ -113,16 +113,15 @@ class BandStructure:
     well below 1 mark ambiguous continuations near crossings; they are
     recorded, not fatal.  edge_spectra maps k0 in {0.0, 0.5} to the
     eigen.Spectrum of the solved block there, the only eigenvectors kept.
-    J caps the sweep.  Per column, block_J is the block truncation J' solved,
-    tail_weight the largest |coefficient| at J' - max_harmonic < |j| <= J'
-    of the lowest n_bands right and left unit vectors, and residual the
-    largest 2-norm residual of those pairs, zero-padded, against M_J.
+    Per column, block_J is the block truncation J' solved, tail_weight the
+    largest |coefficient| at J' - max_harmonic < |j| <= J' of the lowest
+    n_bands right and left unit vectors, and residual the largest 2-norm
+    residual of those pairs, zero-padded, against M_J at the sweep's cap J.
     """
 
     k_grid: np.ndarray
     omega: np.ndarray
     tracking_quality: np.ndarray
-    J: int
     edge_spectra: dict
     block_J: np.ndarray
     tail_weight: np.ndarray
@@ -247,7 +246,7 @@ def compute_bands(p: PeriodicPotential, J: int, N_k: int, n_bands: int) -> BandS
 
     # M(-k) = R M(k)^T R (R: j -> -j): the right vectors at -k are R conj(l)
     omega, quality = _track(mirror(values), [l[::-1].conj() for l in lefts[zero:0:-1]] + rights)
-    return BandStructure(k_grid=ks, omega=omega, tracking_quality=quality, J=J, edge_spectra=edges,
+    return BandStructure(k_grid=ks, omega=omega, tracking_quality=quality, edge_spectra=edges,
                          block_J=np.array(mirror(block_J)), tail_weight=np.array(mirror(tails)),
                          residual=np.array(mirror(residuals)))
 
@@ -468,16 +467,17 @@ def _assignment(cost):
     return col4row
 
 
-def check_assumption(bs: BandStructure, m: int, p: PeriodicPotential = None) -> BandEdgeReport:
+def check_assumption(bs: BandStructure, m: int, p: PeriodicPotential) -> BandEdgeReport:
     """Reality (REALITY_TOL), isolation and simplicity report for band m (1-based).
 
     isolation_gap is the complex-plane distance from band m (as a set over
     the grid) to every other computed eigenvalue at every grid k — the
     computed window stands in for "the rest of the spectrum", so n_bands
     must cover the neighbours of m.  simplicity_margin is the same
-    distance restricted to equal k.  When the potential p is given, the
-    curvature at each detected edge comes from the stored edge spectrum by
-    edge_curvature (one bordered solve, no eigensolve).
+    distance restricted to equal k.  At each edge of a real band, curvature
+    and condition come from the stored edge spectrum by edge_curvature with
+    p, the potential of bs (one bordered solve, no eigensolve); a NaN
+    curvature marks a degenerate or near-exceptional edge.
     """
     vals = bs.band(m)
     scale = np.maximum(1.0, np.abs(vals))
@@ -512,10 +512,7 @@ def check_assumption(bs: BandStructure, m: int, p: PeriodicPotential = None) -> 
         (ka, oma), (kb, omb) = sorted([(0.0, om0), (0.5, omh)], key=lambda t: t[1])
         edge_list = []
         for k0, om_star, which in ((ka, oma, "a"), (kb, omb, "b")):
-            if p is not None:
-                curv, cond = edge_curvature(p, bs.edge_spectra[k0], bs.edge_index(m, k0))
-            else:
-                curv, cond = np.nan, np.nan
+            curv, cond = edge_curvature(p, bs.edge_spectra[k0], bs.edge_index(m, k0))
             edge_list.append(BandEdge(k0, om_star, which, curv, cond))
         edges = tuple(edge_list)
 

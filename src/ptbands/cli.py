@@ -14,12 +14,11 @@ Output is deterministic: floats are written with 17 significant digits,
 so identical configs give byte-identical files.
 The output directory is made at the first write, so a run that fails
 before it has a result leaves none.
-A run loads only the numerical modules its command needs (COMMANDS), and
-loads them before its config is read.
+A run loads only the numerical modules its command needs: the command's
+run, or a config check that needs one, imports them.
 """
 
 import argparse
-import importlib
 import json
 import sys
 import warnings
@@ -210,8 +209,7 @@ def cmd_bands(cfg, out):
     write_csv(out / "bands.csv",
               ["k", "band_index", "re_omega", "im_omega", "tracking_overlap"], rows)
 
-    reports = [bands.check_assumption(bs, mi, p=V if mi == m else None)
-               for mi in range(1, n_bands + 1)]
+    reports = [bands.check_assumption(bs, mi, V) for mi in range(1, n_bands + 1)]
     target = reports[m - 1]
     summary = {
         "J": cfg.J, "N_k": cfg.N_k, "n_bands": n_bands, "band_index": m,
@@ -330,13 +328,13 @@ def cmd_dirac(cfg, out):
     write_json(out / "dirac_summary.json", summary)
 
 
-# each command's config, its run, and the modules these two use
+# each command's config and its run
 COMMANDS = {
-    "bands": (BandsConfig, cmd_bands, ("bands",)),
-    "effective": (EffectiveConfig, cmd_effective, ("effective",)),
-    "ansatz": (AnsatzConfig, cmd_ansatz, ("effective",)),
-    "converge": (ConvergeConfig, cmd_converge, ("gpsolve",)),
-    "dirac": (DiracConfig, cmd_dirac, ("bands", "dirac")),
+    "bands": (BandsConfig, cmd_bands),
+    "effective": (EffectiveConfig, cmd_effective),
+    "ansatz": (AnsatzConfig, cmd_ansatz),
+    "converge": (ConvergeConfig, cmd_converge),
+    "dirac": (DiracConfig, cmd_dirac),
 }
 
 
@@ -366,11 +364,7 @@ def main(argv=None):
     parser.add_argument("-v", "--verbose", action="store_true")
     try:
         args = parser.parse_args(argv)
-        _, run, modules = COMMANDS[args.command]
-        # loaded before the config is read, and where a warning raised at import
-        # is not one of the run's
-        for name in modules:
-            importlib.import_module(f"{__package__}.{name}")
+        _, run = COMMANDS[args.command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cfg = read_config(args.command, _load_config(args.config))

@@ -147,7 +147,7 @@ def build_ansatz(env: SechEnvelope, mode: BlochMode, eps: float, grid: RealLineG
     p = np.tile(_cell_samples(mode.p_coeffs, grid.n_points // grid.cells), grid.cells)
     u = eps * env(eps * grid.x) * np.exp(1j * mode.k * grid.x) * p
     pt_defect = grid.pt_defect(u)
-    if pt_defect > 1e-8:
+    if pt_defect > 1e-8 * np.abs(u).max():      # relative: amplitude ~ 1/sqrt|Gamma|
         raise PTSymmetryError(
             f"ansatz not PT-symmetric on the grid (defect {pt_defect:.3e}); "
             "was the mode PT-phase-fixed?"
@@ -162,11 +162,11 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
     """Band-edge pipeline: assumption check, PT-fixed mode, curvature, Gamma.
 
     Everything at the edge comes from the band sweep's stored edge
-    spectrum: the mode with p* from its left vector, and omega'' from
-    bands.edge_curvature.  The sweep computes the min(m + 3, 2J + 1) lowest
-    bands.  Returns (EffectiveModel, BlochMode).  Raises ConfigError when
-    that holds no band above m (2J + 1 <= m), and AssumptionError when the
-    reality/isolation/simplicity check fails.
+    spectrum: the mode with p* from its left vector, and omega'' from the
+    edge report of bands.check_assumption.  The sweep computes the
+    min(m + 3, 2J + 1) lowest bands.  Returns (EffectiveModel, BlochMode).
+    Raises ConfigError when that holds no band above m (2J + 1 <= m), and
+    AssumptionError when the reality/isolation/simplicity check fails.
     """
     if edge not in ("a", "b"):
         raise ConfigError("edge must be 'a' or 'b'")
@@ -174,22 +174,21 @@ def extract_effective_model(V: PeriodicPotential, sigma: PeriodicPotential,
     if n_bands <= m:
         raise ConfigError(f"J = {J} holds no band above band {m} to check isolation")
     bs = bands.compute_bands(V, J, N_k, n_bands)
-    report = bands.check_assumption(bs, m)
+    report = bands.check_assumption(bs, m, V)
     bands.require_assumption(report)
     be = next(e for e in report.edges if e.which == edge)
 
     spec = bs.edge_spectra[be.k0]
     idx = bs.edge_index(m, be.k0)
     mode = eigen.fix_pt_phase(eigen.make_mode(spec, idx))
-    curvature, _ = bands.edge_curvature(V, spec, idx)
     gamma_nl = gamma_coefficient(mode, sigma)
     Omega = -1 if edge == "a" else +1
     model = EffectiveModel(
         k0=be.k0,
         omega_star=float(mode.omega.real),
-        curvature=curvature,
+        curvature=be.curvature,
         gamma_nl=gamma_nl,
         Omega=Omega,
-        exists=bool(existence_condition(gamma_nl.real, curvature, Omega)),
+        exists=bool(existence_condition(gamma_nl.real, be.curvature, Omega)),
     )
     return model, mode

@@ -47,7 +47,8 @@ from .util import is_real
 # sends the eps = 0.2 solve to another solution).  _gmres, left-preconditioned
 # like SciPy's, allocates its (GMRES_RESTART + 1) x N Krylov basis on every
 # step; with the Floquet-Bloch preconditioner a step takes at most 15 matvecs on
-# the tested lattices, so 30 never restarts there
+# the tested lattices, so no cycle fills its basis there; most steps still run
+# a second cycle, after the inner test passes and the true residual misses
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 30
 FORCING_MAX = 1e-4
@@ -262,10 +263,10 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
                  grid: RealLineGrid, on_iterate=None) -> BoundState:
     """Inexact Newton-Krylov solve of the stationary GP equation in the PT subspace.
 
-    u0 must be PT-symmetric to 1e-6, V and sigma to potential.PT_TOL (PTSymmetryError
-    otherwise) and omega real (ConfigError).  Converges when the L2 residual
-    falls to NEWTON_TOL within NEWTON_MAX_ITER steps (an already-converged u0
-    returns in zero iterations).
+    u0 must be PT-symmetric to 1e-6 max|u0|, V and sigma to potential.PT_TOL
+    (PTSymmetryError otherwise) and omega real (ConfigError).  Converges when
+    the L2 residual falls to NEWTON_TOL within NEWTON_MAX_ITER steps (an
+    already-converged u0 returns in zero iterations).
     on_iterate(k, u, residual), when given, observes every iterate.
     Raises NewtonError on divergence, a GMRES breakdown or miss of the forcing
     tolerance, a non-finite step (typically eps too large or a violated band
@@ -277,7 +278,7 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     if len(u0) != N:
         raise ValueError("u0 does not match the grid")
     defect = grid.pt_defect(u0)
-    if defect > 1e-6:
+    if defect > 1e-6 * np.abs(u0).max():
         raise PTSymmetryError(f"initial guess not PT-symmetric (defect {defect:.3e})")
     if not (validate_pt(V) and validate_pt(sigma)):
         raise PTSymmetryError("V and sigma must be PT-symmetric (real Fourier coefficients)")

@@ -35,7 +35,7 @@ class RealLineGrid:
         if self.spacing > TWO_PI / POINTS_PER_CELL + 1e-12:
             raise GridError(
                 f"grid spacing {self.spacing:.4f} exceeds 2pi/{POINTS_PER_CELL}; "
-                f"need at least {self.min_points()} points"
+                f"need at least {POINTS_PER_CELL * self.cells} points"
             )
 
     @property
@@ -46,9 +46,6 @@ class RealLineGrid:
     @property
     def spacing(self):
         return 2 * self.half_length / self.n_points
-
-    def min_points(self):
-        return POINTS_PER_CELL * self.cells
 
     @cached_property
     def x(self):

@@ -3,8 +3,8 @@ import pytest
 
 from ptbands import (AssumptionError, ComplexBandError, ConfigError, TruncationError,
                      check_assumption, compute_bands, constant, eigen,
-                     edge_curvature, from_parts, make_mode, second_derivative,
-                     PotentialParts)
+                     edge_curvature, extract_effective_model, from_parts, make_mode,
+                     second_derivative, PotentialParts)
 from ptbands import bands
 from ptbands.bands import (TAIL_MAX, TAIL_TOL, _assignment, _best_match, _leading_block,
                            _padded_residuals, _track, k_grid, require_assumption)
@@ -318,8 +318,9 @@ class TestCheckAssumption:
         assert by_which["b"].omega_star == pytest.approx(2.4374, abs=2e-4)
 
     def test_gamma15_band1_fails_reality(self):
-        bs = compute_bands(two_harmonic_potential(1.5), 24, 32, 5)
-        rep = check_assumption(bs, 1)
+        p = two_harmonic_potential(1.5)
+        bs = compute_bands(p, 24, 32, 5)
+        rep = check_assumption(bs, 1, p)
         assert not rep.is_real
         assert rep.max_im > 1e-2
         with pytest.raises(AssumptionError):
@@ -327,7 +328,7 @@ class TestCheckAssumption:
 
     def test_free_band_fails_isolation(self):
         bs = compute_bands(FREE, 10, 32, 4)
-        rep = check_assumption(bs, 1)
+        rep = check_assumption(bs, 1, FREE)
         assert rep.isolation_gap < 1e-10
         assert not rep.assumption_ok
 
@@ -335,11 +336,12 @@ class TestCheckAssumption:
     def test_isolation_gap_equals_dense_distance(self, monkeypatch, chunk):
         # the gap is taken over slices of k; its value is the dense minimum
         monkeypatch.setattr(bands, "ISOLATION_CHUNK", chunk)
-        bs = compute_bands(two_harmonic_potential(1.5), 24, 32, 5)
+        p = two_harmonic_potential(1.5)
+        bs = compute_bands(p, 24, 32, 5)
         for m in range(1, 6):
             vals, others = bs.band(m), np.delete(bs.omega, m - 1, axis=0)
             dense = np.abs(vals[None, None, :] - others[:, :, None]).min()
-            assert check_assumption(bs, m).isolation_gap == dense
+            assert check_assumption(bs, m, p).isolation_gap == dense
 
     def test_isolation_gap_memory_does_not_grow_with_grid_squared(self):
         # N_k = 2048, 6 bands: the dense distance array would hold 5 * 2048^2
@@ -349,10 +351,10 @@ class TestCheckAssumption:
         rng = np.random.default_rng(3)
         omega = rng.standard_normal((6, 2048)) + 1j * rng.standard_normal((6, 2048))
         bs = BandStructure(k_grid=k_grid(2048), omega=omega, tracking_quality=None,
-                           J=32, edge_spectra={}, block_J=None, tail_weight=None, residual=None)
+                           edge_spectra={}, block_J=None, tail_weight=None, residual=None)
         tracemalloc.start()
         try:
-            rep = check_assumption(bs, 1)
+            rep = check_assumption(bs, 1, FREE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -412,13 +414,22 @@ class TestEdgeCurvature:
         assert by_k0[0.0] == pytest.approx((6.568695499342126, 1.2688369757560725), rel=1e-12)
         assert by_k0[0.5] == pytest.approx((-94.00529400286739, 7.464838349049885), rel=1e-12)
 
-    def test_check_assumption_uses_bordered_curvature(self):
-        p = two_harmonic_potential(1.5)
-        bs = compute_bands(p, 24, 32, 5)
-        rep = check_assumption(bs, 3, p=p)
-        for e in rep.edges:
-            expect = edge_curvature(p, bs.edge_spectra[e.k0], bs.edge_index(3, e.k0))
-            assert (e.curvature, e.condition) == expect
+    @pytest.mark.parametrize("gamma, J, checked", [(1.5, 24, (3,)), (1.0, 32, (1, 2, 3, 4, 5))])
+    def test_check_assumption_uses_bordered_curvature(self, gamma, J, checked):
+        # every real band has both edges' curvatures from edge_curvature on the
+        # stored edge spectra, and extract_effective_model, which sweeps the
+        # m + 3 lowest bands as here, reads its curvature from that report
+        p = two_harmonic_potential(gamma)
+        for m in checked:
+            bs = compute_bands(p, J, 32, m + 3)
+            rep = check_assumption(bs, m, p)
+            assert rep.is_real and len(rep.edges) == 2
+            for e in rep.edges:
+                expect = edge_curvature(p, bs.edge_spectra[e.k0], bs.edge_index(m, e.k0))
+                assert np.isfinite(e.curvature)
+                assert (e.curvature, e.condition) == expect
+                model, _ = extract_effective_model(p, constant(-1.0), m, e.which, J, 32)
+                assert (model.k0, model.curvature) == (e.k0, e.curvature)
 
     def test_degeneracy_decision_independent_of_truncation(self):
         # the band 1/2 gap at k0 = 1/2 is 0.008; 1e-6 of max|omega|, about

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -212,9 +213,18 @@ class TestEffectiveCommand:
 
 
 class TestAnsatzCommand:
-    def test_emits_field_and_summary(self, tmp_path):
-        code, out = run(tmp_path, "ansatz", gentle_cfg(eps=0.1))
-        assert code == 0
+    # sigma = -1e-16 on V = 0.3 cos x + 0.2i sin x: the field peaks at 1.6e7
+    # (amplitude ~ 1/sqrt|Gamma|), where an absolute PT-defect bound of 1e-8
+    # refused it with exit 3 (defect 2.6e-8)
+    @pytest.mark.parametrize("cfg", [
+        gentle_cfg(eps=0.1),
+        gentle_cfg(eps=0.1, potential={"cosine": [0.3], "sine": [0.2], "gamma": 1.0,
+                                       "convention": "prop2"},
+                   sigma={"exp_coeffs": [[0, -1e-16, 0.0]]}),
+    ], ids=["gentle", "tiny-sigma"])
+    def test_emits_field_and_summary(self, tmp_path, cfg):
+        code, err, out = run_captured(tmp_path, "ansatz", cfg)
+        assert code == 0 and err == ""
         rows = (out / "ansatz.csv").read_text().splitlines()
         assert rows[0] == "x,re_u,im_u"
         summary = json.loads((out / "ansatz_summary.json").read_text())
@@ -493,6 +503,16 @@ def test_cli_loads_no_scipy(tmp_path):
         assert steps == [[[], []], [[], sorted(CLI_MODULES)],
                          [[], sorted(COMMAND_MODULES[command])]], command
         assert codes and set(codes) == {0}
+
+
+def test_modules_compile_without_warnings():
+    # a command's modules load inside main's warning recorder: a warning raised
+    # while one compiles, say an invalid escape (DeprecationWarning before
+    # Python 3.12, SyntaxWarning from it), would be a `warning:` line on every run
+    for path in sorted((README.parent / "src" / "ptbands").glob("*.py")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 # the names of the ptbands namespace

@@ -220,8 +220,9 @@ class TestNewtonKrylov:
 class TestGmres:
     @pytest.mark.parametrize("maxiter, info", [(40, 0), (2, 2)])
     def test_matches_scipy_gmres_through_restarts(self, maxiter, info):
-        # the shipped lattices never restart, so this nonsymmetric system is
-        # what exercises the restart and inner-tolerance branches: with
+        # no cycle on the shipped lattices fills its Krylov basis (their second
+        # cycles come from the inner-tolerance branch), so this nonsymmetric
+        # system is what restarts from a full basis: with
         # restart = 5 it takes 50 matvecs over several cycles, in one of which
         # the inner test passes while the true residual still misses (seed 5
         # is one where the inner-tolerance factors change the matvec count);
@@ -327,12 +328,23 @@ class TestNewtonSolve:
         again = newton_solve(state.values, ansatz.omega, V, sigma, grid)
         assert again.newton_iters == 0 and np.array_equal(again.values, state.values)
 
-    def test_rejects_non_pt_guess(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e10])
+    def test_rejects_non_pt_guess(self, scale):
+        # the defect bound is 1e-6 of max|u0|, so the guess's size does not
+        # decide: an off-centre sech is refused at every scale (an absolute
+        # 1e-6 took it at 1e-9), a centred one passes the check at every scale
         g = soliton_grid(2)
-        u0 = np.exp(1j * g.x)   # conj(u(-x)) = u(x) holds... use asymmetric real part
-        u0 = 1.0 / np.cosh(g.x - 1.0) + 0j
         with pytest.raises(PTSymmetryError):
-            newton_solve(u0, -1.0, FREE, constant(-1.0), g)
+            newton_solve(scale / np.cosh(g.x - 1.0) + 0j, -1.0, FREE, constant(-1.0), g)
+
+        class Checked(Exception):
+            pass
+
+        def stop(k, u, residual):
+            raise Checked
+        with pytest.raises(Checked):
+            newton_solve(scale / np.cosh(g.x) + 0j, -1.0, FREE, constant(-1.0), g,
+                         on_iterate=stop)
 
     @pytest.mark.parametrize("V, sigma", [
         (PeriodicPotential({1: 0.5 + 0.1j, -1: 0.5}), constant(-1.0)),
@@ -416,7 +428,8 @@ class TestConvergenceStudy:
         matvecs = [m for r in study.rows for m in r.matvecs]
         assert len(matvecs) == sum(r.newton_iters for r in study.rows)
         assert max(matvecs) <= 20
-        # no step restarts: a restart would change the iterates
+        # no cycle fills its Krylov basis; most steps still run a second cycle
+        # when the inner test passes and the true residual misses
         assert max(matvecs) < gpsolve.GMRES_RESTART
         # eps 0.2 and 0.1 are pinned in test_gentle_study_reproduces_dense_newton
         assert [r.newton_iters for r in study.rows[2:4]] == [3, 2]
