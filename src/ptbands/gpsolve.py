@@ -27,10 +27,12 @@ real dense blocks r = 0 ... C/2 once per solve and mirrors the rest (8 P N
 bytes in all); each application is a batched P x P product on c, O(P N), with
 no FFT.
 
-The Krylov solver is an in-package restarted GMRES (Saad & Schultz, SIAM
-J. Sci. Stat. Comput. 7, 1986) on numpy alone, left-preconditioned by the
-Floquet-Bloch inverse like SciPy's gmres, whose iteration it follows step
-for step (a test compares the two).
+The Krylov solver is an in-package GMRES (Saad & Schultz, SIAM J. Sci. Stat.
+Comput. 7, 1986) on numpy alone, left-preconditioned by the Floquet-Bloch
+inverse: one Arnoldi run per Newton step that stops on the preconditioned
+residual, without restarts.  Newton tests the true residual after every
+step, so this is inexact Newton on the preconditioned system (Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996).
 """
 
 from dataclasses import dataclass
@@ -44,13 +46,11 @@ from .potential import PeriodicPotential, validate_pt
 from .util import is_real
 
 # Forcing eta_k = min(FORCING_MAX, ||F_k||) keeps convergence quadratic (a 0.1 cap
-# sends the eps = 0.2 solve to another solution).  _gmres, left-preconditioned
-# like SciPy's, allocates its (GMRES_RESTART + 1) x N Krylov basis on every
-# step; with the Floquet-Bloch preconditioner a step takes at most 15 matvecs on
-# the tested lattices, so no cycle fills its basis there; most steps still run
-# a second cycle, after the inner test passes and the true residual misses
-GMRES_RESTART = 30
-GMRES_MAX_CYCLES = 30
+# sends the eps = 0.2 solve to another solution).  Each step's _gmres run
+# allocates a (GMRES_MAX_STEPS + 1) x N Krylov basis; with the Floquet-Bloch
+# preconditioner a step takes at most 9 matvecs on the tested lattices down to
+# eps = 0.00078125, so no run there comes near its budget
+GMRES_MAX_STEPS = 30
 FORCING_MAX = 1e-4
 # a preconditioner block with 1-norm condition above this (omega on or next to a
 # band value of the grid) loses more than FORCING_MAX to roundoff when applied
@@ -171,92 +171,44 @@ def _bloch_inverse(Vx, omega: float, grid: RealLineGrid):
     return lambda c: np.matmul(inv, c.reshape(P, C).T[:, :, None])[:, :, 0].T.reshape(N)
 
 
-def _gmres(matvec, b, rtol: float, restart: int, maxiter: int, psolve):
-    """Solve A x = b from x = 0 by left-preconditioned restarted GMRES.
+def _gmres(matvec, b, rtol: float, max_steps: int, psolve):
+    """Solve A x = b from x = 0 by one left-preconditioned GMRES run.
 
-    matvec applies A and psolve the preconditioner M ~ A^{-1}; maxiter
-    bounds the restart cycles of at most restart Krylov steps each.  Step for
-    step the iteration of SciPy 1.17's sparse.linalg.gmres: modified
-    Gram-Schmidt, the breakdown test h1 <= eps h0, an inner tolerance on the
-    preconditioned residual adapted between cycles (SciPy gh-8400), and
-    success only when the true residual ||b - A x|| <= rtol ||b||.  Returns
-    (x, info, number of matvec calls), info 0 on success and maxiter on a miss.
+    matvec applies A and psolve the preconditioner M^{-1} ~ A^{-1}.  Each Arnoldi
+    step (modified Gram-Schmidt) costs one matvec; x minimises the
+    preconditioned residual ||M^{-1}(b - A x)|| over the Krylov space of
+    M^{-1} A and M^{-1} b, and the run stops once that residual is at most
+    rtol ||M^{-1} b|| or after max_steps steps.  Returns (x, info, number of
+    matvec calls), info 0 on success and max_steps on a miss.
     """
-    n = len(b)
-    bnrm2 = np.linalg.norm(b)
-    atol = rtol * bnrm2
-    if bnrm2 == 0 or bnrm2 < atol:     # x = 0 already meets the tolerance
-        return np.zeros(n), 0, 0
-    eps = np.finfo(float).eps
-    restart = min(restart, n)
-    # the inner iteration sees only the preconditioned residual: its tolerance
-    # ptol is rescaled after every cycle from the true one
-    ptol_max_factor = 1.0
-    ptol = np.linalg.norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
-    v = np.empty((restart + 1, n))
-    h = np.zeros((restart, restart + 1))      # h[j, i] is entry (i, j) of the Hessenberg matrix
-    givens = np.zeros((restart, 2))
-    x = np.zeros(n)
-    r = b.copy()
-    n_matvec = 0
-    for _ in range(maxiter):
-        v[0] = psolve(r)
-        S = np.zeros(restart + 1)
-        S[0] = np.linalg.norm(v[0])
-        v[0] *= 1 / S[0]
-        breakdown = False
-        for col in range(restart):
-            w = psolve(matvec(v[col]))
-            n_matvec += 1
-            h0 = np.linalg.norm(w)
-            for k in range(col + 1):
-                h[col, k] = tmp = np.dot(v[k], w)
-                w -= tmp * v[k]
-            h1 = np.linalg.norm(w)
-            h[col, col + 1] = h1
-            v[col + 1] = w
-            if h1 <= eps * h0:     # the Krylov space holds the exact solution
-                h[col, col + 1] = 0
-                breakdown = True
-            else:
-                v[col + 1] *= 1 / h1
-            for k in range(col):
-                c, s = givens[k]
-                n0, n1 = h[col, k], h[col, k + 1]
-                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            # the rotation of LAPACK dlartg: mag carries the sign of f
-            f, g = h[col, col], h[col, col + 1]
-            mag = np.copysign(np.hypot(f, g), f)
-            c, s = (f / mag, g / mag) if mag else (1.0, 0.0)
-            givens[col] = c, s
-            h[col, col], h[col, col + 1] = mag, 0
-            S[col], S[col + 1] = c * S[col], -s * S[col]
-            presid = abs(S[col + 1])
-            if presid <= ptol or breakdown:
-                break
-        # back substitution on the triangular h, skipping zero right-hand sides
-        # so a singular h gives a pseudo-solution
-        if h[col, col] == 0:
-            S[col] = 0
-        y = S[:col + 1].copy()
-        for k in range(col, 0, -1):
-            if y[k] != 0:
-                y[k] /= h[k, k]
-                y[:k] -= y[k] * h[k, :k]
-        if y[0] != 0:
-            y[0] /= h[0, 0]
-        x += y @ v[:col + 1]
-        r = b - matvec(x)
-        n_matvec += 1
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol or breakdown:
+    r = psolve(b)
+    beta = np.linalg.norm(r)
+    if beta == 0:
+        return np.zeros(len(b)), 0, 0
+    tol = rtol * beta
+    v = np.empty((max_steps + 1, len(b)))
+    v[0] = r / beta
+    h = np.zeros((max_steps + 1, max_steps))
+    rotations = np.zeros((max_steps, 2))
+    g = np.zeros(max_steps + 1)     # Givens-rotated beta e_1: |g[j + 1]| is the residual
+    g[0] = beta
+    for j in range(max_steps):
+        w = psolve(matvec(v[j]))
+        for k in range(j + 1):
+            h[k, j] = np.dot(v[k], w)
+            w -= h[k, j] * v[k]
+        h[j + 1, j] = np.linalg.norm(w)
+        for k, (c, s) in enumerate(rotations[:j]):
+            h[k, j], h[k + 1, j] = c * h[k, j] + s * h[k + 1, j], c * h[k + 1, j] - s * h[k, j]
+        mag = np.hypot(h[j, j], h[j + 1, j])
+        rotations[j] = c, s = h[j, j] / mag, h[j + 1, j] / mag
+        h[j, j] = mag
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= tol:
             break
-        if presid <= ptol:     # the inner test passed but the true one did not
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, 0 if rnorm <= atol else maxiter, n_matvec
+        v[j + 1] = w / h[j + 1, j]
+    y = np.linalg.solve(np.triu(h[:j + 1, :j + 1]), g[:j + 1])
+    return y @ v[:j + 1], 0 if abs(g[j + 1]) <= tol else max_steps, j + 1
 
 
 def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotential,
@@ -268,10 +220,12 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
     the L2 residual falls to NEWTON_TOL within NEWTON_MAX_ITER steps (an
     already-converged u0 returns in zero iterations).
     on_iterate(k, u, residual), when given, observes every iterate.
-    Raises NewtonError on divergence, a GMRES breakdown or miss of the forcing
-    tolerance, a non-finite step (typically eps too large or a violated band
-    assumption), or a singular preconditioner block (omega on a band of the
-    grid).
+    Each step solves for the correction by GMRES to the forcing tolerance
+    min(FORCING_MAX, residual) on the preconditioned residual.
+    Raises NewtonError on divergence, a GMRES run that misses the forcing
+    tolerance within GMRES_MAX_STEPS Krylov steps, a non-finite step
+    (typically eps too large or a violated band assumption), or a singular
+    preconditioner block (omega on a band of the grid).
     """
     u0 = np.asarray(u0, dtype=complex)
     N = grid.n_points
@@ -312,10 +266,11 @@ def newton_solve(u0, omega: float, V: PeriodicPotential, sigma: PeriodicPotentia
         # z holds the real DFT coefficients of the PT correction
         z, info, n_matvec = _gmres(_jacobian_action(u, omega, Vx, sx, grid),
                                    np.fft.hfft(G, N), min(FORCING_MAX, rnorm),
-                                   GMRES_RESTART, GMRES_MAX_CYCLES, precond)
+                                   GMRES_MAX_STEPS, precond)
         matvecs.append(n_matvec)
         if info != 0 or not np.all(np.isfinite(z)):
-            raise NewtonError(f"GMRES failed at iteration {iters} (info {info})",
+            raise NewtonError(f"GMRES found no finite step within its Krylov budget of "
+                              f"{GMRES_MAX_STEPS} steps at Newton step {iters}",
                               last_residual=rnorm)
         u = u - np.fft.ihfft(z)
         iters += 1

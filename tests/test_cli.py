@@ -277,6 +277,15 @@ class TestConvergeCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("solver failure at eps = 0.2: preconditioner block 0 of ")
 
+    def test_krylov_budget_miss_exit3_one_line(self, tmp_path, monkeypatch):
+        # two Krylov steps cannot meet the forcing tolerance of the first Newton step
+        monkeypatch.setattr(gpsolve, "GMRES_MAX_STEPS", 2)
+        code, err, _ = run_captured(tmp_path, "converge", gentle_cfg(eps_list=[0.2]))
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("solver failure at eps = 0.2: GMRES found no finite step "
+                              "within its Krylov budget of 2 steps at Newton step 0")
+
     @pytest.mark.parametrize("eps_list", [[0.2, 0.2], [], ["a"], [-0.1, 0.1], [True, 0.1],
                                           [0.1, 0.6], [0.1, float("nan")]])
     def test_degenerate_eps_list_exit1(self, tmp_path, capsys, eps_list):
